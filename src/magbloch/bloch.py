@@ -36,6 +36,7 @@ from .complexes import (
 )
 from .homology import TWO_PI, Character, HomologySummary, homology
 from .operators import (
+    NumericError,
     assemble_fiber,
     assemble_supercell,
     spectrum,
@@ -155,7 +156,7 @@ def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
     all sampled character pairs; returns the worst deviations.
     """
     basis = BlochBasis.from_sizes(sizes)
-    sc_map = SupercellMap(SupercellSpec(tuple(basis.sizes)), 1, 0, (), {})
+    sc_map = SupercellMap(SupercellSpec(tuple(basis.sizes)), 1, 0, ())
     W = _cell_phase_matrix(basis, sc_map)
     C = basis.num_characters
     col_means = W.mean(axis=0)
@@ -371,12 +372,7 @@ def spectrum_union(
         raise ValueError(f"grid must have length {covering.rank}")
     if any(n < 1 for n in grid):
         raise ValueError("grid sizes must be >= 1")
-    if grid:
-        axes = [TWO_PI * np.arange(n) / n for n in grid]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ks = np.stack([g.ravel() for g in mesh], axis=-1)
-    else:
-        ks = np.zeros((1, 0))
+    ks = BlochBasis.from_sizes(grid).ks
     eigs = np.array(
         [
             spectrum(assemble_fiber(complex2, covering, theta, k)).eigenvalues
@@ -394,7 +390,12 @@ def _as_fraction(x, tol: float = 1e-12) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"flux {x!r} has a zero denominator") from None
+    if not math.isfinite(float(x)):
+        raise ValueError(f"flux must be finite, got {x!r}")
     # denominators are bounded well below 1/sqrt(tol), so a float that no
     # small rational matches within tol is treated as irrational
     frac = Fraction(float(x)).limit_denominator(4096)
@@ -484,7 +485,9 @@ def butterfly(
 
     Each flux is run through the magnetic supercell construction, a
     synthesized connection, and a band sweep; failures are collected per
-    entry instead of aborting the sweep.
+    entry instead of aborting the sweep.  Only domain errors (``ValueError``,
+    which includes :class:`NotQuantizableError`, and :class:`NumericError`)
+    become error rows; any other exception is a bug and propagates.
     """
     rows: list[ButterflyRow] = []
     for raw in fluxes:
@@ -499,11 +502,11 @@ def butterfly(
             conn = synthesize_connection(ms.complex2, ms.flux, summary)
             band = spectrum_union(ms.complex2, ms.covering, conn, grid)
             rows.append(ButterflyRow(fr.numerator, fr.denominator, band=band))
-        except Exception as exc:  # per-entry errors are data, not crashes
+        except (ValueError, NumericError) as exc:  # per-entry errors are data
             try:
                 fr = _as_fraction(raw)
                 p, q = fr.numerator, fr.denominator
-            except Exception:
+            except ValueError:
                 p, q = 0, 0
             rows.append(ButterflyRow(p, q, error=str(exc)))
     return rows

@@ -30,6 +30,7 @@ from .homology import (
     TWO_PI,
     homology,
     smith_normal_form,
+    spanning_forest,
 )
 
 __all__ = [
@@ -130,60 +131,6 @@ def is_quantizable(
         residues.append(abs(p - round(p)))
     verdict = all(r <= tol for r in residues)
     return QuantizabilityCertificate(tuple(pairings), tuple(residues), verdict, tol)
-
-
-def spanning_forest(complex2: Complex2) -> list[int]:
-    """Edges of a BFS spanning forest, rooted at the smallest vertex of each
-    component.  Deterministic: vertices are visited in index order and edges
-    scanned in index order, so the gauge it induces is reproducible."""
-    V = complex2.num_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    for e, (u, v, _) in enumerate(complex2.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    for lst in adj:
-        lst.sort(key=lambda t: t[1])
-    seen = [False] * V
-    tree: list[int] = []
-    for root in range(V):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v, e in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    tree.append(e)
-                    queue.append(v)
-    return sorted(tree)
-
-
-def _forest_potential(complex2: Complex2, theta: np.ndarray, tree: list[int]) -> np.ndarray:
-    """Vertex function g with theta + dg vanishing on the forest edges."""
-    V = complex2.num_vertices
-    g = np.zeros(V)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(V)]
-    for e in tree:
-        u, v, _ = complex2.edges[e]
-        adj[u].append((v, e, +1))
-        adj[v].append((u, e, -1))
-    seen = [False] * V
-    for root in range(V):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v, e, sign in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    # theta'(u->v) = sign*theta[e] + g(v) - g(u) = 0
-                    g[v] = g[u] - sign * theta[e]
-                    queue.append(v)
-    return g
 
 
 def synthesize_connection(
@@ -332,48 +279,12 @@ def flat_cocycle(
 ) -> FlatCocycle:
     """Flat edge cocycle with prescribed holonomy character.
 
-    The cocycle is assembled in the exact generator coordinates carried by
-    the homology summary (killed generators get 0, torsion factors get
-    2 pi k/m, free factors get the character angles) and then gauge-fixed to
-    vanish on the deterministic spanning forest.
+    The values come from :meth:`HomologySummary.flat_values`: zero on the
+    deterministic spanning forest, and on the cotree the exact generator
+    coordinates of the character (killed generators get 0, torsion factors
+    get 2 pi k/m, free factors get the character angles).
     """
-    if len(chi.angles) != summary.betti[1] or len(chi.torsion_indices) != len(
-        summary.h1_torsion_orders
-    ):
-        raise ValueError("character does not match the homology of this complex")
-
-    E = summary.num_edges
-    k = summary._snf1_V.shape[0] - summary._rank1
-    w = np.zeros(k)
-    for slot, angle in zip(summary._free_slots, chi.angles):
-        w[slot] = angle
-    for slot, k_i, m_i in zip(
-        summary._torsion_slots, chi.torsion_indices, summary.h1_torsion_orders
-    ):
-        w[slot] = TWO_PI * (k_i % m_i) / m_i
-
-    # u = (U'^-1)^T w, then lambda = V1^T [0; u]
-    uinv = np.array(
-        [[float(summary._uprime_inv[i, j]) for j in range(k)] for i in range(k)]
-    )
-    u = uinv.T @ w
-    y = np.zeros(summary._snf1_V.shape[0])
-    y[summary._rank1 :] = u
-    v1 = np.array(
-        [
-            [float(summary._snf1_V[i, j]) for j in range(E)]
-            for i in range(summary._snf1_V.shape[0])
-        ]
-    )
-    lam = v1.T @ y
-
-    tree = spanning_forest(complex2)
-    g = _forest_potential(complex2, lam, tree)
-    src, tgt = complex2.sources, complex2.targets
-    if E:
-        lam = lam + g[tgt] - g[src]
-        lam[tree] = 0.0  # exact zero on the forest, not merely within rounding
-    return FlatCocycle(lam, chi)
+    return FlatCocycle(summary.flat_values(chi), chi)
 
 
 def twist(

@@ -185,7 +185,6 @@ class SupercellMap:
     base_vertices: int
     base_edges: int
     edge_origin: tuple[tuple[int, int], ...]
-    _edge_index: dict = field(repr=False)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -223,10 +222,6 @@ class SupercellMap:
             rank, c = divmod(rank, n)
             digits.append(c)
         return tuple(reversed(digits)), v
-
-    def edge_copy(self, cell_rank: int, base_edge: int) -> int | None:
-        """Supercell edge index of the copy of ``base_edge`` in ``cell_rank``."""
-        return self._edge_index.get((cell_rank, base_edge))
 
 
 @dataclass(frozen=True)
@@ -392,15 +387,9 @@ def build_supercell(
     sizes = np.array(spec.sizes, dtype=int)
     periodic = spec.boundary == "periodic"
 
-    map_stub = SupercellMap(spec, V, E, (), {})
+    map_stub = SupercellMap(spec, V, E, ())
     cells = map_stub.cells()
     num_cells = len(cells)
-
-    def rank_of(cell: np.ndarray) -> int:
-        r = 0
-        for c, n in zip(cell, sizes):
-            r = r * int(n) + int(c) % int(n)
-        return r
 
     edges: list[tuple[int, int, float]] = []
     edge_origin: list[tuple[int, int]] = []
@@ -411,7 +400,7 @@ def build_supercell(
             cell2 = cell + covering.tau[e]
             if not periodic and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
                 continue
-            r2 = rank_of(cell2)
+            r2 = map_stub.cell_rank(cell2)
             edge_index[(r, e)] = len(edges)
             edges.append((r * V + u, r2 * V + v, w))
             edge_origin.append((r, e))
@@ -430,7 +419,7 @@ def build_supercell(
                 else:
                     based = cur - covering.tau[e]
                     nxt = based
-                idx = edge_index.get((rank_of(based), e))
+                idx = edge_index.get((map_stub.cell_rank(based), e))
                 if idx is None:
                     ok = False
                     break
@@ -445,7 +434,7 @@ def build_supercell(
 
     potentials = np.tile(complex2.potentials, num_cells)
     sc = Complex2(num_cells * V, tuple(edges), tuple(faces), potentials)
-    sc_map = SupercellMap(spec, V, E, tuple(edge_origin), edge_index)
+    sc_map = SupercellMap(spec, V, E, tuple(edge_origin))
     return sc, sc_map
 
 

@@ -3,10 +3,15 @@
 Everything here runs over arbitrary-precision Python ints; no intermediate
 result is ever truncated to a machine word.  The Smith normal form uses a
 deterministic pivot rule (smallest nonzero absolute value, row-major index
-tie-break) so generator bases are reproducible across platforms, and the
-H1 generators computed once per complex are reused by every downstream
-consumer (characters, holonomy pairings, flat twists) so that angle
-coordinates stay globally consistent.
+tie-break) so generator bases are reproducible across platforms.
+
+There is one cycle basis: the fundamental cycles of the cotree edges of a
+deterministic BFS spanning forest (:func:`spanning_forest`).  A 1-cycle's
+coordinates in it are just its cotree entries, so H1 is presented by the
+cotree rows of d2 and needs one Smith form.  The H1 generators computed
+once per complex in that basis are reused by every downstream consumer
+(characters, holonomy pairings, flat twists) so that angle coordinates stay
+globally consistent.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, boundary_matrices
+from .complexes import Complex2, CoveringData, boundary_matrices, face_steps
 
 __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "HomologySummary",
+    "spanning_forest",
     "homology",
     "Character",
     "evaluate_character",
@@ -59,19 +65,6 @@ def _obj_array(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
     for i in range(shape[0]):
         for j in range(shape[1]):
             out[i, j] = rows[i][j]
-    return out
-
-
-def imat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of two object-dtype integer matrices."""
-    m, k = A.shape
-    k2, n = B.shape
-    if k != k2:
-        raise ValueError("shape mismatch")
-    out = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for j in range(n):
-            out[i, j] = sum(A[i, t] * B[t, j] for t in range(k))
     return out
 
 
@@ -380,8 +373,11 @@ class HomologySummary:
 
     ``h1_free_generators`` and ``h1_torsion_generators`` are integer
     1-chains (length E); ``h2_cycles`` is a basis of the 2-cycle lattice
-    ker d2 (integer F-vectors).  The private Smith data lets any 1-cycle be
-    re-expressed in this fixed generator basis, exactly.
+    ker d2 (integer F-vectors).  H1 is computed in the basis of fundamental
+    cycles of the cotree edges of :func:`spanning_forest`: a 1-cycle's
+    coordinates there are its cotree entries, and the private Smith data of
+    the cotree face matrix turns those into coefficients on the stored
+    generators, exactly.
     """
 
     betti: tuple[int, int, int]
@@ -392,9 +388,8 @@ class HomologySummary:
     num_vertices: int
     num_edges: int
     num_faces: int
-    _d1: np.ndarray = field(repr=False)
-    _snf1_V: np.ndarray = field(repr=False)
-    _rank1: int = field(repr=False)
+    _edge_ends: tuple[tuple[int, int], ...] = field(repr=False)
+    _cotree: tuple[int, ...] = field(repr=False)
     _uprime_inv: np.ndarray = field(repr=False)
     _free_slots: tuple[int, ...] = field(repr=False)
     _torsion_slots: tuple[int, ...] = field(repr=False)
@@ -411,7 +406,7 @@ class HomologySummary:
         chain = np.asarray(chain, dtype=object)
         if chain.shape != (self.num_edges,):
             raise ValueError(f"1-chain must have length {self.num_edges}")
-        return all(v == 0 for v in imat_vec(self._d1, chain))
+        return not any(_vertex_boundary(self.num_vertices, self._edge_ends, chain))
 
     def cycle_coordinates(self, cycle: Sequence[int]) -> tuple[list[int], list[int]]:
         """Coefficients of a 1-cycle on the stored (free, torsion) generators.
@@ -424,11 +419,31 @@ class HomologySummary:
             raise ValueError(f"1-chain must have length {self.num_edges}")
         if not self.is_cycle(cyc):
             raise ValueError("not a cycle: boundary is nonzero")
-        kcoords = imat_vec(self._snf1_V, cyc)[self._rank1 :]
-        y = imat_vec(self._uprime_inv, kcoords)
+        y = imat_vec(self._uprime_inv, [cyc[e] for e in self._cotree])
         free = [y[i] for i in self._free_slots]
         tors = [y[i] for i in self._torsion_slots]
         return free, tors
+
+    def flat_values(self, chi: Character) -> np.ndarray:
+        """Edge angles of a flat cocycle with holonomy character ``chi``.
+
+        Zero on the spanning forest; on the cotree ``(U'^-1)^T w``, where
+        ``w`` holds the character angles on the free slots, 2 pi k/m on the
+        torsion slots and 0 on the killed ones.  Face sums lie in 2 pi Z.
+        """
+        if len(chi.angles) != self.betti[1] or len(chi.torsion_indices) != len(
+            self.h1_torsion_orders
+        ):
+            raise ValueError("character does not match the homology of this complex")
+        w = np.zeros(len(self._cotree))
+        w[list(self._free_slots)] = chi.angles
+        for slot, k_i, m_i in zip(
+            self._torsion_slots, chi.torsion_indices, self.h1_torsion_orders
+        ):
+            w[slot] = TWO_PI * (k_i % m_i) / m_i
+        values = np.zeros(self.num_edges)
+        values[list(self._cotree)] = self._uprime_inv.astype(float).T @ w
+        return values
 
     def to_dict(self) -> dict:
         return {
@@ -447,66 +462,113 @@ class HomologySummary:
         }
 
 
-def homology(complex2: Complex2) -> HomologySummary:
-    """Compute H0, H1, H2 with generators from the boundary matrices.
+def _vertex_boundary(num_vertices: int, ends, chain) -> list[int]:
+    """d1 of an integer 1-chain, from the edge endpoints."""
+    out = [0] * num_vertices
+    for (u, v), c in zip(ends, chain):
+        if c:
+            out[v] += int(c)
+            out[u] -= int(c)
+    return out
 
-    H1 = ker d1 / im d2 is presented by the Smith form of the face map
-    written in a kernel basis of d1; the invariant factors give torsion
-    orders and the transform columns give explicit generator 1-chains.
-    H2 = ker d2 (there are no 3-cells), returned as a lattice basis.
+
+def _bfs_forest(complex2: Complex2) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """BFS visiting order of the vertices, each vertex's forest edge, and the
+    cotree edges in index order.
+
+    Roots are the smallest vertex of each component and have edge -1.
+    Vertices are visited in index order and edges scanned in index order.
     """
-    d1, d2 = boundary_matrices(complex2)
+    V = complex2.num_vertices
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+    for e, (u, v, _) in enumerate(complex2.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    parent = [-1] * V
+    seen = [False] * V
+    order: list[int] = []
+    i = 0
+    for root in range(V):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            for v, e in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = e
+                    order.append(v)
+    tree = set(parent)
+    return order, parent, tuple(e for e in range(complex2.num_edges) if e not in tree)
+
+
+def spanning_forest(complex2: Complex2) -> list[int]:
+    """Edges of a BFS spanning forest, rooted at the smallest vertex of each
+    component.  Deterministic: vertices are visited in index order and edges
+    scanned in index order, so the gauge it induces is reproducible."""
+    return sorted(e for e in _bfs_forest(complex2)[1] if e >= 0)
+
+
+def homology(complex2: Complex2) -> HomologySummary:
+    """Compute H0, H1, H2 with generators, in the spanning-forest cycle basis.
+
+    The fundamental cycles of the cotree edges are a basis of ker d1, and a
+    face boundary's coordinates in it are its cotree rows, so H1 is the
+    cokernel of X = d2[cotree, :].  One Smith form of X gives the torsion
+    orders (invariant factors), the generator chains (U columns set on the
+    cotree and completed to cycles up the forest), and H2 = ker d2 = ker X
+    (there are no 3-cells), returned as a lattice basis.
+    """
+    _, d2 = boundary_matrices(complex2)
     V, E, F = complex2.num_vertices, complex2.num_edges, complex2.num_faces
+    ends = tuple((u, v) for u, v, _ in complex2.edges)
+    for word in complex2.faces:
+        steps = face_steps(word)
+        if any(_vertex_boundary(V, [ends[e] for e, _ in steps], [s for _, s in steps])):
+            raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
 
-    snf1 = smith_normal_form(d1)
-    r1 = snf1.rank
-    K = snf1.kernel_basis()  # E x k
-    k = K.shape[1]
+    order, parent, cotree = _bfs_forest(complex2)
+    k = len(cotree)
 
-    b0 = V - r1
-    h0_torsion = tuple(d for d in snf1.invariant_factors() if d > 1)
-
-    # face boundaries in kernel coordinates: X = (V1 @ d2)[r1:, :]
-    d2_obj = _obj_array(_int_rows(d2), d2.shape)
-    X_full = imat_mul(snf1.V, d2_obj)
-    X = X_full[r1:, :]
-    for i in range(r1):
-        for j in range(F):
-            if X_full[i, j] != 0:
-                raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
-    snfX = smith_normal_form(X)
+    snfX = smith_normal_form(d2[list(cotree), :])
     rX = snfX.rank
     dX = snfX.diagonal
 
     free_slots = tuple(range(rX, k))
     torsion_slots = tuple(i for i in range(rX) if dX[i] > 1)
-    b1 = len(free_slots)
     h1_torsion = tuple(dX[i] for i in torsion_slots)
 
     def chain_for_slot(i: int) -> np.ndarray:
-        col = imat_vec(K, [int(snfX.U[r, i]) for r in range(k)])
-        return np.array(col, dtype=object)
+        chain = [0] * E
+        for r, e in enumerate(cotree):
+            chain[e] = int(snfX.U[r, i])
+        # push each vertex's excess up its forest edge, leaves first
+        excess = _vertex_boundary(V, ends, chain)
+        for x in reversed(order):
+            e = parent[x]
+            if e >= 0:
+                u, v = ends[e]
+                chain[e] = excess[x] if u == x else -excess[x]
+                excess[u if v == x else v] += excess[x]
+        return np.array(chain, dtype=object)
 
-    free_gens = tuple(chain_for_slot(i) for i in free_slots)
-    torsion_gens = tuple((chain_for_slot(i), dX[i]) for i in torsion_slots)
-
-    snf2 = smith_normal_form(d2)
-    Z = snf2.kernel_basis()  # F x b2
-    b2 = Z.shape[1]
-    h2 = tuple(np.array([int(Z[r, j]) for r in range(F)], dtype=object) for j in range(b2))
-
+    Z = snfX.kernel_basis()  # F x b2
     return HomologySummary(
-        betti=(b0, b1, b2),
-        torsion=(h0_torsion, h1_torsion, ()),
-        h1_free_generators=free_gens,
-        h1_torsion_generators=torsion_gens,
-        h2_cycles=h2,
+        betti=(parent.count(-1), len(free_slots), Z.shape[1]),
+        torsion=((), h1_torsion, ()),
+        h1_free_generators=tuple(chain_for_slot(i) for i in free_slots),
+        h1_torsion_generators=tuple((chain_for_slot(i), dX[i]) for i in torsion_slots),
+        h2_cycles=tuple(
+            np.array([int(Z[r, j]) for r in range(F)], dtype=object) for j in range(Z.shape[1])
+        ),
         num_vertices=V,
         num_edges=E,
         num_faces=F,
-        _d1=_obj_array(_int_rows(d1), d1.shape),
-        _snf1_V=snf1.V,
-        _rank1=r1,
+        _edge_ends=ends,
+        _cotree=cotree,
         _uprime_inv=snfX.u_inv,
         _free_slots=free_slots,
         _torsion_slots=torsion_slots,
@@ -581,12 +643,24 @@ def cycle_label_invariants(
     """Rank and invariant factors of the cycle-label map H1 -> Z^d.
 
     A 1-cycle z maps to tau^T z; surjectivity (all d factors equal to 1)
-    means the labels present a connected cover.
+    means the labels present a connected cover.  On the fundamental cycle
+    of cotree edge c the map is tau_c + p(source_c) - p(target_c), where the
+    forest potential p(x) sums tau along the forest path from the root to x.
     """
-    d1, _ = boundary_matrices(complex2)
-    snf1 = smith_normal_form(d1)
-    K = snf1.kernel_basis()
-    tau_t = _obj_array(_int_rows(covering.tau.T), (covering.rank, complex2.num_edges))
-    L = imat_mul(tau_t, K)
+    order, parent, cotree = _bfs_forest(complex2)
+    tau = covering.tau.tolist()
+    p = [[0] * covering.rank for _ in range(complex2.num_vertices)]
+    for x in order:
+        e = parent[x]
+        if e >= 0:
+            u, v, _ = complex2.edges[e]
+            if v == x:
+                p[x] = [a + t for a, t in zip(p[u], tau[e])]
+            else:
+                p[x] = [a - t for a, t in zip(p[v], tau[e])]
+    L = np.zeros((covering.rank, len(cotree)), dtype=object)
+    for j, c in enumerate(cotree):
+        u, v, _ = complex2.edges[c]
+        L[:, j] = [t + a - b for t, a, b in zip(tau[c], p[u], p[v])]
     snfL = smith_normal_form(L)
     return snfL.rank, snfL.invariant_factors()

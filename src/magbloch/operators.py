@@ -166,7 +166,7 @@ def assemble_supercell(
     V = complex2.num_vertices
     sizes = np.array(spec.sizes, dtype=int)
     periodic = spec.boundary == "periodic"
-    sc_map = SupercellMap(spec, V, complex2.num_edges, (), {})
+    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
     cells = sc_map.cells()
     n = len(cells) * V
     H = np.zeros((n, n), dtype=complex)

@@ -395,6 +395,25 @@ class TestButterfly:
         assert rows[0].error is None
         assert rows[1].error is not None and "denominator" in rows[1].error
 
+    def test_zero_denominator_and_infinite_flux_are_error_rows(self, torus):
+        cx, cov = torus
+        rows = butterfly(cx, cov, ["1/0", float("inf"), "1/2"], (4, 4))
+        assert [(r.p, r.q) for r in rows[:2]] == [(0, 0), (0, 0)]
+        assert "zero denominator" in rows[0].error
+        assert "finite" in rows[1].error
+        assert rows[2].error is None
+
+    def test_programming_errors_propagate(self, torus, monkeypatch):
+        import magbloch.bloch
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken spectrum_union")
+
+        monkeypatch.setattr(magbloch.bloch, "spectrum_union", broken)
+        cx, cov = torus
+        with pytest.raises(TypeError, match="broken spectrum_union"):
+            butterfly(cx, cov, ["1/2"], (4, 4))
+
 
 class TestEmitters:
     def test_band_csv_shape(self, chain):

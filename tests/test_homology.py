@@ -7,11 +7,15 @@ from magbloch import (
     Character,
     Complex2,
     CoveringData,
+    SupercellSpec,
     boundary_matrices,
+    build_supercell,
     character_group,
+    difference_class,
     evaluate_character,
     homology,
     smith_normal_form,
+    twist,
 )
 from magbloch.homology import cycle_label_invariants, imat_vec, int_det
 
@@ -264,3 +268,115 @@ def test_cycle_label_invariants(torus, chain):
     cx1, _ = chain
     rank, factors = cycle_label_invariants(cx1, CoveringData(1, [[2]]))
     assert rank == 1 and factors == [2]
+
+
+def random_complex(rng):
+    """Random valid 2-complex: a path of vertices, extra edges ("loops"),
+    and faces that are random words in the loops.
+
+    Loop j is the closed walk from vertex 0 along the path to the source of
+    extra edge j, across it, and back along the path; edges get random
+    orientations.  Sometimes an isolated vertex is appended.
+    """
+    n = int(rng.integers(1, 5))
+    ends, path_ids = [], []
+    for i in range(n - 1):
+        flip = bool(rng.integers(2))
+        ends.append((i + 1, i) if flip else (i, i + 1))
+        path_ids.append(-(i + 1) if flip else i + 1)  # step from i to i+1
+
+    def walk(a, b):
+        if a <= b:
+            return path_ids[a:b]
+        return [-s for s in reversed(path_ids[b:a])]
+
+    loops = []
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = (int(x) for x in rng.integers(0, n, size=2))
+        ends.append((a, b))
+        loops.append(walk(0, a) + [len(ends)] + walk(b, 0))
+    faces = []
+    for _ in range(int(rng.integers(0, 4)) if loops else 0):
+        word = []
+        for _ in range(int(rng.integers(1, 5))):
+            loop = loops[int(rng.integers(len(loops)))]
+            word += loop if rng.integers(2) else [-s for s in reversed(loop)]
+        if word:
+            faces.append(tuple(word))
+    V = n + int(rng.integers(2))
+    edges = [(u, v, 1.0) for u, v in ends]
+    tau = rng.integers(-2, 3, size=(len(edges), 2))
+    return Complex2(V, edges, faces), CoveringData(2, tau)
+
+
+def oracle_complexes():
+    rng = np.random.default_rng(20260917)
+    out = [random_complex(rng) for _ in range(150)]
+    cx, cov, _ = make_random3(rng)
+    for sizes, boundary in [((2, 2), "periodic"), ((3, 2), "periodic"), ((3, 3), "dirichlet")]:
+        sc, _ = build_supercell(cx, cov, SupercellSpec(sizes, boundary))
+        out.append((sc, CoveringData(2, rng.integers(-2, 3, size=(sc.num_edges, 2)))))
+    return out
+
+
+def _unit(n, i):
+    return [1 if j == i else 0 for j in range(n)]
+
+
+class TestForestBasisOracle:
+    """The spanning-forest H1 basis against rank and Smith-form facts of d1, d2."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(cx, cov, homology(cx)) for cx, cov in oracle_complexes()]
+
+    def test_betti_from_ranks(self, cases):
+        for cx, _, s in cases:
+            d1, d2 = boundary_matrices(cx)
+            r1 = np.linalg.matrix_rank(d1) if d1.size else 0
+            r2 = np.linalg.matrix_rank(d2) if d2.size else 0
+            V, E, F = cx.num_vertices, cx.num_edges, cx.num_faces
+            assert s.betti == (V - r1, E - r1 - r2, F - r2)
+
+    def test_torsion_from_snf_of_d2(self, cases):
+        for cx, _, s in cases:
+            _, d2 = boundary_matrices(cx)
+            factors = smith_normal_form(d2).invariant_factors()
+            assert s.h1_torsion_orders == tuple(d for d in factors if d > 1)
+
+    def test_generators_are_cycles_with_unit_coordinates(self, cases):
+        for _, _, s in cases:
+            b1, nt = s.betti[1], len(s.h1_torsion_orders)
+            for i, g in enumerate(s.h1_free_generators):
+                assert s.is_cycle(g)
+                assert s.cycle_coordinates(g) == (_unit(b1, i), [0] * nt)
+            for i, (g, _) in enumerate(s.h1_torsion_generators):
+                assert s.is_cycle(g)
+                assert s.cycle_coordinates(g) == ([0] * b1, _unit(nt, i))
+
+    def test_twist_round_trip(self, cases):
+        rng = np.random.default_rng(7)
+        for cx, _, s in cases:
+            theta = rng.uniform(0.0, 2 * np.pi, size=cx.num_edges)
+            chi = character_group(s).sample(rng)
+            back = difference_class(cx, s, theta, twist(cx, s, theta, chi))
+            assert back.torsion_indices == chi.torsion_indices
+            assert back.angle_distance(chi) <= 1e-9
+
+    def test_cycle_label_invariants_against_kernel_of_d1(self, cases):
+        for cx, cov, _ in cases:
+            d1, _ = boundary_matrices(cx)
+            K = smith_normal_form(d1).kernel_basis()
+            ref = smith_normal_form(np.asarray(cov.tau.T, dtype=object) @ K)
+            assert cycle_label_invariants(cx, cov) == (ref.rank, ref.invariant_factors())
+
+    def test_cases_cover_torsion_h2_and_disconnected(self, cases):
+        assert sum(1 for *_, s in cases if s.h1_torsion_orders) >= 10
+        assert sum(1 for *_, s in cases if s.betti[2] >= 2) >= 10
+        assert sum(1 for *_, s in cases if s.betti[0] >= 2) >= 10
+
+
+def test_face_boundary_not_a_cycle_is_rejected():
+    cx = Complex2(2, [(0, 1, 1.0)], [(1,)])
+    with pytest.raises(AssertionError, match="not a 1-cycle"):
+        homology(cx)
