@@ -4,7 +4,8 @@ Sign conventions (fixed once, verified by the chain example in the tests):
 
 * sampled momentum grid: k_j = 2 pi m_j / N_j, multi-indices m in
   lexicographic order (matching the supercell cell order);
-* Bloch transform: s_hat_k(v) = (prod N)^(-1/2) sum_gamma e^{+i k.gamma} s(gamma, v);
+* Bloch transform: s_hat_k(v) = (prod N)^(-1/2) sum_gamma e^{+i k.gamma} s(gamma, v),
+  which is numpy's orthonormal inverse FFT over the cell axes;
 * fiber twist: edge phase theta_e + k . tau(e);
 * deck translation: (T_gamma s)(cell, v) = s(cell - gamma, v), which the
   transform diagonalizes as e^{+i k.gamma};
@@ -37,8 +38,9 @@ from .complexes import (
 from .homology import TWO_PI, Character, HomologySummary, homology
 from .operators import (
     NumericError,
-    assemble_fiber,
+    assemble_fibers,
     assemble_supercell,
+    fiber_spectra,
     spectrum,
     translate,
 )
@@ -94,22 +96,34 @@ class BlochBasis:
         return self.ks.shape[0]
 
 
-def _cell_phase_matrix(basis: BlochBasis, sc_map: SupercellMap) -> np.ndarray:
-    """W[k_index, cell_rank] = exp(+i k . gamma)."""
-    if basis.sizes != sc_map.sizes:
-        raise ValueError("Bloch basis and supercell have different sizes")
-    cells = sc_map.cells().astype(float)
-    return np.exp(1j * basis.ks @ cells.T)
-
-
 def bloch_matrix(basis: BlochBasis, sc_map: SupercellMap) -> np.ndarray:
     """The unitary finite Bloch transform as a dense matrix.
 
     Rows are (momentum, base vertex), columns are (cell, base vertex);
-    the normalization (prod N)^(-1/2) makes it a plain unitary.
+    the normalization (prod N)^(-1/2) makes it a plain unitary.  This is the
+    dense reference for :func:`bloch_transform`; no check builds it.
     """
-    W = _cell_phase_matrix(basis, sc_map)
+    _check_sizes(basis, sc_map)
+    W = np.exp(1j * basis.ks @ sc_map.cells().astype(float).T)
     return np.kron(W, np.eye(sc_map.base_vertices)) / math.sqrt(sc_map.num_cells)
+
+
+def _check_sizes(basis: BlochBasis, sc_map: SupercellMap) -> None:
+    if basis.sizes != sc_map.sizes:
+        raise ValueError("Bloch basis and supercell have different sizes")
+
+
+def _transform(
+    x: np.ndarray, sc_map: SupercellMap, first: int = 0, adjoint: bool = False
+) -> np.ndarray:
+    """Bloch transform (or its adjoint) along the cell axes ``first, first+1, ...``.
+
+    Under the sign table in the module docstring the transform is the
+    orthonormal inverse FFT over the cell axes, and its adjoint the
+    orthonormal forward FFT.
+    """
+    axes = tuple(range(first, first + len(sc_map.sizes)))
+    return (np.fft.fftn if adjoint else np.fft.ifftn)(x, axes=axes, norm="ortho")
 
 
 def bloch_transform(
@@ -119,14 +133,15 @@ def bloch_transform(
 
     Returns an array of shape (num characters, base vertices) whose row i is
     the fiber component at ``basis.ks[i]``; stacking rows reproduces
-    ``bloch_matrix @ s``.  The map is unitary: norms are preserved.
+    ``bloch_matrix @ s``.  The map is unitary: norms are preserved.  It is
+    applied as the orthonormal inverse FFT over the cell axes.
     """
+    _check_sizes(basis, sc_map)
     s = np.asarray(s, dtype=complex)
     if s.shape != (sc_map.num_vertices,):
         raise ValueError(f"vector must have length {sc_map.num_vertices}")
-    W = _cell_phase_matrix(basis, sc_map)
-    blocks = s.reshape(sc_map.num_cells, sc_map.base_vertices)
-    return (W @ blocks) / math.sqrt(sc_map.num_cells)
+    out = _transform(s.reshape(sc_map.sizes + (sc_map.base_vertices,)), sc_map)
+    return out.reshape(sc_map.num_cells, sc_map.base_vertices)
 
 
 @dataclass(frozen=True)
@@ -148,6 +163,26 @@ class CharacterRelationsReport:
         }
 
 
+def _character_tables(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and Gram matrix of the character table of prod Z/N_j.
+
+    Returns ``means[gamma] = (prod N)^(-1) sum_chi chi(gamma)`` and
+    ``gram[chi, chi'] = sum_gamma conj(chi(gamma)) chi'(gamma)``, both in
+    lexicographic order.  A character of the product group is the product of
+    per-axis characters exp(2 pi i (m_j gamma_j mod N_j) / N_j), so both sums
+    factor into per-axis sums of N_j terms whose phases come from exact
+    integer residues, combined with ``kron``.
+    """
+    means = np.ones(1, dtype=complex)
+    gram = np.ones((1, 1), dtype=complex)
+    for n in sizes:
+        m = np.arange(n)
+        table = np.exp(1j * TWO_PI * (np.outer(m, m) % n / n))
+        means = np.kron(means, table.mean(axis=0))
+        gram = np.kron(gram, table.conj() @ table.T)
+    return means, gram
+
+
 def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
     """Verify the finite character relations on the group prod Z/N_j.
 
@@ -156,14 +191,11 @@ def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
     all sampled character pairs; returns the worst deviations.
     """
     basis = BlochBasis.from_sizes(sizes)
-    sc_map = SupercellMap(SupercellSpec(tuple(basis.sizes)), 1, 0, ())
-    W = _cell_phase_matrix(basis, sc_map)
+    means, gram = _character_tables(basis.sizes)
     C = basis.num_characters
-    col_means = W.mean(axis=0)
     indicator = np.zeros(C)
     indicator[0] = 1.0
-    delta_res = float(np.max(np.abs(col_means - indicator)))
-    gram = W.conj() @ W.T
+    delta_res = float(np.max(np.abs(means - indicator)))
     ortho_res = float(np.max(np.abs(gram - C * np.eye(C))))
     return CharacterRelationsReport(delta_res, ortho_res)
 
@@ -192,32 +224,48 @@ def verify_block_diagonalization(
 ) -> BlockDiagonalizationReport:
     """Conjugate the periodic supercell operator by the Bloch unitary.
 
-    Reports the unitarity defect ||Phi^dagger Phi - I||_max, the largest
-    off-diagonal block entry of Phi H Phi^dagger, and the largest entrywise
-    deviation of the diagonal blocks from the fiber operators at the sampled
-    momenta.  Diagnostic only; never raises on large residuals.
+    Reports the unitarity defect ||Phi^dagger Phi - I||_max of the transform
+    as applied (the inverse FFT over the cell axes, then its adjoint, on
+    every unit vector), the largest off-diagonal block entry of
+    Phi H Phi^dagger, and the largest entrywise deviation of the diagonal
+    blocks from the fiber operators at the sampled momenta.  Phi H Phi^dagger
+    is formed by transforming the row cell axes of H and then, with the
+    adjoint, its column cell axes.  Diagnostic only; never raises on large
+    residuals.
     """
     spec = SupercellSpec(tuple(int(n) for n in sizes))
-    _, sc_map = build_supercell(complex2, covering, spec)
     basis = BlochBasis.from_sizes(spec.sizes)
-    Phi = bloch_matrix(basis, sc_map)
-    unit = float(np.max(np.abs(Phi.conj().T @ Phi - np.eye(Phi.shape[0]))))
+    V = complex2.num_vertices
+    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
+    C, d = sc_map.num_cells, len(spec.sizes)
+    shape = spec.sizes + (V,)
 
     H = assemble_supercell(complex2, covering, theta, spec).matrix
-    B = Phi @ H @ Phi.conj().T
-    V = complex2.num_vertices
+    B = _transform(H.reshape(shape + shape), sc_map)
+    del H
+    B = _transform(B, sc_map, first=d + 1, adjoint=True).reshape(C, V, C, V)
+    diagonal = np.arange(C)
+    blocks = B[diagonal, :, diagonal, :]
+    fibers = assemble_fibers(complex2, covering, theta, basis.ks)
+    fiber_dev = float(np.max(np.abs(blocks - fibers))) if V else 0.0
     off = 0.0
-    fiber_dev = 0.0
-    for i in range(basis.num_characters):
-        block = B[i * V : (i + 1) * V, i * V : (i + 1) * V]
-        fiber = assemble_fiber(complex2, covering, theta, basis.ks[i]).matrix
-        fiber_dev = max(fiber_dev, float(np.max(np.abs(block - fiber))) if V else 0.0)
-    mask = np.ones_like(B, dtype=bool)
-    for i in range(basis.num_characters):
-        mask[i * V : (i + 1) * V, i * V : (i + 1) * V] = False
-    if mask.any():
-        off = float(np.max(np.abs(B[mask])))
-    return BlockDiagonalizationReport(unit, off, fiber_dev)
+    if C > 1 and V:
+        B[diagonal, :, diagonal, :] = 0.0
+        off = float(np.max(np.abs(B)))
+    del B
+    return BlockDiagonalizationReport(_unitarity_defect(sc_map), off, fiber_dev)
+
+
+def _unitarity_defect(sc_map: SupercellMap) -> float:
+    """||Phi^dagger Phi - I||_max of the transform as applied: the transform
+    and then its adjoint on every unit vector."""
+    n = sc_map.num_vertices
+    if n == 0:
+        return 0.0
+    eye = np.eye(n, dtype=complex).reshape((n,) + sc_map.sizes + (sc_map.base_vertices,))
+    back = _transform(_transform(eye, sc_map, first=1), sc_map, first=1, adjoint=True)
+    back -= eye
+    return float(np.max(np.abs(back)))
 
 
 @dataclass(frozen=True)
@@ -255,12 +303,7 @@ def decomposition_check(
     basis = BlochBasis.from_sizes(spec.sizes)
     op = assemble_supercell(complex2, covering, theta, spec)
     super_eigs = spectrum(op).eigenvalues
-    fiber_eigs = np.concatenate(
-        [
-            spectrum(assemble_fiber(complex2, covering, theta, k)).eigenvalues
-            for k in basis.ks
-        ]
-    )
+    fiber_eigs = fiber_spectra(complex2, covering, theta, basis.ks).eigenvalues.ravel()
     dev = float(np.max(np.abs(super_eigs - np.sort(fiber_eigs)))) if len(super_eigs) else 0.0
     return DecompositionReport(dev, max(abs(e) for e in super_eigs) if len(super_eigs) else 0.0)
 
@@ -280,9 +323,8 @@ def multiplier_action(
     s = np.asarray(s, dtype=complex)
     out = np.zeros_like(s)
     cells = sc_map.cells()
-    for r in range(sc_map.num_cells):
-        if fhat[r] != 0:
-            out = out + fhat[r] * translate(s, cells[r], sc_map)
+    for r in np.flatnonzero(fhat):
+        out = out + fhat[r] * translate(s, cells[r], sc_map)
     return out
 
 
@@ -373,12 +415,7 @@ def spectrum_union(
     if any(n < 1 for n in grid):
         raise ValueError("grid sizes must be >= 1")
     ks = BlochBasis.from_sizes(grid).ks
-    eigs = np.array(
-        [
-            spectrum(assemble_fiber(complex2, covering, theta, k)).eigenvalues
-            for k in ks
-        ]
-    )
+    eigs = fiber_spectra(complex2, covering, theta, ks).eigenvalues
     step = max((TWO_PI / n for n in grid), default=0.0)
     join_tol = 2.0 * lipschitz_bound(complex2, covering) * step
     return BandData(ks, eigs, _merge_intervals(eigs, join_tol), grid)

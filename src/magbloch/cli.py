@@ -21,7 +21,7 @@ from . import bloch, bundle
 from .complexes import validate
 from .homology import character_group, homology
 from .model_io import Model, ModelError, load_model
-from .operators import NumericError, assemble_fiber, spectrum
+from .operators import NumericError, fiber_spectra
 
 EXIT_OK = 0
 EXIT_NOT_QUANTIZABLE = 1
@@ -212,27 +212,14 @@ def cmd_fibers(args) -> int:
     model = _load(args)
     _require_valid(model)
     tols = _parse_tols(args.tol)
+    if args.grid:
+        raise CliError("fibers takes --k only; use `bands --grid` for a momentum grid", EXIT_PARSE)
+    if not args.k:
+        raise CliError("fibers needs --k", EXIT_PARSE)
     theta = _connection_from_model(model, tols)
-    rank = model.covering.rank
-    if args.k:
-        ks = _parse_klist(args.k, rank)
-    elif args.grid:
-        grid = _parse_sizes(args.grid, "grid")
-        if len(grid) != rank:
-            raise CliError(f"--grid must have {rank} entries for this model", EXIT_PARSE)
-        band = bloch.spectrum_union(model.complex2, model.covering, theta, grid)
-        _emit(args, bloch.band_csv(band))
-        return EXIT_OK
-    else:
-        raise CliError("fibers needs --k or --grid", EXIT_PARSE)
-    eigs = np.array(
-        [
-            spectrum(assemble_fiber(model.complex2, model.covering, theta, k)).eigenvalues
-            for k in ks
-        ]
-    )
-    band = bloch.BandData(ks, eigs, (), ())
-    _emit(args, bloch.band_csv(band))
+    ks = _parse_klist(args.k, model.covering.rank)
+    eigs = fiber_spectra(model.complex2, model.covering, theta, ks).eigenvalues
+    _emit(args, bloch.band_csv(bloch.BandData(ks, eigs, (), ())))
     return EXIT_OK
 
 

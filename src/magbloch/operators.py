@@ -14,11 +14,11 @@ Matrices are dense; a configurable threshold rejects oversized requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, SupercellMap, SupercellSpec
+from .complexes import Complex2, CoveringData, SupercellMap, SupercellSpec, build_supercell
 
 __all__ = [
     "MagneticOperator",
@@ -27,8 +27,10 @@ __all__ = [
     "DENSE_THRESHOLD",
     "assemble_quotient",
     "assemble_fiber",
+    "assemble_fibers",
     "assemble_supercell",
     "spectrum",
+    "fiber_spectra",
     "translate",
     "translation_matrix",
 ]
@@ -36,6 +38,11 @@ __all__ = [
 DENSE_THRESHOLD = 2048
 
 HERMITICITY_TOL = 1e-10
+
+# Byte budget of one fiber stack: batches of K fibers keep each (K, V, V)
+# complex temporary of the batched solve near this size, so peak memory
+# does not grow with the number of momenta.
+STACK_BYTES = 1 << 17
 
 
 class NumericError(RuntimeError):
@@ -77,7 +84,11 @@ class MagneticOperator:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues with the worst eigenpair residual of the solve."""
+    """Ascending eigenvalues with the worst eigenpair residual of the solve.
+
+    From :func:`fiber_spectra` the eigenvalues have one ascending row per
+    momentum.
+    """
 
     eigenvalues: np.ndarray
     residual: float
@@ -102,28 +113,70 @@ def _edge_phases(
     return theta
 
 
-def _assemble(
-    complex2: Complex2, phases: np.ndarray, provenance: str
-) -> MagneticOperator:
+def _assemble(complex2: Complex2, phases: np.ndarray) -> np.ndarray:
+    """Operator matrices for a stack of edge phases, shape (K, E) -> (K, V, V).
+
+    Each edge subtracts w exp(i phase) at (target, source) and then its
+    conjugate at (source, target); ``np.subtract.at`` applies these in edge
+    order, so every entry is accumulated exactly as a loop over the edges
+    would.  The degree-plus-potential diagonal is added last.
+    """
     n = complex2.num_vertices
-    H = np.zeros((n, n), dtype=complex)
-    diag = np.zeros(n)
-    for e, (u, v, w) in enumerate(complex2.edges):
-        diag[u] += w
-        diag[v] += w
-        z = w * np.exp(1j * phases[e])
-        H[v, u] -= z
-        H[u, v] -= z.conjugate()
-    diag += complex2.potentials
-    H[np.diag_indices(n)] += diag
-    return MagneticOperator(H, provenance)
+    H = np.zeros((phases.shape[0], n, n), dtype=complex)
+    ends = _ends(complex2)
+    z = complex2.weights * np.exp(1j * phases)
+    hops = np.stack([z, z.conj()], axis=2).reshape(len(H), 2 * len(ends))
+    np.subtract.at(H, (slice(None), ends[:, ::-1].ravel(), ends.ravel()), hops)
+    idx = np.arange(n)
+    H[:, idx, idx] += _degree(complex2) + complex2.potentials
+    return H
+
+
+def _ends(complex2: Complex2) -> np.ndarray:
+    return np.array([(u, v) for u, v, _ in complex2.edges], dtype=int).reshape(-1, 2)
+
+
+def _degree(complex2: Complex2) -> np.ndarray:
+    """Weighted degree, summed in edge order (source, then target; loops count twice)."""
+    deg = np.zeros(complex2.num_vertices)
+    np.add.at(deg, _ends(complex2).ravel(), np.repeat(complex2.weights, 2))
+    return deg
 
 
 def assemble_quotient(
     complex2: Complex2, theta: Sequence[float] | None = None
 ) -> MagneticOperator:
     """Bochner Laplacian plus potential on the quotient complex."""
-    return _assemble(complex2, _edge_phases(complex2, theta), "quotient")
+    H = _assemble(complex2, _edge_phases(complex2, theta)[None])[0]
+    return MagneticOperator(H, "quotient")
+
+
+def _fiber_data(
+    complex2: Complex2, covering: CoveringData, theta, ks
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated momenta (K, d), connection (E,) and float labels tau^T (d, E)."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 2 or ks.shape[1] != covering.rank:
+        raise ValueError(f"momenta must have shape (K, {covering.rank}), got {ks.shape}")
+    phases = _edge_phases(complex2, theta)
+    if covering.tau.shape[0] != complex2.num_edges:
+        raise ValueError("covering labels do not match the number of edges")
+    return ks, phases, covering.tau.T.astype(float)
+
+
+def assemble_fibers(
+    complex2: Complex2,
+    covering: CoveringData,
+    theta: Sequence[float] | None,
+    ks: np.ndarray,
+) -> np.ndarray:
+    """Fiber operators at the momenta ``ks`` (shape (K, d)) as a (K, V, V) stack.
+
+    Row i is the operator at ``ks[i]``: every edge phase shifted by
+    ``ks[i] . tau(e)``.
+    """
+    ks, phases, tau_t = _fiber_data(complex2, covering, theta, ks)
+    return _assemble(complex2, phases + ks @ tau_t)
 
 
 def assemble_fiber(
@@ -136,12 +189,12 @@ def assemble_fiber(
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape != (covering.rank,):
         raise ValueError(f"momentum must have length {covering.rank}, got {k.shape}")
-    phases = _edge_phases(complex2, theta)
-    if covering.tau.shape[0] != complex2.num_edges:
-        raise ValueError("covering labels do not match the number of edges")
-    twist = covering.tau.astype(float) @ k if covering.rank else np.zeros(len(phases))
-    ktxt = ",".join(f"{v:.6g}" for v in k)
-    return _assemble(complex2, phases + twist, f"fiber(k=[{ktxt}])")
+    H = assemble_fibers(complex2, covering, theta, k[None])[0]
+    return MagneticOperator(H, f"fiber(k=[{_format_k(k)}])")
+
+
+def _format_k(k: np.ndarray) -> str:
+    return ",".join(f"{v:.6g}" for v in k)
 
 
 def assemble_supercell(
@@ -158,42 +211,54 @@ def assemble_supercell(
     periodic one onto the block: diagonal entries keep every incident cover
     edge while hoppings that leave the block are dropped.
     """
-    if covering.rank != len(spec.sizes):
-        raise ValueError(
-            f"supercell sizes have length {len(spec.sizes)} but covering rank is {covering.rank}"
-        )
-    phases = _edge_phases(complex2, theta)
-    V = complex2.num_vertices
-    sizes = np.array(spec.sizes, dtype=int)
-    periodic = spec.boundary == "periodic"
-    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
-    cells = sc_map.cells()
-    n = len(cells) * V
-    H = np.zeros((n, n), dtype=complex)
-    diag = np.zeros(n)
-    for r in range(len(cells)):
-        cell = cells[r]
-        base = r * V
-        for e, (u, v, w) in enumerate(complex2.edges):
-            # every incident cover edge contributes to the diagonal
-            diag[base + u] += w
-            diag[base + v] += w
-            cell2 = cell + covering.tau[e]
-            if periodic:
-                r2 = sc_map.cell_rank(cell2)
-            else:
-                if np.any(cell2 < 0) or np.any(cell2 >= sizes):
-                    continue
-                r2 = sc_map.cell_rank(cell2)
-            i = base + u
-            j = r2 * V + v
-            z = w * np.exp(1j * phases[e])
-            H[j, i] -= z
-            H[i, j] -= z.conjugate()
-        diag[base : base + V] += complex2.potentials
-    H[np.diag_indices(n)] += diag
+    sc, sc_map = build_supercell(complex2, covering, spec)
+    phases = _edge_phases(complex2, theta)[[e for _, e in sc_map.edge_origin]]
+    if spec.boundary == "dirichlet":
+        # the weight of cover edges leaving the block acts as a potential
+        full = np.tile(_degree(complex2), sc_map.num_cells)
+        sc = Complex2(sc.num_vertices, sc.edges, sc.faces, sc.potentials + full - _degree(sc))
     tag = f"supercell(N={spec.sizes}, {spec.boundary})"
-    return MagneticOperator(H, tag)
+    return MagneticOperator(_assemble(sc, phases[None])[0], tag)
+
+
+def _eigh_checked(
+    H: np.ndarray, where: Callable[[int], str], dense_threshold: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gated Hermitian eigensolve of a (K, n, n) stack.
+
+    Applies to each matrix the dense threshold, the Hermiticity gate, the
+    symmetrized ``eigh`` and the eigenpair residual gate (1e-8 times that
+    matrix's row-sum norm, at least 1e-8).  Returns the ascending eigenvalues
+    (K, n) and each matrix's residual max_i ||H v_i - lam_i v_i||_2; a
+    failure raises :class:`NumericError` naming ``where(i)`` of the first
+    failing matrix.
+    """
+    K, n = H.shape[0], H.shape[1]
+    if K and n > dense_threshold:
+        raise NumericError(
+            f"{where(0)}: matrix dimension {n} exceeds the dense solver threshold "
+            f"{dense_threshold}; reduce the supercell size or grid"
+        )
+    if K == 0 or n == 0:
+        return np.zeros((K, n)), np.zeros(K)
+    defect = np.max(np.abs(H - H.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"{where(i)}: not Hermitian: defect {defect[i]:.3e} exceeds {HERMITICITY_TOL}"
+        )
+    S = 0.5 * (H + H.conj().transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(S)
+    residual = np.max(np.linalg.norm(S @ vecs - vecs * vals[:, None, :], axis=1), axis=1)
+    scale = np.maximum(np.max(np.sum(np.abs(H), axis=2), axis=1), 1.0)
+    bad = np.flatnonzero(residual > 1e-8 * scale)
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"{where(i)}: eigenpair residual {residual[i]:.3e} exceeds 1e-8 * {scale[i]:.3e}"
+        )
+    return np.sort(vals, axis=1), residual
 
 
 def spectrum(op: MagneticOperator, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
@@ -203,24 +268,38 @@ def spectrum(op: MagneticOperator, dense_threshold: int = DENSE_THRESHOLD) -> Sp
     size or grid instead) and matrices whose Hermiticity defect exceeds
     1e-10.  The returned residual is max_i ||H v_i - lam_i v_i||_2.
     """
-    n = op.dimension
-    if n > dense_threshold:
-        raise NumericError(
-            f"matrix dimension {n} exceeds the dense solver threshold {dense_threshold}; "
-            "reduce the supercell size or grid"
+    vals, residual = _eigh_checked(op.matrix[None], lambda i: op.provenance, dense_threshold)
+    return Spectrum(vals[0], float(residual[0]))
+
+
+def fiber_spectra(
+    complex2: Complex2,
+    covering: CoveringData,
+    theta: Sequence[float] | None,
+    ks: np.ndarray,
+) -> Spectrum:
+    """Spectra of the fiber operators at the momenta ``ks`` (shape (K, d)).
+
+    Returns a :class:`Spectrum` whose eigenvalues have shape (K, V), row i
+    ascending at ``ks[i]``, and whose residual is the worst over all fibers.
+    The fibers are assembled and solved in batches of at most
+    ``STACK_BYTES`` per matrix stack, each fiber under the gates of
+    :func:`spectrum` at ``DENSE_THRESHOLD``; a failure names its momentum.
+    """
+    ks, phases, tau_t = _fiber_data(complex2, covering, theta, ks)
+    V = complex2.num_vertices
+    batch = max(1, STACK_BYTES // (16 * max(V, 1) ** 2))
+    eigs = np.empty((len(ks), V))
+    worst = 0.0
+    for start in range(0, len(ks), batch):
+        chunk = ks[start : start + batch]
+        H = _assemble(complex2, phases + chunk @ tau_t)
+        vals, residual = _eigh_checked(
+            H, lambda i: f"fiber at k=[{_format_k(chunk[i])}]", DENSE_THRESHOLD
         )
-    defect = op.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise NumericError(f"not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_TOL}")
-    if n == 0:
-        return Spectrum(np.zeros(0), 0.0)
-    H = 0.5 * (op.matrix + op.matrix.conj().T)
-    vals, vecs = np.linalg.eigh(H)
-    residual = float(np.max(np.linalg.norm(H @ vecs - vecs * vals, axis=0)))
-    scale = max(op.norm(), 1.0)
-    if residual > 1e-8 * scale:
-        raise NumericError(f"eigenpair residual {residual:.3e} exceeds 1e-8 * {scale:.3e}")
-    return Spectrum(np.sort(vals), residual)
+        eigs[start : start + len(chunk)] = vals
+        worst = max(worst, float(residual.max()))
+    return Spectrum(eigs, worst)
 
 
 def translate(
@@ -239,13 +318,9 @@ def translate(
     gamma = np.asarray(gamma, dtype=int)
     if gamma.shape != (len(sc_map.sizes),):
         raise ValueError(f"translation must have length {len(sc_map.sizes)}")
-    cells = sc_map.cells()
-    V = sc_map.base_vertices
-    out = np.empty_like(s)
-    for r in range(len(cells)):
-        r_src = sc_map.cell_rank(cells[r] - gamma)
-        out[r * V : (r + 1) * V] = s[r_src * V : (r_src + 1) * V]
-    return out
+    d = len(sc_map.sizes)
+    blocks = s.reshape(sc_map.sizes + (sc_map.base_vertices,) + s.shape[1:])
+    return np.roll(blocks, tuple(gamma), axis=tuple(range(d))).reshape(s.shape)
 
 
 def translation_matrix(sc_map: SupercellMap, gamma: Sequence[int]) -> np.ndarray:

@@ -33,6 +33,9 @@ from magbloch import (
     verify_block_diagonalization,
 )
 
+from magbloch.bloch import _character_tables
+from magbloch.complexes import SupercellMap
+
 from conftest import make_random3
 
 
@@ -90,6 +93,13 @@ class TestBlochTransform:
         s = rng.normal(size=6) + 1j * rng.normal(size=6)
         stacked = bloch_transform(s, basis, sc_map).ravel()
         assert stacked == pytest.approx(bloch_matrix(basis, sc_map) @ s)
+        # three base vertices per cell: the vertex axis stays out of the FFT
+        cx3, cov3, _ = make_random3(rng)
+        _, sc_map = build_supercell(cx3, cov3, SupercellSpec((4, 3)))
+        basis = BlochBasis.from_sizes((4, 3))
+        s = rng.normal(size=36) + 1j * rng.normal(size=36)
+        stacked = bloch_transform(s, basis, sc_map).ravel()
+        assert np.max(np.abs(stacked - bloch_matrix(basis, sc_map) @ s)) <= 1e-12
 
     def test_diagonalizes_translation(self, chain):
         cx, cov = chain
@@ -100,6 +110,20 @@ class TestBlochTransform:
         lhs = bloch_transform(translate(s, [1], sc_map), basis, sc_map)
         rhs = np.exp(1j * basis.ks[:, 0])[:, None] * bloch_transform(s, basis, sc_map)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+SIZES_UP_TO_64 = [(n,) for n in range(1, 65)] + [
+    (a, b) for a in range(2, 33) for b in range(2, 33) if a * b <= 64
+]
+
+
+def dense_character_tables(sizes):
+    """Column means and Gram matrix of the dense table W[k, gamma] = exp(i k.gamma),
+    the unfactorized computation kept as the reference."""
+    basis = BlochBasis.from_sizes(sizes)
+    cells = SupercellMap(SupercellSpec(basis.sizes), 1, 0, ()).cells().astype(float)
+    W = np.exp(1j * basis.ks @ cells.T)
+    return W.mean(axis=0), W.conj() @ W.T
 
 
 class TestCharacterRelations:
@@ -117,10 +141,19 @@ class TestCharacterRelations:
         assert report.max_residual <= 1e-12
 
     def test_all_products_up_to_64(self):
-        sizes_list = [(n,) for n in range(1, 65)]
-        sizes_list += [(a, b) for a in range(2, 33) for b in range(2, 33) if a * b <= 64]
-        for sizes in sizes_list:
+        for sizes in SIZES_UP_TO_64:
             assert character_relations_check(sizes).max_residual <= 1e-12
+
+    def test_24x24_and_32x32(self):
+        assert character_relations_check((24, 24)).max_residual <= 1e-12
+        assert character_relations_check((32, 32)).max_residual <= 1e-12
+
+    def test_factorized_tables_match_dense_reference(self):
+        for sizes in SIZES_UP_TO_64:
+            means, gram = _character_tables(sizes)
+            ref_means, ref_gram = dense_character_tables(sizes)
+            assert np.max(np.abs(means - ref_means)) <= 1e-12
+            assert np.max(np.abs(gram - ref_gram)) <= 1e-12
 
 
 class TestBlockDiagonalization:

@@ -107,18 +107,29 @@ def test_verify_needs_supercell(chain_model, capsys):
 
 
 def test_verify_tolerance_override_can_fail(chain_model, capsys):
+    # a size-3 transform rounds (a size-4 FFT is exact), so the unitarity
+    # residual is nonzero and above the overridden tolerance
     code = run(
         [
             "verify",
             "--model",
             chain_model,
             "--supercell",
-            "4",
+            "3",
+            "--json",
             "--tol",
             "unitarity=1e-30",
         ]
     )
+    data = json.loads(capsys.readouterr().out)
+    assert data["residuals"]["unitarity"] > data["tolerances"]["unitarity"] == 1e-30
+    assert data["ok"] is False
     assert code == 4
+
+
+def test_fibers_grid_points_to_bands(torus_model, capsys):
+    assert run(["fibers", "--model", torus_model(TWO_PI), "--grid", "4,4"]) == 2
+    assert "bands --grid" in capsys.readouterr().err
 
 
 def test_bad_tolerance_name(chain_model):

@@ -3,19 +3,25 @@ import pytest
 
 from magbloch import (
     Complex2,
+    CoveringData,
     MagneticOperator,
     NumericError,
     SupercellSpec,
     assemble_fiber,
+    assemble_fibers,
     assemble_quotient,
     assemble_supercell,
     build_supercell,
+    fiber_spectra,
     gauge_transform,
     spectrum,
     translate,
     translation_matrix,
 )
+from magbloch import operators
 from magbloch.bloch import lipschitz_bound
+from magbloch.complexes import SupercellMap
+from magbloch.operators import STACK_BYTES
 
 from conftest import make_random3
 
@@ -238,3 +244,223 @@ class TestTranslate:
         _, sc_map = build_supercell(cx, cov, SupercellSpec((2,), "dirichlet"))
         with pytest.raises(ValueError):
             translate(np.zeros(2), [1], sc_map)
+
+
+def reference_assemble(complex2, phases):
+    """The per-edge loop the stack assembler replaces, kept as its reference."""
+    n = complex2.num_vertices
+    H = np.zeros((n, n), dtype=complex)
+    diag = np.zeros(n)
+    for e, (u, v, w) in enumerate(complex2.edges):
+        diag[u] += w
+        diag[v] += w
+        z = w * np.exp(1j * phases[e])
+        H[v, u] -= z
+        H[u, v] -= z.conjugate()
+    diag += complex2.potentials
+    H[np.diag_indices(n)] += diag
+    return H
+
+
+def reference_fibers(complex2, covering, theta, ks):
+    """Per-momentum loop: one reference assembly and one ``eigh`` per k."""
+    E = complex2.num_edges
+    phases = np.zeros(E) if theta is None else np.asarray(theta, dtype=float)
+    mats, eigs = [], []
+    for k in ks:
+        twist = covering.tau.astype(float) @ k if covering.rank else np.zeros(E)
+        H = reference_assemble(complex2, phases + twist)
+        mats.append(H)
+        eigs.append(np.sort(np.linalg.eigh(0.5 * (H + H.conj().T))[0]))
+    V = complex2.num_vertices
+    return np.array(mats).reshape(len(ks), V, V), np.array(eigs).reshape(len(ks), V)
+
+
+# float64 eigensolvers are backward stable: each eigenvalue is exact for a
+# matrix within a few n eps ||H|| of the input, fixed here before any run
+def eig_tol(H):
+    n = max(H.shape[-1], 1)
+    return 16 * n * np.finfo(float).eps * max(1.0, np.max(np.sum(np.abs(H), axis=-1), initial=0))
+
+
+def batch_size(V):
+    return max(1, STACK_BYTES // (16 * max(V, 1) ** 2))
+
+
+def loops_and_parallels():
+    """Two vertices, parallel edges both ways, and loops on each vertex."""
+    edges = [(0, 1, 0.7), (1, 0, 1.3), (0, 1, 0.4), (1, 1, 2.1), (0, 0, 0.9), (1, 1, 0.6)]
+    cov = CoveringData(2, [[1, 0], [0, 0], [-1, 2], [0, 1], [1, -1], [-2, 0]])
+    return Complex2(2, edges, potentials=[0.3, -0.8]), cov
+
+
+class TestFiberStack:
+    def check_against_loop(self, cx, cov, theta, ks):
+        mats, eigs = reference_fibers(cx, cov, theta, ks)
+        stack = assemble_fibers(cx, cov, theta, ks)
+        assert stack.shape == mats.shape and np.array_equal(stack, mats)
+        sp = fiber_spectra(cx, cov, theta, ks)
+        assert sp.eigenvalues.shape == eigs.shape
+        if eigs.size:
+            assert np.max(np.abs(sp.eigenvalues - eigs)) <= eig_tol(mats)
+        for k, H in zip(ks, mats):
+            assert np.array_equal(assemble_fiber(cx, cov, theta, k).matrix, H)
+
+    def test_random3_across_batches(self):
+        rng = np.random.default_rng(40)
+        cx, cov, _ = make_random3(rng)
+        theta = rng.uniform(0, 2 * np.pi, size=4)
+        K = 2 * batch_size(3) + 5
+        self.check_against_loop(cx, cov, theta, rng.uniform(-7, 7, size=(K, 2)))
+
+    def test_loops_and_parallel_edges(self):
+        cx, cov = loops_and_parallels()
+        rng = np.random.default_rng(41)
+        theta = rng.uniform(0, 2 * np.pi, size=6)
+        self.check_against_loop(cx, cov, theta, rng.uniform(-7, 7, size=(37, 2)))
+        self.check_against_loop(cx, cov, None, rng.uniform(-7, 7, size=(5, 2)))
+
+    def test_torus_grid(self, torus):
+        cx, cov = torus
+        ks = 2 * np.pi * np.stack(np.meshgrid(np.arange(9) / 9, np.arange(7) / 7), -1)
+        self.check_against_loop(cx, cov, [0.4, 1.9], ks.reshape(-1, 2))
+
+    def test_edgeless(self):
+        cx = Complex2(2, [], potentials=[5.0, -1.0])
+        self.check_against_loop(cx, CoveringData(1, np.zeros((0, 1))), None, np.ones((3, 1)))
+        self.check_against_loop(cx, CoveringData.trivial(0), None, np.zeros((1, 0)))
+
+    def test_no_vertices(self):
+        cx = Complex2(0, [])
+        sp = fiber_spectra(cx, CoveringData(2, np.zeros((0, 2))), None, np.ones((4, 2)))
+        assert sp.eigenvalues.shape == (4, 0) and sp.residual == 0.0
+
+    def test_rank_zero_covering(self, torus):
+        cx, _ = torus
+        self.check_against_loop(cx, CoveringData.trivial(2), [0.4, 1.9], np.zeros((3, 0)))
+
+    def test_no_momenta(self):
+        cx, cov = loops_and_parallels()
+        sp = fiber_spectra(cx, cov, None, np.zeros((0, 2)))
+        assert sp.eigenvalues.shape == (0, 2) and sp.residual == 0.0
+        assert assemble_fibers(cx, cov, None, np.zeros((0, 2))).shape == (0, 2, 2)
+
+    def test_rejects_bad_momenta(self, torus):
+        cx, cov = torus
+        with pytest.raises(ValueError, match="momenta"):
+            fiber_spectra(cx, cov, None, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="connection"):
+            fiber_spectra(cx, cov, [0.1], np.zeros((3, 2)))
+
+
+def bad_fiber_setup():
+    """A batched sweep and the momentum of one fiber inside its second batch."""
+    rng = np.random.default_rng(42)
+    cx, cov, _ = make_random3(rng)
+    theta = rng.uniform(0, 2 * np.pi, size=4)
+    ks = rng.uniform(-3, 3, size=(2 * batch_size(3) + 3, 2))
+    bad = batch_size(3) + 7
+    name = "k=[" + ",".join(f"{v:.6g}" for v in ks[bad]) + "]"
+    return cx, cov, theta, ks, bad, name
+
+
+class TestFiberStackGates:
+    def test_non_hermitian_fiber_is_named(self, monkeypatch):
+        cx, cov, theta, ks, bad, name = bad_fiber_setup()
+        real = operators._assemble
+
+        def corrupt(complex2, phases):
+            H = real(complex2, phases)
+            target = theta + ks[bad] @ cov.tau.T
+            hit = np.flatnonzero(np.all(np.abs(phases - target) <= 1e-12, axis=1))
+            H[hit, 0, 1] += 1e-9
+            return H
+
+        monkeypatch.setattr(operators, "_assemble", corrupt)
+        with pytest.raises(NumericError, match="not Hermitian") as err:
+            fiber_spectra(cx, cov, theta, ks)
+        assert name in str(err.value)
+
+    def test_residual_failure_is_named(self, monkeypatch):
+        cx, cov, theta, ks, bad, name = bad_fiber_setup()
+        real = np.linalg.eigh
+        target = assemble_fibers(cx, cov, theta, ks[bad : bad + 1])[0]
+
+        def corrupt(S):
+            vals, vecs = real(S)
+            hit = np.flatnonzero(np.all(np.abs(S - target) <= 1e-12, axis=(1, 2)))
+            vecs[hit] = np.roll(vecs[hit], 1, axis=-1)
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupt)
+        with pytest.raises(NumericError, match="eigenpair residual") as err:
+            fiber_spectra(cx, cov, theta, ks)
+        assert name in str(err.value)
+
+    def test_dense_threshold_names_first_momentum(self, monkeypatch):
+        cx, cov, theta, ks, _, _ = bad_fiber_setup()
+        name = "k=[" + ",".join(f"{v:.6g}" for v in ks[0]) + "]"
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 3)
+        assert fiber_spectra(cx, cov, theta, ks).eigenvalues.shape == (len(ks), 3)
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 2)
+        with pytest.raises(NumericError, match="threshold") as err:
+            fiber_spectra(cx, cov, theta, ks)
+        assert name in str(err.value)
+
+
+class TestTranslateReference:
+    def test_matches_cell_loop(self):
+        rng = np.random.default_rng(43)
+        cx, cov, _ = make_random3(rng)
+        _, sc_map = build_supercell(cx, cov, SupercellSpec((3, 2)))
+        cells, V = sc_map.cells(), 3
+        s = rng.normal(size=18) + 1j * rng.normal(size=18)
+        for _ in range(10):
+            gamma = rng.integers(-4, 5, size=2)
+            ref = np.empty_like(s)
+            for r in range(len(cells)):
+                src = sc_map.cell_rank(cells[r] - gamma)
+                ref[r * V : (r + 1) * V] = s[src * V : (src + 1) * V]
+            assert np.array_equal(translate(s, gamma, sc_map), ref)
+
+
+def reference_supercell(complex2, covering, theta, spec):
+    """The cell-by-cell supercell loop that assemble_supercell replaces: every
+    incident cover edge adds to the diagonal, hoppings leaving a dirichlet
+    block are dropped."""
+    V = complex2.num_vertices
+    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
+    cells, sizes = sc_map.cells(), np.array(spec.sizes)
+    n = len(cells) * V
+    H = np.zeros((n, n), dtype=complex)
+    diag = np.zeros(n)
+    for r, cell in enumerate(cells):
+        for e, (u, v, w) in enumerate(complex2.edges):
+            diag[r * V + u] += w
+            diag[r * V + v] += w
+            cell2 = cell + covering.tau[e]
+            if spec.boundary == "dirichlet" and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
+                continue
+            i, j = r * V + u, sc_map.cell_rank(cell2) * V + v
+            z = w * np.exp(1j * theta[e])
+            H[j, i] -= z
+            H[i, j] -= z.conjugate()
+        diag[r * V : (r + 1) * V] += complex2.potentials
+    H[np.diag_indices(n)] += diag
+    return H
+
+
+class TestSupercellReference:
+    def test_matches_cell_loop(self):
+        # the diagonal sums the same weights in another order: a few ulps
+        rng = np.random.default_rng(44)
+        cx, cov, _ = make_random3(rng)
+        theta = rng.uniform(0, 2 * np.pi, size=4)
+        for boundary in ("periodic", "dirichlet"):
+            for sizes in [(3, 2), (1, 4), (2, 2)]:
+                spec = SupercellSpec(sizes, boundary)
+                ref = reference_supercell(cx, cov, theta, spec)
+                H = assemble_supercell(cx, cov, theta, spec).matrix
+                tol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
+                assert np.max(np.abs(H - ref)) <= tol
+                assert np.array_equal(H - np.diag(H.diagonal()), ref - np.diag(ref.diagonal()))
