@@ -23,15 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex2, boundary_matrices, face_steps
-from .homology import (
-    Character,
-    HomologySummary,
-    TWO_PI,
-    homology,
-    smith_normal_form,
-    spanning_forest,
-)
+from .complexes import Complex2, face_steps, vertex_boundary
+from .homology import Character, HomologySummary, TWO_PI, homology
+from .operators import NumericError
 
 __all__ = [
     "QuantizabilityCertificate",
@@ -42,7 +36,6 @@ __all__ = [
     "wrap_angle",
     "curvature",
     "is_quantizable",
-    "spanning_forest",
     "synthesize_connection",
     "gauge_transform",
     "holonomy",
@@ -139,12 +132,16 @@ def synthesize_connection(
     summary: HomologySummary | None = None,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Construct a connection whose curvature is the given flux mod 2pi.
+    """The canonical connection whose curvature is the given flux mod 2pi.
 
-    The gauge is fixed by theta = 0 on a deterministic BFS spanning forest.
-    Raises :class:`NotQuantizableError` when the flux fails the integrality
-    certificate; raises RuntimeError if the linear solve degenerates (which
-    cannot happen for valid inputs).
+    It is :meth:`HomologySummary.connection_values`: zero on the spanning
+    forest and with trivial holonomy on every stored free H1 generator, so
+    :func:`difference_class` from it to any ``theta`` with this curvature is
+    the absolute class of ``theta``.  Raises :class:`NotQuantizableError` when
+    the flux fails the integrality certificate, and
+    :class:`~magbloch.operators.NumericError` when the curvature misses the
+    flux by more than the certificate allows plus ``tol`` radians of
+    rounding.
     """
     flux = np.asarray(flux, dtype=float)
     if summary is None:
@@ -154,35 +151,13 @@ def synthesize_connection(
         raise NotQuantizableError(
             f"flux is not quantizable: residues {cert.residues} exceed {cert.tol}"
         )
-
-    E, F = complex2.num_edges, complex2.num_faces
-    theta = np.zeros(E)
-    if F == 0:
-        return theta
-
-    # Remove the 2-cycle component of the flux by an exact 2*pi*n shift.
-    target = flux.copy()
-    b2 = len(summary.h2_cycles)
-    if b2 > 0:
-        Zt = np.array(
-            [[int(z[i]) for i in range(F)] for z in summary.h2_cycles], dtype=object
+    theta = summary.connection_values(flux)
+    residual = float(np.max(np.abs(wrap_angle(curvature(complex2, theta) - flux)), initial=0.0))
+    bound = tol + summary.connection_defect_bound(tol)
+    if residual > bound:
+        raise NumericError(
+            f"synthesized connection misses the flux by {residual:.3e} (bound {bound:.3e})"
         )
-        p = [int(round(v)) for v in cert.pairings]
-        n = smith_normal_form(Zt).solve(p)
-        if n is None:
-            raise RuntimeError("singular system: 2-cycle pairing lattice is degenerate")
-        target = target - TWO_PI * np.array([float(v) for v in n])
-
-    _, d2 = boundary_matrices(complex2)
-    C = d2.T.astype(float)  # F x E, theta -> face sums
-    tree = set(spanning_forest(complex2))
-    cotree = [e for e in range(E) if e not in tree]
-    if cotree:
-        sol, *_ = np.linalg.lstsq(C[:, cotree], target, rcond=None)
-        theta[cotree] = sol
-    residual = np.max(np.abs(wrap_angle(C @ theta - flux))) if F else 0.0
-    if residual > tol:
-        raise RuntimeError(f"singular system: curvature residual {residual:.3e}")
     return reduce_angles(theta)
 
 
@@ -205,11 +180,11 @@ def gauge_transform(
 def holonomy(complex2: Complex2, theta: Sequence[float], cycle: Sequence[int]) -> float:
     """Signed angle sum of a connection along an integer 1-cycle, in (-pi, pi]."""
     theta = np.asarray(theta, dtype=float)
-    d1, _ = boundary_matrices(complex2)
     cyc = np.asarray(cycle)
     if cyc.shape != (complex2.num_edges,):
         raise ValueError(f"1-chain must have length {complex2.num_edges}")
-    if np.any(d1 @ cyc.astype(object) != 0):
+    ends = [(u, v) for u, v, _ in complex2.edges]
+    if any(vertex_boundary(complex2.num_vertices, ends, cyc.tolist())):
         raise ValueError("not a cycle: boundary is nonzero")
     total = 0.0
     for e in np.flatnonzero(cyc):
@@ -268,10 +243,7 @@ class FlatCocycle:
 
     def max_face_defect(self, complex2: Complex2) -> float:
         """Largest distance of a face sum from 2*pi*Z."""
-        if complex2.num_faces == 0:
-            return 0.0
-        sums = boundary_matrices(complex2)[1].T.astype(float) @ self.values
-        return float(np.max(np.abs(wrap_angle(sums))))
+        return float(np.max(np.abs(curvature(complex2, self.values)), initial=0.0))
 
 
 def flat_cocycle(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import bloch, bundle
 from .complexes import validate
 from .homology import character_group, homology
 from .model_io import Model, ModelError, load_model
-from .operators import NumericError, fiber_spectra
+from .operators import NumericError, fiber_spectra, require_dense_size
 
 EXIT_OK = 0
 EXIT_NOT_QUANTIZABLE = 1
@@ -123,16 +124,7 @@ def _emit_json(args, data: dict) -> None:
 
 
 def _connection_from_model(model: Model, tols: dict) -> np.ndarray:
-    summary = homology(model.complex2)
-    cert = bundle.is_quantizable(
-        model.complex2, model.flux, summary, tol=tols["quantizability"]
-    )
-    if not cert.verdict:
-        raise CliError(
-            f"model flux is not quantizable (residues {list(cert.residues)})",
-            EXIT_NOT_QUANTIZABLE,
-        )
-    return bundle.synthesize_connection(model.complex2, model.flux, summary)
+    return bundle.synthesize_connection(model.complex2, model.flux, tol=tols["quantizability"])
 
 
 def cmd_validate(args) -> int:
@@ -234,6 +226,9 @@ def cmd_verify(args) -> int:
         raise CliError(
             f"--supercell must have {model.covering.rank} entries for this model", EXIT_PARSE
         )
+    # the supercell is the largest dense solve: reject it before any O(n^2) work
+    n = model.complex2.num_vertices * math.prod(sizes)
+    require_dense_size(n, f"supercell(N={sizes}, periodic)")
     theta = _connection_from_model(model, tols)
     block = bloch.verify_block_diagonalization(model.complex2, model.covering, theta, sizes)
     chars = bloch.character_relations_check(sizes)

@@ -27,6 +27,7 @@ __all__ = [
     "ValidationReport",
     "validate",
     "boundary_matrices",
+    "vertex_boundary",
     "build_supercell",
     "face_steps",
     "reorient_edges",
@@ -362,6 +363,16 @@ def boundary_matrices(complex2: Complex2) -> tuple[np.ndarray, np.ndarray]:
         for e, sign in face_steps(word):
             d2[e, f] += sign
     return d1, d2
+
+
+def vertex_boundary(num_vertices: int, ends, chain) -> list[int]:
+    """d1 of an integer 1-chain, exactly, from the (source, target) of each edge."""
+    out = [0] * num_vertices
+    for (u, v), c in zip(ends, chain):
+        if c:
+            out[v] += int(c)
+            out[u] -= int(c)
+    return out
 
 
 def build_supercell(

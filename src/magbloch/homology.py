@@ -10,8 +10,8 @@ deterministic BFS spanning forest (:func:`spanning_forest`).  A 1-cycle's
 coordinates in it are just its cotree entries, so H1 is presented by the
 cotree rows of d2 and needs one Smith form.  The H1 generators computed
 once per complex in that basis are reused by every downstream consumer
-(characters, holonomy pairings, flat twists) so that angle coordinates stay
-globally consistent.
+(characters, holonomy pairings, flat twists, connection synthesis) so that
+angle coordinates stay globally consistent.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, boundary_matrices, face_steps
+from .complexes import Complex2, CoveringData, boundary_matrices, face_steps, vertex_boundary
 
 __all__ = [
     "SmithDecomposition",
@@ -141,14 +141,6 @@ class SmithDecomposition:
         n = self.D.shape[1]
         r = self.rank
         return self.v_inv[:, r:n]
-
-    def kernel_coordinates(self, x: Sequence[int]) -> list[int]:
-        """Coordinates of a kernel vector in the :meth:`kernel_basis` columns."""
-        y = imat_vec(self.V, x)
-        r = self.rank
-        if any(v != 0 for v in y[:r]):
-            raise ValueError("vector is not in the kernel")
-        return y[r:]
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         """One integer solution of A x = b, or None if none exists."""
@@ -391,6 +383,9 @@ class HomologySummary:
     _edge_ends: tuple[tuple[int, int], ...] = field(repr=False)
     _cotree: tuple[int, ...] = field(repr=False)
     _uprime_inv: np.ndarray = field(repr=False)
+    _image_coords: np.ndarray = field(repr=False)
+    _image_factors: tuple[int, ...] = field(repr=False)
+    _h2_dual_rowsum: int = field(repr=False)
     _free_slots: tuple[int, ...] = field(repr=False)
     _torsion_slots: tuple[int, ...] = field(repr=False)
 
@@ -406,7 +401,7 @@ class HomologySummary:
         chain = np.asarray(chain, dtype=object)
         if chain.shape != (self.num_edges,):
             raise ValueError(f"1-chain must have length {self.num_edges}")
-        return not any(_vertex_boundary(self.num_vertices, self._edge_ends, chain))
+        return not any(vertex_boundary(self.num_vertices, self._edge_ends, chain))
 
     def cycle_coordinates(self, cycle: Sequence[int]) -> tuple[list[int], list[int]]:
         """Coefficients of a 1-cycle on the stored (free, torsion) generators.
@@ -445,6 +440,28 @@ class HomologySummary:
         values[list(self._cotree)] = self._uprime_inv.astype(float).T @ w
         return values
 
+    def connection_values(self, flux: Sequence[float]) -> np.ndarray:
+        """Edge angles, zero on the spanning forest and with trivial holonomy
+        on the free generators, whose face sums are ``flux`` mod 2 pi when its
+        pairings with ``h2_cycles`` are whole quanta.
+
+        With X = d2[cotree, :] = U D V the face sums are X^T theta[cotree];
+        for y = V^-T flux, theta[cotree] = (U^-1)^T s with s_i = y_i / d_i on
+        the rank slots and 0 on the rest.  The dropped y[rank:] are 2 pi times
+        the pairings p, so a face misses flux by 2 pi V[rank:, :]^T (p - round p)
+        mod 2 pi: see :meth:`connection_defect_bound`.
+        """
+        s = np.divide(self._image_coords.astype(float) @ flux, self._image_factors)
+        values = np.zeros(self.num_edges)
+        values[list(self._cotree)] = self._uprime_inv[: len(s)].astype(float).T @ s
+        return values
+
+    def connection_defect_bound(self, residue: float) -> float:
+        """Largest face miss of :meth:`connection_values` for a flux whose
+        pairings are within ``residue`` quanta of integers: 2 pi ``residue``
+        times the largest row sum of |V[rank:, :]^T|, in exact arithmetic."""
+        return TWO_PI * residue * self._h2_dual_rowsum
+
     def to_dict(self) -> dict:
         return {
             "betti": list(self.betti),
@@ -460,16 +477,6 @@ class HomologySummary:
             ],
             "h2_cycles": [[int(x) for x in z] for z in self.h2_cycles],
         }
-
-
-def _vertex_boundary(num_vertices: int, ends, chain) -> list[int]:
-    """d1 of an integer 1-chain, from the edge endpoints."""
-    out = [0] * num_vertices
-    for (u, v), c in zip(ends, chain):
-        if c:
-            out[v] += int(c)
-            out[u] -= int(c)
-    return out
 
 
 def _bfs_forest(complex2: Complex2) -> tuple[list[int], list[int], tuple[int, ...]]:
@@ -527,7 +534,7 @@ def homology(complex2: Complex2) -> HomologySummary:
     ends = tuple((u, v) for u, v, _ in complex2.edges)
     for word in complex2.faces:
         steps = face_steps(word)
-        if any(_vertex_boundary(V, [ends[e] for e, _ in steps], [s for _, s in steps])):
+        if any(vertex_boundary(V, [ends[e] for e, _ in steps], [s for _, s in steps])):
             raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
 
     order, parent, cotree = _bfs_forest(complex2)
@@ -546,7 +553,7 @@ def homology(complex2: Complex2) -> HomologySummary:
         for r, e in enumerate(cotree):
             chain[e] = int(snfX.U[r, i])
         # push each vertex's excess up its forest edge, leaves first
-        excess = _vertex_boundary(V, ends, chain)
+        excess = vertex_boundary(V, ends, chain)
         for x in reversed(order):
             e = parent[x]
             if e >= 0:
@@ -570,6 +577,9 @@ def homology(complex2: Complex2) -> HomologySummary:
         _edge_ends=ends,
         _cotree=cotree,
         _uprime_inv=snfX.u_inv,
+        _image_coords=snfX.v_inv[:, :rX].T,
+        _image_factors=tuple(dX[:rX]),
+        _h2_dual_rowsum=int(np.max(np.sum(np.abs(snfX.V[rX:, :]), axis=0), initial=0)),
         _free_slots=free_slots,
         _torsion_slots=torsion_slots,
     )

@@ -25,6 +25,7 @@ __all__ = [
     "Spectrum",
     "NumericError",
     "DENSE_THRESHOLD",
+    "require_dense_size",
     "assemble_quotient",
     "assemble_fiber",
     "assemble_fibers",
@@ -48,6 +49,15 @@ STACK_BYTES = 1 << 17
 class NumericError(RuntimeError):
     """Raised when a numerical contract is violated (non-Hermitian input,
     oversized dense solve, excessive eigenpair residual)."""
+
+
+def require_dense_size(n: int, where: str, dense_threshold: int = DENSE_THRESHOLD) -> None:
+    """Raise :class:`NumericError` if an n x n dense solve exceeds the threshold."""
+    if n > dense_threshold:
+        raise NumericError(
+            f"{where}: matrix dimension {n} exceeds the dense solver threshold "
+            f"{dense_threshold}; reduce the supercell size or grid"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +244,8 @@ def _eigh_checked(
     failing matrix.
     """
     K, n = H.shape[0], H.shape[1]
-    if K and n > dense_threshold:
-        raise NumericError(
-            f"{where(0)}: matrix dimension {n} exceeds the dense solver threshold "
-            f"{dense_threshold}; reduce the supercell size or grid"
-        )
+    if K:
+        require_dense_size(n, where(0), dense_threshold)
     if K == 0 or n == 0:
         return np.zeros((K, n)), np.zeros(K)
     defect = np.max(np.abs(H - H.conj().transpose(0, 2, 1)), axis=(1, 2))

@@ -4,7 +4,9 @@ import pytest
 from magbloch import (
     Character,
     Complex2,
+    HomologySummary,
     NotQuantizableError,
+    NumericError,
     SupercellSpec,
     build_supercell,
     character_group,
@@ -19,8 +21,8 @@ from magbloch import (
     twist,
     zero_connection,
 )
-from magbloch.bundle import spanning_forest, wrap_angle
-from magbloch.homology import TWO_PI
+from magbloch.bundle import wrap_angle
+from magbloch.homology import TWO_PI, spanning_forest
 
 from conftest import make_random3
 
@@ -115,6 +117,24 @@ class TestSynthesize:
         cx, _ = torus
         with pytest.raises(NotQuantizableError):
             synthesize_connection(cx, np.array([np.pi]))
+
+    def test_flux_within_certificate_synthesizes(self, torus):
+        # the certificate counts quanta: a residue of 5e-10 passes tol 1e-9,
+        # and the face then misses the flux by 2 pi * 5e-10 radians
+        cx, _ = torus
+        s = homology(cx)
+        for excess in (5e-10, 3e-10):
+            flux = np.array([TWO_PI * (1 + excess)])
+            assert is_quantizable(cx, flux, s).verdict
+            theta = synthesize_connection(cx, flux, s)
+            assert angdist(curvature(cx, theta), flux) <= TWO_PI * 1e-9
+
+    def test_curvature_miss_raises_numeric_error(self, square_disk, monkeypatch):
+        monkeypatch.setattr(
+            HomologySummary, "connection_values", lambda self, flux: np.zeros(self.num_edges)
+        )
+        with pytest.raises(NumericError, match="misses the flux"):
+            synthesize_connection(square_disk, np.array([1.0]))
 
     def test_random3_roundtrip(self):
         rng = np.random.default_rng(21)

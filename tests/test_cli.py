@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magbloch.cli import run
+from magbloch.homology import HomologySummary
 
 TWO_PI = 2 * np.pi
 
@@ -125,6 +126,54 @@ def test_verify_tolerance_override_can_fail(chain_model, capsys):
     assert data["residuals"]["unitarity"] > data["tolerances"]["unitarity"] == 1e-30
     assert data["ok"] is False
     assert code == 4
+
+
+def test_verify_size_guard_before_assembly(chain_model, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled an oversized supercell")
+
+    monkeypatch.setattr("magbloch.bloch.assemble_supercell", refuse)
+    monkeypatch.setattr("magbloch.operators.assemble_supercell", refuse)
+    assert run(["verify", "--model", chain_model, "--supercell", "2100"]) == 4
+    assert "matrix dimension 2100 exceeds the dense solver threshold 2048" in (
+        capsys.readouterr().err
+    )
+
+
+def test_bands_flux_within_certificate(torus_model, capsys):
+    # residue 5e-10 quanta passes the 1e-9 certificate, so it must synthesize
+    assert run(["bands", "--model", torus_model(TWO_PI * (1 + 5e-10)), "--grid", "2,2"]) == 0
+    assert capsys.readouterr().out.startswith("k1,k2,e1")
+
+
+def test_quantizability_tolerance_reaches_synthesis(torus_model, capsys):
+    model = torus_model(TWO_PI * (1 + 5e-7))
+    assert run(["bands", "--model", model, "--grid", "2,2"]) == 1
+    args = ["bands", "--model", model, "--grid", "2,2", "--tol", "quantizability=1e-6"]
+    assert run(args) == 0
+
+
+def test_synthesis_curvature_miss_exit_4(tmp_path, monkeypatch, capsys):
+    # the flux-1/2 magnetic cell: two faces of pi each
+    path = tmp_path / "cell.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": 2,
+                "edges": [[0, 1, 1.0], [0, 0, 1.0], [1, 0, 1.0], [1, 1, 1.0]],
+                "faces": [[1, 4, -1, -2], [3, 2, -3, -4]],
+                "tau": [[0, 0], [0, 1], [1, 0], [0, 1]],
+                "flux": [np.pi, np.pi],
+            }
+        )
+    )
+    assert run(["bands", "--model", str(path), "--grid", "2,2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        HomologySummary, "connection_values", lambda self, flux: np.zeros(self.num_edges)
+    )
+    assert run(["bands", "--model", str(path), "--grid", "2,2"]) == 4
+    assert "misses the flux" in capsys.readouterr().err
 
 
 def test_fibers_grid_points_to_bands(torus_model, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +12,22 @@ from magbloch import (
     boundary_matrices,
     build_supercell,
     character_group,
+    curvature,
     difference_class,
     evaluate_character,
+    holonomy,
     homology,
     smith_normal_form,
+    synthesize_connection,
     twist,
 )
-from magbloch.homology import cycle_label_invariants, imat_vec, int_det
+from magbloch.homology import (
+    TWO_PI,
+    cycle_label_invariants,
+    imat_vec,
+    int_det,
+    spanning_forest,
+)
 
 from conftest import make_random3
 
@@ -319,6 +329,11 @@ def oracle_complexes():
     return out
 
 
+def _angdist(a, b):
+    d = np.mod(np.asarray(a) - np.asarray(b), TWO_PI)
+    return float(np.max(np.minimum(d, TWO_PI - d), initial=0.0))
+
+
 def _unit(n, i):
     return [1 if j == i else 0 for j in range(n)]
 
@@ -363,6 +378,21 @@ class TestForestBasisOracle:
             assert back.torsion_indices == chi.torsion_indices
             assert back.angle_distance(chi) <= 1e-9
 
+    def test_synthesized_connection_is_canonical(self, cases):
+        rng = np.random.default_rng(11)
+        for cx, _, s in cases:
+            theta = rng.uniform(0.0, TWO_PI, size=cx.num_edges)
+            flux = curvature(cx, theta)
+            base = synthesize_connection(cx, flux, s)
+            assert _angdist(curvature(cx, base), flux) <= 1e-9
+            assert np.all(base[spanning_forest(cx)] == 0)
+            for g in s.h1_free_generators:
+                assert abs(holonomy(cx, base, g)) <= 1e-9
+            # base has trivial free holonomy, so theta's class is absolute
+            absolute = [holonomy(cx, theta, g) for g in s.h1_free_generators]
+            chi = difference_class(cx, s, base, theta)
+            assert _angdist(chi.angles, absolute) <= 1e-9
+
     def test_cycle_label_invariants_against_kernel_of_d1(self, cases):
         for cx, cov, _ in cases:
             d1, _ = boundary_matrices(cx)
@@ -374,6 +404,26 @@ class TestForestBasisOracle:
         assert sum(1 for *_, s in cases if s.h1_torsion_orders) >= 10
         assert sum(1 for *_, s in cases if s.betti[2] >= 2) >= 10
         assert sum(1 for *_, s in cases if s.betti[0] >= 2) >= 10
+
+
+def test_homology_and_synthesis_run_one_smith_form(torsion_cx, torus, monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return smith_normal_form(A)
+
+    # every module that imported the Smith form counts
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("magbloch") and hasattr(
+            mod, "smith_normal_form"
+        ):
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    block, _ = build_supercell(*torus, SupercellSpec((4, 4)))
+    for cx, flux in [(torsion_cx, [1.0]), (block, np.full(16, TWO_PI / 16))]:
+        calls.clear()
+        synthesize_connection(cx, flux, homology(cx))
+        assert len(calls) == 1
 
 
 def test_face_boundary_not_a_cycle_is_rejected():
