@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex2, face_steps, vertex_boundary
+from .complexes import Complex2, face_arrays, vertex_boundary
 from .homology import Character, HomologySummary, TWO_PI, homology
 from .operators import NumericError
 
@@ -72,13 +72,14 @@ def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (complex2.num_edges,):
         raise ValueError(f"connection must have {complex2.num_edges} angles")
-    out = np.zeros(complex2.num_faces)
-    for f, word in enumerate(complex2.faces):
-        total = 0.0
-        for e, sign in face_steps(word):
-            total = np.mod(total + sign * theta[e], TWO_PI)
-        out[f] = wrap_angle(total)
-    return out
+    # step by step over all faces at once: each face sees the same sequence
+    # of reductions a loop over its own word would make
+    edge, sign, length = face_arrays(complex2.faces)
+    total = np.zeros(complex2.num_faces)
+    for j in range(edge.shape[1]):
+        rows = length > j
+        total[rows] = np.mod(total[rows] + sign[rows, j] * theta[edge[rows, j]], TWO_PI)
+    return wrap_angle(total)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ the complex, realized at finite scale by :func:`build_supercell`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "vertex_boundary",
     "build_supercell",
     "face_steps",
+    "face_arrays",
     "reorient_edges",
 ]
 
@@ -42,6 +44,19 @@ def face_steps(word: Sequence[int]) -> list[tuple[int, int]]:
             raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
         steps.append((abs(s) - 1, 1 if s > 0 else -1))
     return steps
+
+
+def face_arrays(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary words as padded arrays: edge indices and signs, each of shape
+    (F, longest word), and word lengths (F,).  Past its length a row holds
+    edge -1 and sign 0."""
+    lengths = np.array([len(word) for word in faces], dtype=int)
+    words = np.zeros((len(faces), lengths.max(initial=0)), dtype=int)
+    filled = np.arange(words.shape[1]) < lengths[:, None]
+    words[filled] = np.fromiter(itertools.chain.from_iterable(faces), dtype=int, count=lengths.sum())
+    if np.any(words[filled] == 0):
+        raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
+    return np.abs(words) - 1, np.sign(words), lengths
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -397,55 +412,45 @@ def build_supercell(
     V, E = complex2.num_vertices, complex2.num_edges
     sizes = np.array(spec.sizes, dtype=int)
     periodic = spec.boundary == "periodic"
+    cells = SupercellMap(spec, V, E, ()).cells()
+    tau = covering.tau
 
-    map_stub = SupercellMap(spec, V, E, ())
-    cells = map_stub.cells()
-    num_cells = len(cells)
+    def rank(points: np.ndarray) -> np.ndarray:
+        """Cell ranks of points (..., d), coordinates reduced mod the sizes."""
+        if not spec.sizes:
+            return np.zeros(points.shape[:-1], dtype=int)
+        return np.ravel_multi_index(np.moveaxis(points, -1, 0), spec.sizes, mode="wrap")
 
-    edges: list[tuple[int, int, float]] = []
-    edge_origin: list[tuple[int, int]] = []
-    edge_index: dict[tuple[int, int], int] = {}
-    for r in range(num_cells):
-        cell = cells[r]
-        for e, (u, v, w) in enumerate(complex2.edges):
-            cell2 = cell + covering.tau[e]
-            if not periodic and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
-                continue
-            r2 = map_stub.cell_rank(cell2)
-            edge_index[(r, e)] = len(edges)
-            edges.append((r * V + u, r2 * V + v, w))
-            edge_origin.append((r, e))
+    # copy (cell, e) runs from cell to cell + tau[e]; copies are numbered
+    # cell-major, and position[cell, e] is the copy's index (-1 if dropped)
+    ends = cells[:, None, :] + tau[None, :, :]
+    keep = periodic | np.all((ends >= 0) & (ends < sizes), axis=-1)
+    r_src, e_src = np.nonzero(keep)
+    position = np.full((len(cells), E), -1)
+    position[r_src, e_src] = np.arange(len(r_src))
+    edges = zip(
+        (r_src * V + complex2.sources[e_src]).tolist(),
+        (rank(ends[r_src, e_src]) * V + complex2.targets[e_src]).tolist(),
+        complex2.weights[e_src].tolist(),
+    )
 
-    faces: list[tuple[int, ...]] = []
-    for r in range(num_cells):
-        cell = cells[r]
-        for word in complex2.faces:
-            new_word: list[int] = []
-            cur = cell.copy()
-            ok = True
-            for e, sign in face_steps(word):
-                if sign > 0:
-                    based = cur
-                    nxt = cur + covering.tau[e]
-                else:
-                    based = cur - covering.tau[e]
-                    nxt = based
-                idx = edge_index.get((map_stub.cell_rank(based), e))
-                if idx is None:
-                    ok = False
-                    break
-                # dirichlet: drop faces whose walk strays outside the block
-                if not periodic and (np.any(nxt < 0) or np.any(nxt >= sizes)):
-                    ok = False
-                    break
-                new_word.append(sign * (idx + 1))
-                cur = nxt
-            if ok:
-                faces.append(tuple(new_word))
+    # each word is walked from every cell at once: step j uses the copy based
+    # at cell + based[j].  In a dirichlet block that copy (its base reduced
+    # mod the sizes) was kept only if the walk is still inside the block
+    # after the step, so a face is kept iff every copy it uses was kept.
+    words = []
+    for e, sign, n in zip(*face_arrays(complex2.faces)):
+        e, sign = e[:n], sign[:n]
+        step = sign[:, None] * tau[e]
+        after = np.cumsum(step, axis=0)
+        based = np.where(sign[:, None] > 0, after - step, after)
+        pos = position[rank(cells[:, None, :] + based), e]
+        words.append((np.all(pos >= 0, axis=1).tolist(), (sign * (pos + 1)).tolist()))
+    faces = [tuple(ids[r]) for r in range(len(cells)) for ok, ids in words if ok[r]]
 
-    potentials = np.tile(complex2.potentials, num_cells)
-    sc = Complex2(num_cells * V, tuple(edges), tuple(faces), potentials)
-    sc_map = SupercellMap(spec, V, E, tuple(edge_origin))
+    potentials = np.tile(complex2.potentials, len(cells))
+    sc = Complex2(len(cells) * V, tuple(edges), tuple(faces), potentials)
+    sc_map = SupercellMap(spec, V, E, tuple(zip(r_src.tolist(), e_src.tolist())))
     return sc, sc_map
 
 

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .complexes import Complex2, CoveringData, boundary_matrices, face_steps, vertex_boundary
+from .operators import NumericError
 
 __all__ = [
     "SmithDecomposition",
@@ -183,10 +184,13 @@ def smith_normal_form(A) -> SmithDecomposition:
     smallest nonzero absolute value in the working submatrix, ties broken by
     row-major position, which makes the output reproducible.
     """
-    m, n = np.asarray(A).shape
+    A = np.asarray(A)
+    if A.ndim == 2 and max(A.shape) > MAX_SNF_DIM:
+        raise NumericError(
+            f"Smith normal form: matrix shape {A.shape} exceeds the configured bound {MAX_SNF_DIM}"
+        )
     D = _int_rows(A)
-    if max(m, n, 1) > MAX_SNF_DIM:
-        raise ValueError(f"matrix dimensions exceed the configured bound {MAX_SNF_DIM}")
+    m, n = A.shape
 
     U = _identity(m)
     Ui = _identity(m)

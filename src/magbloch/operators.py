@@ -238,7 +238,9 @@ def _eigh_checked(
 
     Applies to each matrix the dense threshold, the Hermiticity gate, the
     symmetrized ``eigh`` and the eigenpair residual gate (1e-8 times that
-    matrix's row-sum norm, at least 1e-8).  Returns the ascending eigenvalues
+    matrix's row-sum norm, at least 1e-8).  A stack whose symmetrized
+    matrices have no nonzero imaginary entry is solved, and its residuals
+    computed, in real arithmetic.  Returns the ascending eigenvalues
     (K, n) and each matrix's residual max_i ||H v_i - lam_i v_i||_2; a
     failure raises :class:`NumericError` naming ``where(i)`` of the first
     failing matrix.
@@ -256,6 +258,9 @@ def _eigh_checked(
             f"{where(i)}: not Hermitian: defect {defect[i]:.3e} exceeds {HERMITICITY_TOL}"
         )
     S = 0.5 * (H + H.conj().transpose(0, 2, 1))
+    if not S.imag.any():
+        # an exactly real symmetric stack: same matrices, real LAPACK
+        S = S.real
     vals, vecs = np.linalg.eigh(S)
     residual = np.max(np.linalg.norm(S @ vecs - vecs * vals[:, None, :], axis=1), axis=1)
     scale = np.maximum(np.max(np.sum(np.abs(H), axis=2), axis=1), 1.0)

@@ -20,6 +20,7 @@ from magbloch import (
     butterfly_svg,
     character_relations_check,
     decomposition_check,
+    fiber_spectra,
     homology,
     is_quantizable,
     magnetic_supercell,
@@ -190,6 +191,20 @@ class TestBlockDiagonalization:
         theta = synthesize_connection(cx, flux, s)
         report = decomposition_check(cx, cov, theta, (2, 3))
         assert report.relative_deviation <= 1e-8
+
+    def test_decomposition_keeps_solve_residuals(self):
+        rng = np.random.default_rng(30)
+        cx, cov, _ = make_random3(rng)
+        theta = rng.uniform(0, 2 * np.pi, size=4)
+        report = decomposition_check(cx, cov, theta, (2, 3))
+        sup = spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 3))))
+        fib = fiber_spectra(cx, cov, theta, BlochBasis.from_sizes((2, 3)).ks)
+        assert report.supercell_residual == sup.residual
+        assert report.fiber_residual == fib.residual
+        assert 0 < report.supercell_residual <= 1e-8 * max(1.0, report.operator_norm)
+        data = report.to_dict()
+        assert data["supercell_residual"] == sup.residual
+        assert data["fiber_residual"] == fib.residual
 
 
 class TestMultiplier:

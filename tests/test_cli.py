@@ -1,12 +1,22 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from magbloch import Complex2, CoveringData, SupercellSpec, build_supercell, load_model
+from magbloch.bloch import butterfly
 from magbloch.cli import run
 from magbloch.homology import HomologySummary
 
 TWO_PI = 2 * np.pi
+
+# the package attribute ``magbloch.homology`` is the function, not the module
+homology_module = importlib.import_module("magbloch.homology")
 
 
 @pytest.fixture
@@ -245,3 +255,43 @@ def test_out_writes_file(torus_model, tmp_path, capsys):
     )
     assert json.loads(target.read_text())["betti"] == [1, 2, 1]
     assert capsys.readouterr().out == ""
+
+
+def test_snf_bound_exit_4(tmp_path, monkeypatch, capsys):
+    # the 12x12 periodic block: its cotree matrix has 145 rows
+    torus = Complex2(1, [(0, 0, 1.0), (0, 0, 1.0)], [(1, 2, -1, -2)])
+    sc, _ = build_supercell(torus, CoveringData(2, [[1, 0], [0, 1]]), SupercellSpec((12, 12)))
+    path = tmp_path / "block.json"
+    doc = {"vertices": sc.num_vertices, "edges": [list(e) for e in sc.edges], "faces": sc.faces}
+    path.write_text(json.dumps(doc))
+    assert run(["homology", "--model", str(path)]) == 0
+    monkeypatch.setattr(homology_module, "MAX_SNF_DIM", 100)
+    assert run(["homology", "--model", str(path)]) == 4
+    assert "exceeds the configured bound 100" in capsys.readouterr().err
+
+
+def test_snf_bound_makes_butterfly_error_row(torus_model, monkeypatch, capsys):
+    monkeypatch.setattr(homology_module, "MAX_SNF_DIM", 8)
+    model = load_model(torus_model(0.0))
+    rows = butterfly(model.complex2, model.covering, ["1/2", "1/11"], (2, 2))
+    assert rows[0].error is None and rows[0].band is not None
+    assert rows[1].band is None and "Smith normal form" in rows[1].error
+    code = run(["butterfly", "--model", torus_model(0.0), "--flux", "1/2,1/11", "--grid", "2,2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert {row.split(",")[1] for row in captured.out.splitlines()[1:]} == {"2"}
+    assert captured.err.startswith("flux 1/11: Smith normal form")
+
+
+def test_python_dash_m(chain_model):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "magbloch", "validate", "--model", chain_model],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

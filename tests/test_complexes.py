@@ -9,7 +9,7 @@ from magbloch import (
     build_supercell,
     validate,
 )
-from magbloch.complexes import face_steps, reorient_edges
+from magbloch.complexes import SupercellMap, face_arrays, face_steps, reorient_edges
 
 from conftest import make_random3
 
@@ -18,6 +18,16 @@ def test_face_steps_decoding():
     assert face_steps((1, -2, 3)) == [(0, 1), (1, -1), (2, 1)]
     with pytest.raises(ValueError):
         face_steps((1, 0))
+
+
+def test_face_arrays_pad_mixed_lengths():
+    edge, sign, length = face_arrays([(1, -2, 3), (), (-4,)])
+    assert edge.tolist() == [[0, 1, 2], [-1, -1, -1], [3, -1, -1]]
+    assert sign.tolist() == [[1, -1, 1], [0, 0, 0], [-1, 0, 0]]
+    assert length.tolist() == [3, 0, 1]
+    assert [a.shape for a in face_arrays([])] == [(0, 0), (0, 0), (0,)]
+    with pytest.raises(ValueError, match="0 is not a valid step"):
+        face_arrays([(1,), (2, 0)])
 
 
 class TestValidate:
@@ -163,3 +173,90 @@ class TestBuildSupercell:
             build_supercell(cx, cov, SupercellSpec((0,)))
         with pytest.raises(ValueError):
             build_supercell(cx, cov, SupercellSpec((2, 2)))
+
+
+def reference_build_supercell(complex2, covering, spec):
+    """The per-cell, per-edge, per-face-step loop that build_supercell replaces."""
+    V, E = complex2.num_vertices, complex2.num_edges
+    sizes = np.array(spec.sizes, dtype=int)
+    periodic = spec.boundary == "periodic"
+    map_stub = SupercellMap(spec, V, E, ())
+    cells = map_stub.cells()
+    edges, edge_origin, edge_index = [], [], {}
+    for r in range(len(cells)):
+        for e, (u, v, w) in enumerate(complex2.edges):
+            cell2 = cells[r] + covering.tau[e]
+            if not periodic and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
+                continue
+            edge_index[(r, e)] = len(edges)
+            edges.append((r * V + u, map_stub.cell_rank(cell2) * V + v, w))
+            edge_origin.append((r, e))
+    faces = []
+    for r in range(len(cells)):
+        for word in complex2.faces:
+            new_word, cur, ok = [], cells[r].copy(), True
+            for e, sign in face_steps(word):
+                based = cur if sign > 0 else cur - covering.tau[e]
+                nxt = cur + covering.tau[e] if sign > 0 else based
+                idx = edge_index.get((map_stub.cell_rank(based), e))
+                if idx is None or (not periodic and (np.any(nxt < 0) or np.any(nxt >= sizes))):
+                    ok = False
+                    break
+                new_word.append(sign * (idx + 1))
+                cur = nxt
+            if ok:
+                faces.append(tuple(new_word))
+    sc = Complex2(len(cells) * V, edges, faces, np.tile(complex2.potentials, len(cells)))
+    return sc, SupercellMap(spec, V, E, tuple(edge_origin))
+
+
+def random_labelled_complex(rng, rank):
+    """Loops, parallel edges, labels in -2..2 and arbitrary (unclosed) face words."""
+    V = int(rng.integers(1, 4))
+    E = int(rng.integers(1, 6))
+    edges = [(int(rng.integers(V)), int(rng.integers(V)), float(rng.uniform(0.5, 2))) for _ in range(E)]
+    faces = [
+        tuple(int(s) * int(rng.choice([-1, 1])) for s in rng.integers(1, E + 1, size=rng.integers(0, 6)))
+        for _ in range(int(rng.integers(0, 4)))
+    ]
+    cov = CoveringData(rank, rng.integers(-2, 3, size=(E, rank)))
+    return Complex2(V, edges, faces, rng.uniform(-1, 1, size=V)), cov
+
+
+class TestBuildSupercellReference:
+    def check(self, cx, cov, spec):
+        sc, sc_map = build_supercell(cx, cov, spec)
+        ref, ref_map = reference_build_supercell(cx, cov, spec)
+        assert sc.num_vertices == ref.num_vertices
+        assert sc.edges == ref.edges
+        assert sc.faces == ref.faces
+        assert np.array_equal(sc.potentials, ref.potentials)
+        assert sc_map.edge_origin == ref_map.edge_origin
+        assert (sc_map.spec, sc_map.base_vertices, sc_map.base_edges) == (
+            ref_map.spec, ref_map.base_vertices, ref_map.base_edges
+        )
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_fixed_models(self, boundary, torus, chain):
+        rng = np.random.default_rng(12)
+        random3 = make_random3(rng)[:2]
+        for (cx, cov), sizes_list in [
+            (torus, [(1, 1), (3, 2), (1, 4), (4, 1)]),
+            (random3, [(2, 2), (3, 1), (1, 3)]),
+            (chain, [(1,), (2,), (5,)]),
+        ]:
+            for sizes in sizes_list:
+                self.check(cx, cov, SupercellSpec(sizes, boundary))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_random_labels_loops_and_parallels(self, boundary):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            rank = int(rng.integers(1, 3))
+            cx, cov = random_labelled_complex(rng, rank)
+            sizes = tuple(int(n) for n in rng.integers(1, 4, size=rank))
+            self.check(cx, cov, SupercellSpec(sizes, boundary))
+
+    def test_rank_zero(self, torus):
+        cx, _ = torus
+        self.check(cx, CoveringData.trivial(cx.num_edges), SupercellSpec(()))

@@ -8,6 +8,7 @@ from magbloch import (
     Character,
     Complex2,
     CoveringData,
+    NumericError,
     SupercellSpec,
     boundary_matrices,
     build_supercell,
@@ -22,6 +23,7 @@ from magbloch import (
     twist,
 )
 from magbloch.homology import (
+    MAX_SNF_DIM,
     TWO_PI,
     cycle_label_invariants,
     imat_vec,
@@ -103,6 +105,18 @@ class TestSmithNormalForm:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             smith_normal_form([[0.5]])
+
+    def test_size_bound_checked_before_conversion(self, monkeypatch):
+        # non-integer entries are a ValueError only once the shape is admitted
+        monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", 3)
+        with pytest.raises(NumericError, match=r"shape \(4, 2\) exceeds the configured bound 3"):
+            smith_normal_form(np.full((4, 2), 0.5))
+        with pytest.raises(ValueError, match="integers"):
+            smith_normal_form(np.full((3, 2), 0.5))
+
+    def test_size_bound_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="configured bound"):
+            smith_normal_form(np.zeros((1, MAX_SNF_DIM + 1), dtype=np.int8))
 
     def test_solve(self):
         rng = np.random.default_rng(5)

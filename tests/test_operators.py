@@ -15,6 +15,7 @@ from magbloch import (
     fiber_spectra,
     gauge_transform,
     spectrum,
+    synthesize_connection,
     translate,
     translation_matrix,
 )
@@ -464,3 +465,113 @@ class TestSupercellReference:
                 tol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
                 assert np.max(np.abs(H - ref)) <= tol
                 assert np.array_equal(H - np.diag(H.diagonal()), ref - np.diag(ref.diagonal()))
+
+
+def spy_eigh_dtypes(monkeypatch, corrupt=False):
+    """Record the dtype of every stack handed to ``np.linalg.eigh``; with
+    ``corrupt`` the returned eigenvectors are rolled out of place."""
+    seen = []
+    real = np.linalg.eigh
+
+    def spy(S):
+        seen.append(S.dtype)
+        vals, vecs = real(S)
+        return vals, (np.roll(vecs, 1, axis=-1) if corrupt else vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+def complex_eigvalsh(H):
+    """Eigenvalues of the symmetrized matrix by complex LAPACK (the reference)."""
+    return np.linalg.eigvalsh(0.5 * (H + H.conj().swapaxes(-1, -2)).astype(complex))
+
+
+def zero_flux_models():
+    """The torus and the 3-vertex quotient with their canonical integral-flux connections."""
+    rng = np.random.default_rng(45)
+    tri, tri_cov, tri_flux = make_random3(rng)
+    torus = Complex2(1, [(0, 0, 1.3), (0, 0, 0.8)], [(1, 2, -1, -2)], [0.25])
+    torus_cov = CoveringData(2, [[1, 0], [0, 1]])
+    models = []
+    for cx, cov, flux in [(torus, torus_cov, [-4 * np.pi]), (tri, tri_cov, tri_flux)]:
+        theta = synthesize_connection(cx, flux)
+        assert not theta.any()
+        models.append((cx, cov, theta))
+    return models
+
+
+class TestRealPath:
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_zero_flux_supercells(self, monkeypatch, boundary):
+        for cx, cov, theta in zero_flux_models():
+            op = assemble_supercell(cx, cov, theta, SupercellSpec((4, 3), boundary))
+            ref = complex_eigvalsh(op.matrix)
+            seen = spy_eigh_dtypes(monkeypatch)
+            sp = spectrum(op)
+            assert seen == [np.float64]
+            assert np.max(np.abs(sp.eigenvalues - ref)) <= eig_tol(op.matrix)
+            assert sp.residual <= 1e-8 * max(1.0, op.norm())
+
+    def test_quotient_without_connection(self, monkeypatch):
+        cx, _, _ = make_random3(np.random.default_rng(46))
+        op = assemble_quotient(cx)
+        ref = complex_eigvalsh(op.matrix)
+        seen = spy_eigh_dtypes(monkeypatch)
+        assert np.max(np.abs(spectrum(op).eigenvalues - ref)) <= eig_tol(op.matrix)
+        assert seen == [np.float64]
+
+    def test_lone_zero_momentum_fiber(self, monkeypatch):
+        for cx, cov, theta in zero_flux_models():
+            ks = np.zeros((1, 2))
+            H = assemble_fibers(cx, cov, theta, ks)
+            ref = complex_eigvalsh(H)
+            seen = spy_eigh_dtypes(monkeypatch)
+            sp = fiber_spectra(cx, cov, theta, ks)
+            assert seen == [np.float64]
+            assert np.max(np.abs(sp.eigenvalues - ref)) <= eig_tol(H)
+
+    def test_magnetic_supercell_stays_complex(self, monkeypatch):
+        cx, cov, _ = make_random3(np.random.default_rng(47))
+        theta = synthesize_connection(cx, [2 * np.pi])
+        op = assemble_supercell(cx, cov, theta + [0, 0, 0.3, 0], SupercellSpec((3, 2)))
+        seen = spy_eigh_dtypes(monkeypatch)
+        spectrum(op)
+        assert seen == [np.complex128]
+
+    def test_one_imaginary_entry_keeps_the_stack_complex(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        A = rng.normal(size=(3, 4, 4))
+        H = (A + A.transpose(0, 2, 1)).astype(complex)
+        seen = spy_eigh_dtypes(monkeypatch)
+        operators._eigh_checked(H, str, operators.DENSE_THRESHOLD)
+        H[1, 2, 3] += 1e-13j
+        vals, _ = operators._eigh_checked(H, str, operators.DENSE_THRESHOLD)
+        assert seen == [np.float64, np.complex128]
+        assert np.max(np.abs(vals - complex_eigvalsh(H))) <= eig_tol(H)
+
+    def test_real_non_symmetric_fails_hermiticity(self, monkeypatch):
+        seen = spy_eigh_dtypes(monkeypatch)
+        with pytest.raises(NumericError, match="probe: not Hermitian"):
+            spectrum(MagneticOperator(np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]), "probe"))
+        cx, cov, theta = zero_flux_models()[1]
+        real = operators._assemble
+
+        def skew(complex2, phases):
+            H = real(complex2, phases)
+            H[:, 0, 1] += 1e-9
+            return H
+
+        monkeypatch.setattr(operators, "_assemble", skew)
+        with pytest.raises(NumericError, match=r"fiber at k=\[0,0\]: not Hermitian"):
+            fiber_spectra(cx, cov, theta, np.zeros((1, 2)))
+        assert seen == []
+
+    def test_corrupted_eigenvector_fails_residual(self, monkeypatch):
+        cx, cov, theta = zero_flux_models()[1]
+        seen = spy_eigh_dtypes(monkeypatch, corrupt=True)
+        with pytest.raises(NumericError, match=r"fiber at k=\[0,0\]: eigenpair residual"):
+            fiber_spectra(cx, cov, theta, np.zeros((1, 2)))
+        with pytest.raises(NumericError, match=r"supercell\(N=\(2, 2\), periodic\): eigenpair"):
+            spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 2))))
+        assert seen == [np.float64, np.float64]
