@@ -54,8 +54,6 @@ __all__ = [
     "CharacterRelationsReport",
     "verify_block_diagonalization",
     "BlockDiagonalizationReport",
-    "decomposition_check",
-    "DecompositionReport",
     "multiplier_action",
     "momentum_character",
     "lipschitz_bound",
@@ -113,16 +111,14 @@ def _check_sizes(basis: BlochBasis, sc_map: SupercellMap) -> None:
         raise ValueError("Bloch basis and supercell have different sizes")
 
 
-def _transform(
-    x: np.ndarray, sc_map: SupercellMap, first: int = 0, adjoint: bool = False
-) -> np.ndarray:
-    """Bloch transform (or its adjoint) along the cell axes ``first, first+1, ...``.
+def _transform(x: np.ndarray, d: int, first: int = 0, adjoint: bool = False) -> np.ndarray:
+    """Bloch transform (or its adjoint) along the d cell axes ``first, ..., first+d-1``.
 
     Under the sign table in the module docstring the transform is the
     orthonormal inverse FFT over the cell axes, and its adjoint the
     orthonormal forward FFT.
     """
-    axes = tuple(range(first, first + len(sc_map.sizes)))
+    axes = tuple(range(first, first + d))
     return (np.fft.fftn if adjoint else np.fft.ifftn)(x, axes=axes, norm="ortho")
 
 
@@ -140,7 +136,7 @@ def bloch_transform(
     s = np.asarray(s, dtype=complex)
     if s.shape != (sc_map.num_vertices,):
         raise ValueError(f"vector must have length {sc_map.num_vertices}")
-    out = _transform(s.reshape(sc_map.sizes + (sc_map.base_vertices,)), sc_map)
+    out = _transform(s.reshape(sc_map.sizes + (sc_map.base_vertices,)), len(sc_map.sizes))
     return out.reshape(sc_map.num_cells, sc_map.base_vertices)
 
 
@@ -169,17 +165,22 @@ def _character_tables(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     Returns ``means[gamma] = (prod N)^(-1) sum_chi chi(gamma)`` and
     ``gram[chi, chi'] = sum_gamma conj(chi(gamma)) chi'(gamma)``, both in
     lexicographic order.  A character of the product group is the product of
-    per-axis characters exp(2 pi i (m_j gamma_j mod N_j) / N_j), so both sums
-    factor into per-axis sums of N_j terms whose phases come from exact
-    integer residues, combined with ``kron``.
+    per-axis characters exp(2 pi i (m_j gamma_j mod N_j) / N_j), so both
+    factor into per-axis tables combined with ``kron``.  On one axis both
+    are read off the N sums S(r) = sum_gamma exp(2 pi i (r gamma mod N) / N):
+    the means are S / N and the Gram matrix is circulant, gram[a, b] =
+    S((b - a) mod N).  Each S(r) is summed with ``math.fsum`` on its real and
+    imaginary parts, so its error stays at the rounding of the phases, not
+    of N additions.
     """
     means = np.ones(1, dtype=complex)
     gram = np.ones((1, 1), dtype=complex)
     for n in sizes:
         m = np.arange(n)
         table = np.exp(1j * TWO_PI * (np.outer(m, m) % n / n))
-        means = np.kron(means, table.mean(axis=0))
-        gram = np.kron(gram, table.conj() @ table.T)
+        S = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in table])
+        means = np.kron(means, S / n)
+        gram = np.kron(gram, S[(m[None, :] - m[:, None]) % n])
     return means, gram
 
 
@@ -202,81 +203,22 @@ def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
 
 @dataclass(frozen=True)
 class BlockDiagonalizationReport:
-    """Residuals of conjugating the periodic operator into Bloch blocks."""
+    """Residuals of the finite Bloch decomposition of the periodic operator.
+
+    The first three measure the conjugation Phi H Phi^dagger: the unitarity
+    defect of the transform, the largest off-diagonal block entry, and the
+    largest deviation of a diagonal block from its fiber operator.  The
+    rest compare spectra: ``max_deviation`` between the sorted supercell
+    eigenvalues and the sorted union of fiber eigenvalues, ``operator_norm``
+    the largest supercell |eigenvalue|, and ``supercell_residual`` and
+    ``fiber_residual`` the worst eigenpair residuals
+    max_i ||H v_i - lam_i v_i||_2 of the supercell solve and of all fiber
+    solves.
+    """
 
     unitarity_defect: float
     off_diagonal: float
     fiber_deviation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "unitarity_defect": self.unitarity_defect,
-            "off_diagonal": self.off_diagonal,
-            "fiber_deviation": self.fiber_deviation,
-        }
-
-
-def verify_block_diagonalization(
-    complex2: Complex2,
-    covering: CoveringData,
-    theta: Sequence[float] | None,
-    sizes: Sequence[int],
-) -> BlockDiagonalizationReport:
-    """Conjugate the periodic supercell operator by the Bloch unitary.
-
-    Reports the unitarity defect ||Phi^dagger Phi - I||_max of the transform
-    as applied (the inverse FFT over the cell axes, then its adjoint, on
-    every unit vector), the largest off-diagonal block entry of
-    Phi H Phi^dagger, and the largest entrywise deviation of the diagonal
-    blocks from the fiber operators at the sampled momenta.  Phi H Phi^dagger
-    is formed by transforming the row cell axes of H and then, with the
-    adjoint, its column cell axes.  Diagnostic only; never raises on large
-    residuals.
-    """
-    spec = SupercellSpec(tuple(int(n) for n in sizes))
-    basis = BlochBasis.from_sizes(spec.sizes)
-    V = complex2.num_vertices
-    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
-    C, d = sc_map.num_cells, len(spec.sizes)
-    shape = spec.sizes + (V,)
-
-    H = assemble_supercell(complex2, covering, theta, spec).matrix
-    B = _transform(H.reshape(shape + shape), sc_map)
-    del H
-    B = _transform(B, sc_map, first=d + 1, adjoint=True).reshape(C, V, C, V)
-    diagonal = np.arange(C)
-    blocks = B[diagonal, :, diagonal, :]
-    fibers = assemble_fibers(complex2, covering, theta, basis.ks)
-    fiber_dev = float(np.max(np.abs(blocks - fibers))) if V else 0.0
-    off = 0.0
-    if C > 1 and V:
-        B[diagonal, :, diagonal, :] = 0.0
-        off = float(np.max(np.abs(B)))
-    del B
-    return BlockDiagonalizationReport(_unitarity_defect(sc_map), off, fiber_dev)
-
-
-def _unitarity_defect(sc_map: SupercellMap) -> float:
-    """||Phi^dagger Phi - I||_max of the transform as applied: the transform
-    and then its adjoint on every unit vector."""
-    n = sc_map.num_vertices
-    if n == 0:
-        return 0.0
-    eye = np.eye(n, dtype=complex).reshape((n,) + sc_map.sizes + (sc_map.base_vertices,))
-    back = _transform(_transform(eye, sc_map, first=1), sc_map, first=1, adjoint=True)
-    back -= eye
-    return float(np.max(np.abs(back)))
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Sorted supercell spectrum against the union of fiber spectra.
-
-    ``supercell_residual`` and ``fiber_residual`` are the worst eigenpair
-    residuals max_i ||H v_i - lam_i v_i||_2 of the supercell solve and of all
-    fiber solves.
-    """
-
     max_deviation: float
     operator_norm: float
     supercell_residual: float
@@ -288,6 +230,9 @@ class DecompositionReport:
 
     def to_dict(self) -> dict:
         return {
+            "unitarity_defect": self.unitarity_defect,
+            "off_diagonal": self.off_diagonal,
+            "fiber_deviation": self.fiber_deviation,
             "max_deviation": self.max_deviation,
             "operator_norm": self.operator_norm,
             "relative_deviation": self.relative_deviation,
@@ -296,28 +241,70 @@ class DecompositionReport:
         }
 
 
-def decomposition_check(
+def verify_block_diagonalization(
     complex2: Complex2,
     covering: CoveringData,
     theta: Sequence[float] | None,
     sizes: Sequence[int],
-) -> DecompositionReport:
-    """Finite-scale spectral decomposition: supercell = union of fibers.
+) -> BlockDiagonalizationReport:
+    """Check the finite Bloch decomposition of the periodic supercell operator.
 
-    Compares the sorted eigenvalues of the periodic supercell operator with
-    the sorted concatenation of fiber eigenvalues over the sampled momentum
-    grid, elementwise.
+    Assembles the periodic supercell operator H once.  Its gated eigensolve
+    and the gated fiber solves at the sampled momenta give the spectral
+    comparison: sorted supercell eigenvalues against the sorted union of
+    fiber eigenvalues.  Then H is conjugated by the Bloch unitary Phi,
+    formed by transforming the row cell axes of H and then, with the
+    adjoint, its column cell axes.  Reports the unitarity defect
+    ||Phi^dagger Phi - I||_max of the transform as applied, the largest
+    off-diagonal block entry of Phi H Phi^dagger, and the largest entrywise
+    deviation of the diagonal blocks from the fiber operators.  Large
+    residuals are reported, not raised; the solves raise
+    :class:`NumericError` under the gates of :func:`spectrum`.
     """
     spec = SupercellSpec(tuple(int(n) for n in sizes))
     basis = BlochBasis.from_sizes(spec.sizes)
+    V, C, d = complex2.num_vertices, basis.num_characters, len(spec.sizes)
     op = assemble_supercell(complex2, covering, theta, spec)
     supercell = spectrum(op)
     fibers = fiber_spectra(complex2, covering, theta, basis.ks)
-    super_eigs = supercell.eigenvalues
-    fiber_eigs = fibers.eigenvalues.ravel()
-    dev = float(np.max(np.abs(super_eigs - np.sort(fiber_eigs)))) if len(super_eigs) else 0.0
-    norm = max(abs(e) for e in super_eigs) if len(super_eigs) else 0.0
-    return DecompositionReport(dev, norm, supercell.residual, fibers.residual)
+    eigs = supercell.eigenvalues
+    max_dev = float(np.max(np.abs(eigs - np.sort(fibers.eigenvalues.ravel())))) if V else 0.0
+    norm = float(np.max(np.abs(eigs))) if V else 0.0
+
+    shape = spec.sizes + (V,)
+    B = _transform(op.matrix.reshape(shape + shape), d)
+    del op
+    B = _transform(B, d, first=d + 1, adjoint=True).reshape(C, V, C, V)
+    diagonal = np.arange(C)
+    blocks = B[diagonal, :, diagonal, :]
+    fiber_ops = assemble_fibers(complex2, covering, theta, basis.ks)
+    fiber_dev = float(np.max(np.abs(blocks - fiber_ops))) if V else 0.0
+    off = 0.0
+    if C > 1 and V:
+        B[diagonal, :, diagonal, :] = 0.0
+        off = float(np.max(np.abs(B)))
+    del B
+    return BlockDiagonalizationReport(
+        _unitarity_defect(spec.sizes) if V else 0.0,
+        off,
+        fiber_dev,
+        max_dev,
+        norm,
+        supercell.residual,
+        fibers.residual,
+    )
+
+
+def _unitarity_defect(sizes: tuple[int, ...]) -> float:
+    """||Phi^dagger Phi - I||_max of the transform as applied: the transform
+    and then its adjoint on every unit vector of the cell axes.  Phi is
+    kron(W, I_V), the same cell transform on every base vertex, so the C x C
+    round trip measures the defect of the whole transform."""
+    C, d = math.prod(sizes), len(sizes)
+    eye = np.eye(C, dtype=complex).reshape((C,) + sizes)
+    back = _transform(_transform(eye, d, first=1), d, first=1, adjoint=True)
+    back -= eye
+    return float(np.max(np.abs(back)))
 
 
 def multiplier_action(

@@ -70,6 +70,8 @@ def _parse_klist(text: str, rank: int) -> np.ndarray:
             vals = [float(p) for p in chunk.split(",")]
         except ValueError:
             raise CliError(f"--k expects numbers, got {chunk!r}", EXIT_PARSE)
+        if not all(math.isfinite(v) for v in vals):
+            raise CliError(f"--k momenta must be finite, got {chunk!r}", EXIT_PARSE)
         if len(vals) != rank:
             raise CliError(f"--k points must have {rank} components", EXIT_PARSE)
         points.append(vals)
@@ -92,8 +94,8 @@ def _parse_tols(pairs: list[str] | None) -> dict:
             v = float(value)
         except ValueError:
             raise CliError(f"--tol {name} expects a number, got {value!r}", EXIT_PARSE)
-        if v <= 0:
-            raise CliError(f"--tol {name} must be positive", EXIT_PARSE)
+        if not (0 < v < math.inf):
+            raise CliError(f"--tol {name} must be a positive finite number", EXIT_PARSE)
         tols[name] = v
     return tols
 
@@ -232,13 +234,12 @@ def cmd_verify(args) -> int:
     theta = _connection_from_model(model, tols)
     block = bloch.verify_block_diagonalization(model.complex2, model.covering, theta, sizes)
     chars = bloch.character_relations_check(sizes)
-    decomp = bloch.decomposition_check(model.complex2, model.covering, theta, sizes)
     results = {
         "unitarity": (block.unitarity_defect, tols["unitarity"]),
         "off_diagonal": (block.off_diagonal, tols["off_diagonal"]),
         "fiber_deviation": (block.fiber_deviation, tols["fiber_deviation"]),
         "char_relations": (chars.max_residual, tols["char_relations"]),
-        "decomposition": (decomp.relative_deviation, tols["decomposition"]),
+        "decomposition": (block.relative_deviation, tols["decomposition"]),
     }
     ok = all(value <= tol for value, tol in results.values())
     if args.json:

@@ -111,7 +111,8 @@ class SmithDecomposition:
 
     D is (rectangular) diagonal with nonnegative entries satisfying the
     divisibility chain d_i | d_{i+1}.  ``u_inv`` and ``v_inv`` are carried
-    along so that integer systems A x = b can be solved without re-inverting.
+    along so that callers can map back to the original bases without
+    re-inverting.
     All six matrices have dtype=object holding Python ints.
     """
 
@@ -142,24 +143,6 @@ class SmithDecomposition:
         n = self.D.shape[1]
         r = self.rank
         return self.v_inv[:, r:n]
-
-    def solve(self, b: Sequence[int]) -> list[int] | None:
-        """One integer solution of A x = b, or None if none exists."""
-        m, n = self.D.shape
-        y = imat_vec(self.u_inv, b)
-        diag = self.diagonal
-        z = [0] * n
-        for i in range(m):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return None
-            else:
-                q, rem = divmod(y[i], d)
-                if rem != 0:
-                    return None
-                z[i] = q
-        return imat_vec(self.v_inv, z)
 
 
 def _pivot(M: list[list[int]], s: int) -> tuple[int, int] | None:

@@ -251,7 +251,8 @@ def _eigh_checked(
     if K == 0 or n == 0:
         return np.zeros((K, n)), np.zeros(K)
     defect = np.max(np.abs(H - H.conj().transpose(0, 2, 1)), axis=(1, 2))
-    bad = np.flatnonzero(defect > HERMITICITY_TOL)
+    # gates read "not (value <= bound)", so a NaN fails them
+    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
     if bad.size:
         i = bad[0]
         raise NumericError(
@@ -264,7 +265,7 @@ def _eigh_checked(
     vals, vecs = np.linalg.eigh(S)
     residual = np.max(np.linalg.norm(S @ vecs - vecs * vals[:, None, :], axis=1), axis=1)
     scale = np.maximum(np.max(np.sum(np.abs(H), axis=2), axis=1), 1.0)
-    bad = np.flatnonzero(residual > 1e-8 * scale)
+    bad = np.flatnonzero(~(residual <= 1e-8 * scale))
     if bad.size:
         i = bad[0]
         raise NumericError(

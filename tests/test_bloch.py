@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from magbloch import (
     butterfly_csv,
     butterfly_svg,
     character_relations_check,
-    decomposition_check,
     fiber_spectra,
     homology,
     is_quantizable,
@@ -34,7 +34,7 @@ from magbloch import (
     verify_block_diagonalization,
 )
 
-from magbloch.bloch import _character_tables
+from magbloch.bloch import _character_tables, _unitarity_defect
 from magbloch.complexes import SupercellMap
 
 from conftest import make_random3
@@ -149,12 +149,36 @@ class TestCharacterRelations:
         assert character_relations_check((24, 24)).max_residual <= 1e-12
         assert character_relations_check((32, 32)).max_residual <= 1e-12
 
+    @pytest.mark.parametrize("sizes", [(984,), (2009,), (3, 682), (7, 292)])
+    def test_gate_holds_above_1000_characters(self, sizes):
+        # plain float sums of N unit phases missed the gate at these sizes
+        assert character_relations_check(sizes).max_residual <= 1e-12
+
     def test_factorized_tables_match_dense_reference(self):
         for sizes in SIZES_UP_TO_64:
             means, gram = _character_tables(sizes)
             ref_means, ref_gram = dense_character_tables(sizes)
             assert np.max(np.abs(means - ref_means)) <= 1e-12
             assert np.max(np.abs(gram - ref_gram)) <= 1e-12
+
+
+def full_unitarity_defect(sizes, V, rows=256):
+    """||Phi^dagger Phi - I||_max from the round trip of every unit vector of
+    all n = prod N * V supercell coordinates, the reference for the cell-only
+    round trip.  Unit vectors go through in blocks of ``rows``; each is
+    transformed on its own, so the blocks do not change the result."""
+    n = math.prod(sizes) * V
+    axes = tuple(range(1, len(sizes) + 1))
+    worst = 0.0
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        eye = np.zeros((m, n), dtype=complex)
+        eye[np.arange(m), np.arange(start, start + m)] = 1.0
+        eye = eye.reshape((m,) + sizes + (V,))
+        back = np.fft.fftn(np.fft.ifftn(eye, axes=axes, norm="ortho"), axes=axes, norm="ortho")
+        back -= eye
+        worst = max(worst, float(np.max(np.abs(back))))
+    return worst
 
 
 class TestBlockDiagonalization:
@@ -165,8 +189,7 @@ class TestBlockDiagonalization:
         assert report.off_diagonal <= 1e-12
         assert report.fiber_deviation <= 1e-12
         # fiber values at k in {0, pi} are 0 and 4
-        evs = decomposition_check(cx, cov, None, (2,))
-        assert evs.max_deviation <= 1e-12
+        assert report.max_deviation <= 1e-12
 
     def test_torus_2x2_zero_flux(self, torus):
         cx, cov = torus
@@ -189,22 +212,50 @@ class TestBlockDiagonalization:
         cx, cov, flux = make_random3(rng)
         s = homology(cx)
         theta = synthesize_connection(cx, flux, s)
-        report = decomposition_check(cx, cov, theta, (2, 3))
+        report = verify_block_diagonalization(cx, cov, theta, (2, 3))
         assert report.relative_deviation <= 1e-8
 
     def test_decomposition_keeps_solve_residuals(self):
         rng = np.random.default_rng(30)
         cx, cov, _ = make_random3(rng)
         theta = rng.uniform(0, 2 * np.pi, size=4)
-        report = decomposition_check(cx, cov, theta, (2, 3))
+        report = verify_block_diagonalization(cx, cov, theta, (2, 3))
         sup = spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 3))))
         fib = fiber_spectra(cx, cov, theta, BlochBasis.from_sizes((2, 3)).ks)
         assert report.supercell_residual == sup.residual
         assert report.fiber_residual == fib.residual
         assert 0 < report.supercell_residual <= 1e-8 * max(1.0, report.operator_norm)
         data = report.to_dict()
+        assert list(data) == [
+            "unitarity_defect",
+            "off_diagonal",
+            "fiber_deviation",
+            "max_deviation",
+            "operator_norm",
+            "relative_deviation",
+            "supercell_residual",
+            "fiber_residual",
+        ]
         assert data["supercell_residual"] == sup.residual
         assert data["fiber_residual"] == fib.residual
+        assert data["relative_deviation"] == report.relative_deviation
+
+    @pytest.mark.parametrize(
+        "sizes, V",
+        [
+            ((16, 16), 3),
+            ((5, 7), 4),
+            ((2, 3, 4), 2),
+            ((32, 32), 1),
+            ((3, 682), 1),
+            ((24, 24), 3),
+            ((6, 2), 3),
+            ((3,), 1),
+            ((1,), 2),
+        ],
+    )
+    def test_unitarity_defect_equals_full_round_trip(self, sizes, V):
+        assert _unitarity_defect(sizes) == full_unitarity_defect(sizes, V)
 
 
 class TestMultiplier:

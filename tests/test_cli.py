@@ -202,6 +202,39 @@ def test_fibers_explicit_k(torus_model, capsys):
     assert len(lines) == 3
 
 
+def test_fibers_non_finite_k_exit_2(torus_model, capsys):
+    for k in ["nan,0", "0,inf", "0,0;-inf,1"]:
+        assert run(["fibers", "--model", torus_model(TWO_PI), "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert "--k momenta must be finite" in captured.err
+        assert captured.out == ""
+
+
+def test_non_finite_tolerance_exit_2(chain_model, capsys):
+    for value in ["nan", "inf", "-1", "0"]:
+        tol = f"quantizability={value}"
+        assert run(["verify", "--model", chain_model, "--supercell", "2", "--tol", tol]) == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+
+def test_verify_builds_one_supercell(chain_model, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].sizes)
+        return build_supercell(*args, **kwargs)
+
+    # every module that imported the supercell builder counts
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("magbloch") and hasattr(
+            mod, "build_supercell"
+        ):
+            monkeypatch.setattr(mod, "build_supercell", counted)
+    assert run(["verify", "--model", chain_model, "--supercell", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert calls == [(6,)]
+
+
 def test_bands_csv_row_count(torus_model, capsys):
     assert run(["bands", "--model", torus_model(TWO_PI), "--grid", "32,32"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

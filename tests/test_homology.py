@@ -118,24 +118,6 @@ class TestSmithNormalForm:
         with pytest.raises(NumericError, match="configured bound"):
             smith_normal_form(np.zeros((1, MAX_SNF_DIM + 1), dtype=np.int8))
 
-    def test_solve(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            m, n = rng.integers(1, 6, size=2)
-            A = rng.integers(-5, 6, size=(m, n))
-            x0 = rng.integers(-4, 5, size=n)
-            b = A @ x0
-            snf = smith_normal_form(A)
-            x = snf.solve(b)
-            assert x is not None
-            assert np.all(A @ np.array(x, dtype=object) == b)
-
-    def test_solve_unsolvable(self):
-        snf = smith_normal_form([[2]])
-        assert snf.solve([1]) is None
-        snf = smith_normal_form([[1], [0]])
-        assert snf.solve([0, 1]) is None
-
     def test_kernel_basis(self):
         A = np.array([[1, 2, 3], [2, 4, 6]])
         snf = smith_normal_form(A)

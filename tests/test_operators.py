@@ -408,6 +408,27 @@ class TestFiberStackGates:
             fiber_spectra(cx, cov, theta, ks)
         assert name in str(err.value)
 
+    def test_nan_momentum_fails_hermiticity(self, torus):
+        # a NaN defect never exceeds the tolerance; the gate must still fail
+        cx, cov = torus
+        ks = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(NumericError, match=r"fiber at k=\[nan,0\]: not Hermitian"):
+            fiber_spectra(cx, cov, None, ks)
+
+    def test_nan_residual_fails(self, monkeypatch):
+        cx, cov, theta, ks, _, _ = bad_fiber_setup()
+        real = np.linalg.eigh
+
+        def nan_vectors(S):
+            vals, vecs = real(S)
+            return vals, np.full_like(vecs, np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+        name = "k=[" + ",".join(f"{v:.6g}" for v in ks[0]) + "]"
+        with pytest.raises(NumericError, match="eigenpair residual nan") as err:
+            fiber_spectra(cx, cov, theta, ks)
+        assert name in str(err.value)
+
 
 class TestTranslateReference:
     def test_matches_cell_loop(self):
