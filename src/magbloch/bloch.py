@@ -67,6 +67,12 @@ __all__ = [
     "butterfly_svg",
 ]
 
+# largest flux denominator a butterfly sweep accepts: a p/q flux solves a
+# q-fold magnetic cell at every grid momentum
+MAX_DENOMINATOR = 64
+
+SVG_WIDTH, SVG_HEIGHT = 640, 480
+
 
 @dataclass(frozen=True, eq=False)
 class BlochBasis:
@@ -159,29 +165,35 @@ class CharacterRelationsReport:
         }
 
 
-def _character_tables(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and Gram matrix of the character table of prod Z/N_j.
+def _character_tables(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and first Gram row of the character table of prod Z/N_j.
 
     Returns ``means[gamma] = (prod N)^(-1) sum_chi chi(gamma)`` and
-    ``gram[chi, chi'] = sum_gamma conj(chi(gamma)) chi'(gamma)``, both in
-    lexicographic order.  A character of the product group is the product of
-    per-axis characters exp(2 pi i (m_j gamma_j mod N_j) / N_j), so both
-    factor into per-axis tables combined with ``kron``.  On one axis both
-    are read off the N sums S(r) = sum_gamma exp(2 pi i (r gamma mod N) / N):
-    the means are S / N and the Gram matrix is circulant, gram[a, b] =
-    S((b - a) mod N).  Each S(r) is summed with ``math.fsum`` on its real and
-    imaginary parts, so its error stays at the rounding of the phases, not
-    of N additions.
+    ``row[chi] = sum_gamma chi(gamma)``, the trivial character's row of the
+    Gram matrix gram[chi, chi'] = sum_gamma conj(chi(gamma)) chi'(gamma),
+    both in lexicographic order.  A character of the product group is the
+    product of per-axis characters exp(2 pi i (m_j gamma_j mod N_j) / N_j),
+    so both factor into per-axis vectors combined with ``kron``.  On one
+    axis both are read off the N sums S(r) = sum_gamma exp(2 pi i (r gamma
+    mod N) / N): the means are S / N, and the Gram matrix is circulant,
+    gram[a, b] = S((b - a) mod N), with first row S.  So every entry of the
+    full Gram matrix is the entry of ``row`` at chi' - chi, the same
+    products in the same order.  Each S(r) is summed with ``math.fsum`` on
+    its real and imaginary parts, so its error stays at the rounding of the
+    phases, not of N additions.
     """
     means = np.ones(1, dtype=complex)
-    gram = np.ones((1, 1), dtype=complex)
+    row = np.ones(1, dtype=complex)
     for n in sizes:
         m = np.arange(n)
-        table = np.exp(1j * TWO_PI * (np.outer(m, m) % n / n))
-        S = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in table])
+        w = np.exp(1j * TWO_PI * (m / n))
+        S = np.empty(n, dtype=complex)
+        for r in range(n):
+            terms = w[r * m % n]
+            S[r] = complex(math.fsum(terms.real), math.fsum(terms.imag))
         means = np.kron(means, S / n)
-        gram = np.kron(gram, S[(m[None, :] - m[:, None]) % n])
-    return means, gram
+        row = np.kron(row, S)
+    return means, row
 
 
 def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
@@ -189,16 +201,18 @@ def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
 
     Checks (prod N)^(-1) sum_chi chi(gamma) = [gamma = 0] over all gamma,
     and sum_gamma conj(chi(gamma)) chi'(gamma) = prod N * [chi = chi'] over
-    all sampled character pairs; returns the worst deviations.
+    all sampled character pairs; returns the worst deviations.  The second
+    is read off the first Gram row, which holds every Gram entry.
     """
-    basis = BlochBasis.from_sizes(sizes)
-    means, gram = _character_tables(basis.sizes)
-    C = basis.num_characters
-    indicator = np.zeros(C)
+    sizes = tuple(int(n) for n in sizes)
+    if any(n < 1 for n in sizes):
+        raise ValueError("sizes must be >= 1")
+    means, row = _character_tables(sizes)
+    indicator = np.zeros(len(means))
     indicator[0] = 1.0
     delta_res = float(np.max(np.abs(means - indicator)))
-    ortho_res = float(np.max(np.abs(gram - C * np.eye(C))))
-    return CharacterRelationsReport(delta_res, ortho_res)
+    row[0] -= len(row)
+    return CharacterRelationsReport(delta_res, float(np.max(np.abs(row))))
 
 
 @dataclass(frozen=True)
@@ -514,13 +528,12 @@ def butterfly(
     covering: CoveringData,
     fluxes: Sequence,
     grid: Sequence[int],
-    axis: int = 0,
-    max_denominator: int = 64,
 ) -> list[ButterflyRow]:
     """Band intervals over a list of rational fluxes (Hofstadter-type sweep).
 
-    Each flux is run through the magnetic supercell construction, a
-    synthesized connection, and a band sweep; failures are collected per
+    Each flux is run through the magnetic supercell construction along axis
+    0, a synthesized connection, and a band sweep; a denominator above
+    ``MAX_DENOMINATOR`` is an error.  Failures are collected per
     entry instead of aborting the sweep.  Only domain errors (``ValueError``,
     which includes :class:`NotQuantizableError`, and :class:`NumericError`)
     become error rows; any other exception is a bug and propagates.
@@ -529,11 +542,11 @@ def butterfly(
     for raw in fluxes:
         try:
             fr = _as_fraction(raw)
-            if fr.denominator > max_denominator:
+            if fr.denominator > MAX_DENOMINATOR:
                 raise ValueError(
-                    f"flux denominator {fr.denominator} exceeds bound {max_denominator}"
+                    f"flux denominator {fr.denominator} exceeds bound {MAX_DENOMINATOR}"
                 )
-            ms = magnetic_supercell(complex2, covering, fr, axis=axis)
+            ms = magnetic_supercell(complex2, covering, fr)
             summary = homology(ms.complex2)
             conn = synthesize_connection(ms.complex2, ms.flux, summary)
             band = spectrum_union(ms.complex2, ms.covering, conn, grid)
@@ -575,14 +588,14 @@ def butterfly_csv(rows: Sequence[ButterflyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def butterfly_svg(
-    rows: Sequence[ButterflyRow], width: int = 640, height: int = 480
-) -> str:
+def butterfly_svg(rows: Sequence[ButterflyRow]) -> str:
     """Standalone SVG scatter of band intervals against flux (no renderer).
 
-    One vertical segment per interval at x = p/q; rows with errors are
-    skipped.  Output is deterministic markup.
+    One vertical segment per interval at x = p/q on a ``SVG_WIDTH`` x
+    ``SVG_HEIGHT`` canvas; rows with errors are skipped.  Output is
+    deterministic markup.
     """
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [
         (row.p / row.q, row.band.intervals)
         for row in rows

@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 not quantizable, 2 parse/config error,
-3 model invariant violation, 4 numeric failure (residual above tolerance,
-oversized dense solve, non-Hermitian input).
+Exit codes: 0 success, 1 not quantizable, 2 parse/config error (unknown
+flag, bad value, malformed model, unwritable output), 3 model invariant
+violation, 4 numeric failure (residual above tolerance, oversized dense
+solve, non-Hermitian input), 5 internal error (traceback on stderr).
+
+Each command accepts only the flags it reads, and ``--tol`` only the
+tolerances of the gates it applies.
 
 Outputs are deterministic: the same model and flags produce byte-identical
 JSON/CSV/SVG.
@@ -14,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ EXIT_NOT_QUANTIZABLE = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_TOLERANCES = {
     "quantizability": 1e-9,
@@ -37,6 +43,14 @@ DEFAULT_TOLERANCES = {
     "fiber_deviation": 1e-10,
     "char_relations": 1e-12,
     "decomposition": 1e-8,
+}
+
+# the tolerances a command's --tol may set: those of the gates it applies
+_GATES = {
+    "quantizable": ("quantizability",),
+    "fibers": ("quantizability",),
+    "verify": tuple(DEFAULT_TOLERANCES),
+    "bands": ("quantizability",),
 }
 
 
@@ -57,7 +71,10 @@ def _parse_sizes(text: str, name: str) -> tuple[int, ...]:
 
 
 def _parse_fluxes(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    fluxes = [part.strip() for part in text.split(",") if part.strip()]
+    if not fluxes:
+        raise CliError("--flux contained no fluxes", EXIT_PARSE)
+    return fluxes
 
 
 def _parse_klist(text: str, rank: int) -> np.ndarray:
@@ -80,15 +97,16 @@ def _parse_klist(text: str, rank: int) -> np.ndarray:
     return np.array(points)
 
 
-def _parse_tols(pairs: list[str] | None) -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
-    for pair in pairs or []:
+def _parse_tols(args) -> dict:
+    tols = {name: DEFAULT_TOLERANCES[name] for name in _GATES[args.command]}
+    for pair in args.tol or []:
         if "=" not in pair:
             raise CliError(f"--tol expects NAME=VALUE, got {pair!r}", EXIT_PARSE)
         name, _, value = pair.partition("=")
         if name not in tols:
             raise CliError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(tols))}", EXIT_PARSE
+                f"{args.command} applies no tolerance {name!r}; known: {', '.join(tols)}",
+                EXIT_PARSE,
             )
         try:
             v = float(value)
@@ -114,9 +132,16 @@ def _require_valid(model: Model) -> None:
         raise CliError(f"model fails validation: {lines}", EXIT_INVARIANT)
 
 
+def _write(path: str, payload: str) -> None:
+    try:
+        Path(path).write_text(payload)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+
+
 def _emit(args, payload: str) -> None:
     if args.out:
-        Path(args.out).write_text(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -162,7 +187,7 @@ def cmd_homology(args) -> int:
 def cmd_quantizable(args) -> int:
     model = _load(args)
     _require_valid(model)
-    tols = _parse_tols(args.tol)
+    tols = _parse_tols(args)
     summary = homology(model.complex2)
     cert = bundle.is_quantizable(
         model.complex2, model.flux, summary, tol=tols["quantizability"]
@@ -205,9 +230,10 @@ def cmd_classes(args) -> int:
 def cmd_fibers(args) -> int:
     model = _load(args)
     _require_valid(model)
-    tols = _parse_tols(args.tol)
+    tols = _parse_tols(args)
     if args.grid:
         raise CliError("fibers takes --k only; use `bands --grid` for a momentum grid", EXIT_PARSE)
+    # not required by the parser, so that --grid gets the pointer above
     if not args.k:
         raise CliError("fibers needs --k", EXIT_PARSE)
     theta = _connection_from_model(model, tols)
@@ -220,9 +246,7 @@ def cmd_fibers(args) -> int:
 def cmd_verify(args) -> int:
     model = _load(args)
     _require_valid(model)
-    tols = _parse_tols(args.tol)
-    if not args.supercell:
-        raise CliError("verify needs --supercell", EXIT_PARSE)
+    tols = _parse_tols(args)
     sizes = _parse_sizes(args.supercell, "supercell")
     if len(sizes) != model.covering.rank:
         raise CliError(
@@ -264,9 +288,7 @@ def cmd_verify(args) -> int:
 def cmd_bands(args) -> int:
     model = _load(args)
     _require_valid(model)
-    tols = _parse_tols(args.tol)
-    if not args.grid:
-        raise CliError("bands needs --grid", EXIT_PARSE)
+    tols = _parse_tols(args)
     grid = _parse_sizes(args.grid, "grid")
     if len(grid) != model.covering.rank:
         raise CliError(f"--grid must have {model.covering.rank} entries", EXIT_PARSE)
@@ -289,10 +311,6 @@ def cmd_bands(args) -> int:
 def cmd_butterfly(args) -> int:
     model = _load(args)
     _require_valid(model)
-    if not args.flux:
-        raise CliError("butterfly needs --flux p/q[,p/q...]", EXIT_PARSE)
-    if not args.grid:
-        raise CliError("butterfly needs --grid", EXIT_PARSE)
     grid = _parse_sizes(args.grid, "grid")
     if len(grid) != model.covering.rank:
         raise CliError(f"--grid must have {model.covering.rank} entries", EXIT_PARSE)
@@ -302,20 +320,31 @@ def cmd_butterfly(args) -> int:
         if row.error is not None:
             print(f"flux {row.p}/{row.q}: {row.error}", file=sys.stderr)
     if args.svg:
-        Path(args.svg).write_text(bloch.butterfly_svg(rows))
+        _write(args.svg, bloch.butterfly_svg(rows))
     _emit(args, bloch.butterfly_csv(rows))
     return EXIT_OK
 
 
+_OPTIONS = {
+    "--grid": dict(help="momentum grid sizes N[,N...]"),
+    "--supercell": dict(help="supercell sizes N[,N...]"),
+    "--flux": dict(help="rational fluxes p/q[,p/q...]"),
+    "--k": dict(help="explicit momenta k1,k2;k1,k2;..."),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--svg": dict(help="also write an SVG scatter"),
+}
+
+# command: (handler, the options it reads besides --model, --out and --tol,
+# the required ones); a command takes --tol when it has gates in _GATES
 _COMMANDS = {
-    "validate": cmd_validate,
-    "homology": cmd_homology,
-    "quantizable": cmd_quantizable,
-    "classes": cmd_classes,
-    "fibers": cmd_fibers,
-    "verify": cmd_verify,
-    "bands": cmd_bands,
-    "butterfly": cmd_butterfly,
+    "validate": (cmd_validate, ("--json",), ()),
+    "homology": (cmd_homology, ("--json",), ()),
+    "quantizable": (cmd_quantizable, ("--json",), ()),
+    "classes": (cmd_classes, ("--json",), ()),
+    "fibers": (cmd_fibers, ("--k", "--grid"), ()),  # --grid only to point to bands
+    "verify": (cmd_verify, ("--supercell", "--json"), ("--supercell",)),
+    "bands": (cmd_bands, ("--grid", "--json"), ("--grid",)),
+    "butterfly": (cmd_butterfly, ("--flux", "--grid", "--svg"), ("--flux", "--grid")),
 }
 
 
@@ -326,22 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
         "on periodic weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, options, required) in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--model", required=True, help="path to a JSON model file")
-        p.add_argument("--grid", help="momentum grid sizes N[,N...]")
-        p.add_argument("--supercell", help="supercell sizes N[,N...]")
-        p.add_argument("--flux", help="rational fluxes p/q[,p/q...]")
-        p.add_argument("--k", help="explicit momenta k1,k2;k1,k2;...")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for option in options:
+            p.add_argument(option, required=option in required, **_OPTIONS[option])
         p.add_argument("--out", help="write the primary output to a file")
-        p.add_argument("--svg", help="also write an SVG scatter (butterfly only)")
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="NAME=VALUE",
-            help="override a tolerance; repeatable",
-        )
+        if name in _GATES:
+            p.add_argument(
+                "--tol",
+                action="append",
+                metavar="NAME=VALUE",
+                help=f"override a tolerance ({', '.join(_GATES[name])}); repeatable",
+            )
     return parser
 
 
@@ -352,19 +378,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (bundle.NotQuantizableError,) as exc:
+    except bundle.NotQuantizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_QUANTIZABLE
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception:
+        # user input is classified above; anything else is a bug in magbloch
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -620,12 +620,10 @@ class CharacterGroup:
             for combo in itertools.product(steps, repeat=self.free_rank):
                 yield Character(np.array(combo), torsion.torsion_indices)
 
-    def sample(self, rng: np.random.Generator, include_torsion: bool = True) -> Character:
+    def sample(self, rng: np.random.Generator) -> Character:
         """One uniform random character."""
         angles = rng.uniform(0.0, TWO_PI, size=self.free_rank)
-        torsion = tuple(
-            int(rng.integers(m)) if include_torsion else 0 for m in self.torsion
-        )
+        torsion = tuple(int(rng.integers(m)) for m in self.torsion)
         return Character(angles, torsion)
 
 
@@ -643,6 +641,7 @@ def cycle_label_invariants(
     means the labels present a connected cover.  On the fundamental cycle
     of cotree edge c the map is tau_c + p(source_c) - p(target_c), where the
     forest potential p(x) sums tau along the forest path from the root to x.
+    The Smith form runs on the distinct nonzero labels, sorted.
     """
     order, parent, cotree = _bfs_forest(complex2)
     tau = covering.tau.tolist()
@@ -655,9 +654,14 @@ def cycle_label_invariants(
                 p[x] = [a + t for a, t in zip(p[u], tau[e])]
             else:
                 p[x] = [a - t for a, t in zip(p[v], tau[e])]
-    L = np.zeros((covering.rank, len(cotree)), dtype=object)
-    for j, c in enumerate(cotree):
+    columns = set()
+    for c in cotree:
         u, v, _ = complex2.edges[c]
-        L[:, j] = [t + a - b for t, a, b in zip(tau[c], p[u], p[v])]
+        columns.add(tuple(t + a - b for t, a, b in zip(tau[c], p[u], p[v])))
+    # rank and invariant factors depend only on the lattice the columns span
+    columns.discard((0,) * covering.rank)
+    L = np.zeros((covering.rank, len(columns)), dtype=object)
+    for j, col in enumerate(sorted(columns)):
+        L[:, j] = col
     snfL = smith_normal_form(L)
     return snfL.rank, snfL.invariant_factors()

@@ -26,9 +26,11 @@ __all__ = ["Model", "ModelError", "load_model", "loads_model", "model_to_dict"]
 
 _ALLOWED_KEYS = {"vertices", "edges", "faces", "tau", "potential", "flux"}
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 class ModelError(ValueError):
-    """Malformed model document (bad JSON, unknown keys, wrong shapes)."""
+    """Malformed model document (bad JSON, unknown keys, wrong shapes or types)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +40,29 @@ class Model:
     flux: np.ndarray
 
 
+def _number(value, field: str) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f"{field} is out of the float range") from None
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: ``json`` gives int, and bool is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def loads_model(text: str) -> Model:
+    """Parse a model document.  Numbers must be JSON numbers: weights,
+    potentials and fluxes ints or floats, fluxes finite; vertex counts,
+    endpoints, face steps and labels ints, labels within int64.  Anything
+    else raises :class:`ModelError` naming the field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
@@ -52,8 +73,8 @@ def loads_model(text: str) -> Model:
         raise ModelError("model requires 'vertices' and 'edges'")
 
     vertices = doc["vertices"]
-    if not isinstance(vertices, int) or vertices < 0:
-        raise ModelError("'vertices' must be a nonnegative integer")
+    if not _is_integer(vertices) or vertices < 0:
+        raise ModelError(f"'vertices' must be a nonnegative integer, got {vertices!r}")
 
     edges = []
     if not isinstance(doc["edges"], list):
@@ -62,9 +83,9 @@ def loads_model(text: str) -> Model:
         if not (isinstance(item, list) and len(item) == 3):
             raise ModelError(f"edge {i} must be [src, dst, weight]")
         src, dst, w = item
-        if not isinstance(src, int) or not isinstance(dst, int):
-            raise ModelError(f"edge {i}: endpoints must be integers")
-        edges.append((src, dst, float(w)))
+        if not (_is_integer(src) and _is_integer(dst)):
+            raise ModelError(f"edge {i}: endpoints must be integers, got {src!r} and {dst!r}")
+        edges.append((src, dst, _number(w, f"edge {i}: weight")))
 
     faces = doc.get("faces", [])
     if not isinstance(faces, list) or any(not isinstance(f, list) for f in faces):
@@ -72,17 +93,22 @@ def loads_model(text: str) -> Model:
     face_words = []
     for i, word in enumerate(faces):
         for s in word:
-            if not isinstance(s, int) or s == 0:
-                raise ModelError(f"face {i}: steps must be nonzero signed integers")
+            if not _is_integer(s) or s == 0:
+                raise ModelError(f"face {i}: steps must be nonzero signed integers, got {s!r}")
         face_words.append(tuple(word))
 
     potential = doc.get("potential")
     if potential is not None:
         if not isinstance(potential, list) or len(potential) != vertices:
             raise ModelError(f"'potential' must list {vertices} values")
-        potential = [float(x) for x in potential]
+        potential = [_number(x, f"potential[{i}]") for i, x in enumerate(potential)]
 
-    cx = Complex2(vertices, tuple(edges), tuple(face_words), potential)
+    try:
+        cx = Complex2(vertices, tuple(edges), tuple(face_words), potential)
+    except (ValueError, MemoryError) as exc:
+        # the only thing the lenient constructor can fail on is allocating
+        # one potential per vertex
+        raise ModelError(f"'vertices' is too large: {exc}") from None
 
     tau = doc.get("tau")
     if tau is None:
@@ -93,8 +119,10 @@ def loads_model(text: str) -> Model:
         rank = None
         rows = []
         for i, label in enumerate(tau):
-            if not isinstance(label, list) or any(not isinstance(x, int) for x in label):
-                raise ModelError(f"tau[{i}] must be a list of integers")
+            if not isinstance(label, list) or not all(_is_integer(x) for x in label):
+                raise ModelError(f"tau[{i}] must be a list of integers, got {label!r}")
+            if not all(_INT64_MIN <= x <= _INT64_MAX for x in label):
+                raise ModelError(f"tau[{i}] entries must fit in a 64-bit integer")
             if rank is None:
                 rank = len(label)
             elif len(label) != rank:
@@ -109,7 +137,10 @@ def loads_model(text: str) -> Model:
     else:
         if not isinstance(flux, list) or len(flux) != len(face_words):
             raise ModelError(f"'flux' must list one value per face ({len(face_words)})")
-        flux = np.array([float(x) for x in flux])
+        flux = np.array([_number(x, f"flux[{i}]") for i, x in enumerate(flux)])
+        bad = np.flatnonzero(~np.isfinite(flux))
+        if bad.size:
+            raise ModelError(f"flux[{bad[0]}] must be finite, got {flux[bad[0]]}")
 
     return Model(cx, covering, flux)
 
@@ -117,7 +148,7 @@ def loads_model(text: str) -> Model:
 def load_model(path: str | Path) -> Model:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
     return loads_model(text)
 

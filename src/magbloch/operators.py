@@ -8,7 +8,7 @@ The operator at a vertex v is
 where ``theta_{e->v}`` is the transport phase *into* v: +theta_e when v is
 the edge's target, -theta_e when v is its source.  This fixes Hermiticity by
 construction and matches the +k.tau fiber twist of the Bloch module.
-Matrices are dense; a configurable threshold rejects oversized requests.
+Matrices are dense; ``DENSE_THRESHOLD`` rejects oversized requests.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class NumericError(RuntimeError):
     oversized dense solve, excessive eigenpair residual)."""
 
 
-def require_dense_size(n: int, where: str, dense_threshold: int = DENSE_THRESHOLD) -> None:
-    """Raise :class:`NumericError` if an n x n dense solve exceeds the threshold."""
-    if n > dense_threshold:
+def require_dense_size(n: int, where: str) -> None:
+    """Raise :class:`NumericError` if an n x n dense solve exceeds ``DENSE_THRESHOLD``."""
+    if n > DENSE_THRESHOLD:
         raise NumericError(
             f"{where}: matrix dimension {n} exceeds the dense solver threshold "
-            f"{dense_threshold}; reduce the supercell size or grid"
+            f"{DENSE_THRESHOLD}; reduce the supercell size or grid"
         )
 
 
@@ -231,9 +231,7 @@ def assemble_supercell(
     return MagneticOperator(_assemble(sc, phases[None])[0], tag)
 
 
-def _eigh_checked(
-    H: np.ndarray, where: Callable[[int], str], dense_threshold: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """Gated Hermitian eigensolve of a (K, n, n) stack.
 
     Applies to each matrix the dense threshold, the Hermiticity gate, the
@@ -247,7 +245,7 @@ def _eigh_checked(
     """
     K, n = H.shape[0], H.shape[1]
     if K:
-        require_dense_size(n, where(0), dense_threshold)
+        require_dense_size(n, where(0))
     if K == 0 or n == 0:
         return np.zeros((K, n)), np.zeros(K)
     defect = np.max(np.abs(H - H.conj().transpose(0, 2, 1)), axis=(1, 2))
@@ -274,14 +272,14 @@ def _eigh_checked(
     return np.sort(vals, axis=1), residual
 
 
-def spectrum(op: MagneticOperator, dense_threshold: int = DENSE_THRESHOLD) -> Spectrum:
+def spectrum(op: MagneticOperator) -> Spectrum:
     """Full Hermitian eigendecomposition, with residual verification.
 
-    Rejects matrices larger than ``dense_threshold`` (reduce the supercell
+    Rejects matrices larger than ``DENSE_THRESHOLD`` (reduce the supercell
     size or grid instead) and matrices whose Hermiticity defect exceeds
     1e-10.  The returned residual is max_i ||H v_i - lam_i v_i||_2.
     """
-    vals, residual = _eigh_checked(op.matrix[None], lambda i: op.provenance, dense_threshold)
+    vals, residual = _eigh_checked(op.matrix[None], lambda i: op.provenance)
     return Spectrum(vals[0], float(residual[0]))
 
 
@@ -297,7 +295,7 @@ def fiber_spectra(
     ascending at ``ks[i]``, and whose residual is the worst over all fibers.
     The fibers are assembled and solved in batches of at most
     ``STACK_BYTES`` per matrix stack, each fiber under the gates of
-    :func:`spectrum` at ``DENSE_THRESHOLD``; a failure names its momentum.
+    :func:`spectrum`; a failure names its momentum.
     """
     ks, phases, tau_t = _fiber_data(complex2, covering, theta, ks)
     V = complex2.num_vertices
@@ -307,9 +305,7 @@ def fiber_spectra(
     for start in range(0, len(ks), batch):
         chunk = ks[start : start + batch]
         H = _assemble(complex2, phases + chunk @ tau_t)
-        vals, residual = _eigh_checked(
-            H, lambda i: f"fiber at k=[{_format_k(chunk[i])}]", DENSE_THRESHOLD
-        )
+        vals, residual = _eigh_checked(H, lambda i: f"fiber at k=[{_format_k(chunk[i])}]")
         eigs[start : start + len(chunk)] = vals
         worst = max(worst, float(residual.max()))
     return Spectrum(eigs, worst)

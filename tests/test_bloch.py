@@ -36,6 +36,7 @@ from magbloch import (
 
 from magbloch.bloch import _character_tables, _unitarity_defect
 from magbloch.complexes import SupercellMap
+from magbloch.homology import TWO_PI
 
 from conftest import make_random3
 
@@ -118,6 +119,37 @@ SIZES_UP_TO_64 = [(n,) for n in range(1, 65)] + [
 ]
 
 
+def reference_character_tables(sizes):
+    """Column means and full Gram matrix from per-axis N x N phase tables
+    and circulant Gram matrices combined with ``kron``: the computation the
+    first-row check replaced, kept as its reference."""
+    means = np.ones(1, dtype=complex)
+    gram = np.ones((1, 1), dtype=complex)
+    for n in sizes:
+        m = np.arange(n)
+        table = np.exp(1j * TWO_PI * (np.outer(m, m) % n / n))
+        S = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in table])
+        means = np.kron(means, S / n)
+        gram = np.kron(gram, S[(m[None, :] - m[:, None]) % n])
+    return means, gram
+
+
+def reference_character_relations(sizes):
+    """(delta, orthogonality) residuals read off the full Gram matrix."""
+    means, gram = reference_character_tables(sizes)
+    C = len(means)
+    indicator = np.zeros(C)
+    indicator[0] = 1.0
+    return float(np.max(np.abs(means - indicator))), float(np.max(np.abs(gram - C * np.eye(C))))
+
+
+def gram_from_first_row(row, sizes):
+    """The Gram matrix gram[a, b] = row[(b - a) mod sizes] of a first row."""
+    cells = np.indices(sizes).reshape(len(sizes), -1)
+    shift = (cells[:, None, :] - cells[:, :, None]) % np.array(sizes)[:, None, None]
+    return row[np.ravel_multi_index(tuple(shift), sizes)]
+
+
 def dense_character_tables(sizes):
     """Column means and Gram matrix of the dense table W[k, gamma] = exp(i k.gamma),
     the unfactorized computation kept as the reference."""
@@ -156,10 +188,26 @@ class TestCharacterRelations:
 
     def test_factorized_tables_match_dense_reference(self):
         for sizes in SIZES_UP_TO_64:
-            means, gram = _character_tables(sizes)
+            means, row = _character_tables(sizes)
+            gram = gram_from_first_row(row, sizes)
             ref_means, ref_gram = dense_character_tables(sizes)
             assert np.max(np.abs(means - ref_means)) <= 1e-12
             assert np.max(np.abs(gram - ref_gram)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (1,), (2,), (7,), (1, 1), (1, 5), (3, 3), (4, 4), (6, 2), (5, 7), (2, 3, 4),
+            (16, 16), (32, 32), (45, 45), (984,), (2009,), (2048,), (3, 682), (7, 292),
+            (2, 1024), (11, 186),
+        ],
+    )
+    def test_first_row_equals_full_gram_reference(self, sizes):
+        # every entry of gram - C I is an entry of row - C e0, bitwise
+        report = character_relations_check(sizes)
+        assert (report.delta_residual, report.orthogonality_residual) == (
+            reference_character_relations(sizes)
+        )
 
 
 def full_unitarity_defect(sizes, V, rows=256):
@@ -490,7 +538,7 @@ class TestButterfly:
 
     def test_errors_collected_not_fatal(self, torus):
         cx, cov = torus
-        rows = butterfly(cx, cov, [Fraction(1, 2), Fraction(1, 97)], (4, 4), max_denominator=8)
+        rows = butterfly(cx, cov, [Fraction(1, 2), Fraction(1, 97)], (4, 4))
         assert rows[0].error is None
         assert rows[1].error is not None and "denominator" in rows[1].error
 

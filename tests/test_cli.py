@@ -328,3 +328,97 @@ def test_python_dash_m(chain_model):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+# the flags each command reads besides --model and --out
+ACCEPTED = {
+    "validate": {"--json"},
+    "homology": {"--json"},
+    "quantizable": {"--json", "--tol"},
+    "classes": {"--json"},
+    "fibers": {"--k", "--grid", "--tol"},
+    "verify": {"--supercell", "--json", "--tol"},
+    "bands": {"--grid", "--json", "--tol"},
+    "butterfly": {"--flux", "--grid", "--svg"},
+}
+REQUIRED = {
+    "verify": ["--supercell", "2,2"],
+    "bands": ["--grid", "2,2"],
+    "butterfly": ["--flux", "1/2", "--grid", "2,2"],
+}
+FLAG_VALUES = {
+    "--grid": ["2,2"],
+    "--supercell": ["2,2"],
+    "--flux": ["1/2"],
+    "--k": ["0,0"],
+    "--json": [],
+    "--svg": ["extra.svg"],
+    "--tol": ["quantizability=1e-9"],
+}
+REJECTED = [(cmd, flag) for cmd in ACCEPTED for flag in FLAG_VALUES if flag not in ACCEPTED[cmd]]
+
+
+def test_rejected_pairs_are_counted():
+    assert len(REJECTED) == 39
+
+
+@pytest.mark.parametrize("command,flag", REJECTED)
+def test_unread_flag_exit_2(torus_model, tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--model", torus_model(TWO_PI)] + REQUIRED.get(command, [])
+    assert run(argv + [flag] + FLAG_VALUES[flag]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == "" and not (tmp_path / "extra.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--grid", "2,2", "--tol", "unitarity=1"],
+        ["quantizable", "--tol", "decomposition=1"],
+    ],
+)
+def test_tolerance_outside_the_command_gates_exit_2(torus_model, capsys, argv):
+    assert run(argv + ["--model", torus_model(TWO_PI)]) == 2
+    captured = capsys.readouterr()
+    assert f"{argv[0]} applies no tolerance" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flux", ["", " , "])
+def test_butterfly_empty_flux_list_exit_2(torus_model, capsys, flux):
+    argv = ["butterfly", "--model", torus_model(0.0), "--flux", flux, "--grid", "2,2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "--flux contained no fluxes" in captured.err and captured.out == ""
+
+
+def test_unwritable_out_exit_2(torus_model, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert run(["homology", "--model", torus_model(0.0), "--json", "--out", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_unwritable_svg_exit_2(torus_model, tmp_path, capsys):
+    target = tmp_path / "missing" / "b.svg"
+    argv = ["butterfly", "--model", torus_model(0.0), "--flux", "0", "--grid", "2,2"]
+    assert run(argv + ["--svg", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_model_type_error_exit_2(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0, None]]}))
+    assert run(["validate", "--model", str(path)]) == 2
+    assert "error: model error: edge 0: weight must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ValueError, TypeError])
+def test_library_error_is_internal_exit_5(torus_model, monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc("library bug")
+
+    monkeypatch.setattr(importlib.import_module("magbloch.cli"), "homology", broken)
+    assert run(["homology", "--model", torus_model(0.0)]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and f"{exc.__name__}: library bug" in err

@@ -21,6 +21,7 @@ from magbloch import (
     smith_normal_form,
     synthesize_connection,
     twist,
+    validate,
 )
 from magbloch.homology import (
     MAX_SNF_DIM,
@@ -274,6 +275,21 @@ def test_cycle_label_invariants(torus, chain):
     cx1, _ = chain
     rank, factors = cycle_label_invariants(cx1, CoveringData(1, [[2]]))
     assert rank == 1 and factors == [2]
+
+
+def test_label_snf_sees_distinct_labels_only(torus, monkeypatch):
+    # the 12x12 periodic block as its own Z^2 quotient: its labels are the
+    # carries of the cell coordinates, and its 145 cotree edges give a
+    # 2 x 145 label matrix, above the bound set here
+    cx, cov = torus
+    block, sc_map = build_supercell(cx, cov, SupercellSpec((12, 12)))
+    cells = sc_map.cells()
+    tau = CoveringData(2, [(cells[r] + cov.tau[e]) // 12 for r, e in sc_map.edge_origin])
+    assert block.num_edges - block.num_vertices + 1 > 100
+    monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", 100)
+    assert cycle_label_invariants(block, tau) == (2, [1, 1])
+    report = validate(block, tau)
+    assert report.ok and report.checks["tau_surjective"]
 
 
 def random_complex(rng):

@@ -168,10 +168,11 @@ class TestSpectrum:
         with pytest.raises(NumericError, match="not Hermitian"):
             spectrum(MagneticOperator([[0, 1], [0, 0]], "t"))
 
-    def test_rejects_oversized(self):
+    def test_rejects_oversized(self, monkeypatch):
         op = MagneticOperator(np.eye(5), "t")
+        monkeypatch.setattr(operators, "DENSE_THRESHOLD", 4)
         with pytest.raises(NumericError, match="threshold"):
-            spectrum(op, dense_threshold=4)
+            spectrum(op)
 
     def test_sorted_with_residual(self, torus):
         cx, cov = torus
@@ -565,9 +566,9 @@ class TestRealPath:
         A = rng.normal(size=(3, 4, 4))
         H = (A + A.transpose(0, 2, 1)).astype(complex)
         seen = spy_eigh_dtypes(monkeypatch)
-        operators._eigh_checked(H, str, operators.DENSE_THRESHOLD)
+        operators._eigh_checked(H, str)
         H[1, 2, 3] += 1e-13j
-        vals, _ = operators._eigh_checked(H, str, operators.DENSE_THRESHOLD)
+        vals, _ = operators._eigh_checked(H, str)
         assert seen == [np.float64, np.complex128]
         assert np.max(np.abs(vals - complex_eigvalsh(H))) <= eig_tol(H)
 
