@@ -180,17 +180,22 @@ def _character_tables(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     full Gram matrix is the entry of ``row`` at chi' - chi, the same
     products in the same order.  Each S(r) is summed with ``math.fsum`` on
     its real and imaginary parts, so its error stays at the rounding of the
-    phases, not of N additions.
+    phases, not of N additions.  The terms of S(r) are the phases at the
+    multiples of gcd(r, N), each gcd(r, N) times, and ``fsum`` is correctly
+    rounded whatever the order, so S(r) = S(gcd(r, N)) bitwise: one sum per
+    divisor of N gives them all.
     """
     means = np.ones(1, dtype=complex)
     row = np.ones(1, dtype=complex)
     for n in sizes:
         m = np.arange(n)
         w = np.exp(1j * TWO_PI * (m / n))
-        S = np.empty(n, dtype=complex)
-        for r in range(n):
-            terms = w[r * m % n]
-            S[r] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        g = np.gcd(m, n)
+        by_divisor = np.empty(n + 1, dtype=complex)
+        for d in np.unique(g):
+            terms = w[d * m % n]
+            by_divisor[d] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        S = by_divisor[g]
         means = np.kron(means, S / n)
         row = np.kron(row, S)
     return means, row
@@ -352,19 +357,12 @@ def momentum_character(
     k = np.asarray(k, dtype=float)
     if k.shape != (covering.rank,):
         raise ValueError(f"momentum must have length {covering.rank}")
-
-    def label(chain) -> np.ndarray:
-        return np.array(
-            [
-                sum(int(covering.tau[e, j]) * int(chain[e]) for e in range(len(chain)))
-                for j in range(covering.rank)
-            ],
-            dtype=float,
-        )
-
-    angles = [float(np.mod(k @ label(g), TWO_PI)) for g in summary.h1_free_generators]
+    tau_t = covering.tau.T.astype(object)
+    angles = [
+        float(np.mod(k @ (tau_t @ g).astype(float), TWO_PI)) for g in summary.h1_free_generators
+    ]
     for g, m in summary.h1_torsion_generators:
-        if np.any(label(g) != 0):
+        if np.count_nonzero(tau_t @ g):
             raise ValueError("torsion generator has a nonzero deck label; covering is invalid")
     return Character(np.array(angles), tuple(0 for _ in summary.h1_torsion_orders))
 
@@ -397,17 +395,11 @@ def _merge_intervals(values: np.ndarray, join_tol: float) -> tuple[tuple[float, 
     if values.size == 0:
         return ()
     vals = np.sort(values.ravel())
-    out = []
-    lo = hi = float(vals[0])
-    for v in vals[1:]:
-        v = float(v)
-        if v - hi <= join_tol:
-            hi = v
-        else:
-            out.append((lo, hi))
-            lo = hi = v
-    out.append((lo, hi))
-    return tuple(out)
+    # an interval ends wherever the gap to the next sample exceeds join_tol
+    breaks = np.flatnonzero(np.diff(vals) > join_tol)
+    los = vals[np.concatenate(([0], breaks + 1))]
+    his = vals[np.concatenate((breaks, [vals.size - 1]))]
+    return tuple(zip(los.tolist(), his.tolist()))
 
 
 def spectrum_union(
@@ -435,15 +427,16 @@ def spectrum_union(
 
 
 def _as_fraction(x, tol: float = 1e-12) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         try:
-            return Fraction(x)
+            frac = Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"flux {x!r} has a zero denominator") from None
+        try:
+            float(frac)
+        except OverflowError:
+            raise ValueError(f"flux {x!r} overflows a float") from None
+        return frac
     if not math.isfinite(float(x)):
         raise ValueError(f"flux must be finite, got {x!r}")
     # denominators are bounded well below 1/sqrt(tol), so a float that no
@@ -500,16 +493,11 @@ def magnetic_supercell(
     spec = SupercellSpec(tuple(sizes))
     sc, sc_map = build_supercell(complex2, covering, spec)
 
-    cells = sc_map.cells()
-    sizes_arr = np.array(spec.sizes, dtype=int)
-    new_tau = np.zeros((sc.num_edges, covering.rank), dtype=int)
-    for j, (r, e) in enumerate(sc_map.edge_origin):
-        new_tau[j] = (cells[r] + covering.tau[e]) // sizes_arr
+    r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T
+    new_tau = (sc_map.cells()[r] + covering.tau[e]) // np.array(spec.sizes)
     new_cov = CoveringData(covering.rank, new_tau)
 
-    new_flux = np.array(
-        [TWO_PI * float(fracs[f]) for _ in range(sc_map.num_cells) for f in range(F)]
-    )
+    new_flux = np.tile(TWO_PI * np.array([float(fr) for fr in fracs]), sc_map.num_cells)
     return MagneticSupercell(sc, new_cov, new_flux, sc_map, fracs)
 
 

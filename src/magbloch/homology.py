@@ -1,9 +1,11 @@
 """Exact integer homology of 2-cell complexes and its character group.
 
 Everything here runs over arbitrary-precision Python ints; no intermediate
-result is ever truncated to a machine word.  The Smith normal form uses a
+result is ever truncated to a machine word.  Exact integer matrices are
+numpy arrays of dtype=object holding Python ints, and the Smith normal form
+works on them directly, with whole-row and whole-column operations and a
 deterministic pivot rule (smallest nonzero absolute value, row-major index
-tie-break) so generator bases are reproducible across platforms.
+tie-break), so generator bases are reproducible across platforms.
 
 There is one cycle basis: the fundamental cycles of the cotree edges of a
 deterministic BFS spanning forest (:func:`spanning_forest`).  A 1-cycle's
@@ -57,25 +59,11 @@ def _int_rows(A) -> list[list[int]]:
     return rows
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _obj_array(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            out[i, j] = rows[i][j]
+def _eye(n: int) -> np.ndarray:
+    """n x n identity as an object array of Python ints."""
+    out = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(out, 1)
     return out
-
-
-def imat_vec(A: np.ndarray, x: Sequence[int]) -> list[int]:
-    """Exact matrix-vector product over the integers."""
-    m, n = A.shape
-    xs = [int(v) for v in x]
-    if len(xs) != n:
-        raise ValueError("shape mismatch")
-    return [sum(int(A[i, j]) * xs[j] for j in range(n)) for i in range(m)]
 
 
 def int_det(A) -> int:
@@ -113,7 +101,7 @@ class SmithDecomposition:
     divisibility chain d_i | d_{i+1}.  ``u_inv`` and ``v_inv`` are carried
     along so that callers can map back to the original bases without
     re-inverting.
-    All six matrices have dtype=object holding Python ints.
+    All five matrices have dtype=object holding Python ints.
     """
 
     U: np.ndarray
@@ -145,20 +133,6 @@ class SmithDecomposition:
         return self.v_inv[:, r:n]
 
 
-def _pivot(M: list[list[int]], s: int) -> tuple[int, int] | None:
-    best = None
-    best_val = None
-    for i in range(s, len(M)):
-        row = M[i]
-        for j in range(s, len(row)):
-            a = row[j]
-            if a != 0:
-                v = abs(a)
-                if best_val is None or v < best_val:
-                    best, best_val = (i, j), v
-    return best
-
-
 def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form over Z with deterministic pivoting.
 
@@ -166,110 +140,70 @@ def smith_normal_form(A) -> SmithDecomposition:
     diagonal D obeying the divisibility chain.  Pivots are chosen as the
     smallest nonzero absolute value in the working submatrix, ties broken by
     row-major position, which makes the output reproducible.
+
+    D works inside T = [[D, U^-1], [V^-1, 0]]: a row operation on D is the
+    same whole-row operation on T's first m rows, which carries U^-1 along,
+    and a column operation on D is one on T's first n columns, carrying
+    V^-1.  U and V take the inverse operation on a column and a row.
     """
     A = np.asarray(A)
     if A.ndim == 2 and max(A.shape) > MAX_SNF_DIM:
         raise NumericError(
             f"Smith normal form: matrix shape {A.shape} exceeds the configured bound {MAX_SNF_DIM}"
         )
-    D = _int_rows(A)
+    A = np.array(_int_rows(A), dtype=object).reshape(A.shape)
     m, n = A.shape
-
-    U = _identity(m)
-    Ui = _identity(m)
-    V = _identity(n)
-    Vi = _identity(n)
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def row_add(i, j, k):
-        # D_new = E D with E adding k * row j to row i
-        Di, Dj = D[i], D[j]
-        for c in range(n):
-            Di[c] += k * Dj[c]
-        Uii, Uij = Ui[i], Ui[j]
-        for c in range(m):
-            Uii[c] += k * Uij[c]
-        for r in range(m):
-            U[r][j] -= k * U[r][i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        Ui[i] = [-x for x in Ui[i]]
-        for r in range(m):
-            U[r][i] = -U[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        V[i], V[j] = V[j], V[i]
-        for r in range(n):
-            Vi[r][i], Vi[r][j] = Vi[r][j], Vi[r][i]
-
-    def col_add(i, j, k):
-        # D_new = D F with F adding k * column j to column i
-        for r in range(m):
-            D[r][i] += k * D[r][j]
-        Vj, Vii = V[j], V[i]
-        for c in range(n):
-            Vj[c] -= k * Vii[c]
-        for r in range(n):
-            Vi[r][i] += k * Vi[r][j]
+    T = np.block([[A, _eye(m)], [_eye(n), np.zeros((n, m), dtype=object)]])
+    D = T[:m, :n]
+    U, V = _eye(m), _eye(n)
 
     s = 0
     while s < min(m, n):
-        piv = _pivot(D, s)
-        if piv is None:
+        flat = D[s:, s:].ravel()
+        nonzero = np.flatnonzero(flat != 0)
+        if nonzero.size == 0:
             break
-        i, j = piv
+        # argmin keeps the first minimum, so ties go to the row-major first
+        i, j = divmod(int(nonzero[np.argmin(np.abs(flat[nonzero]))]), n - s)
+        i, j = i + s, j + s
         if i != s:
-            row_swap(s, i)
+            T[[s, i]] = T[[i, s]]
+            U[:, [s, i]] = U[:, [i, s]]
         if j != s:
-            col_swap(s, j)
+            T[:, [s, j]] = T[:, [j, s]]
+            V[[s, j]] = V[[j, s]]
 
-        dirty = False
-        for r in range(s + 1, m):
-            if D[r][s] != 0:
-                q = D[r][s] // D[s][s]
-                row_add(r, s, -q)
-                if D[r][s] != 0:
-                    dirty = True
-        for c in range(s + 1, n):
-            if D[s][c] != 0:
-                q = D[s][c] // D[s][s]
-                col_add(c, s, -q)
-                if D[s][c] != 0:
-                    dirty = True
-        if dirty:
+        # subtract q_r times row s from each row r below
+        pivot = D[s, s]
+        below = s + 1 + np.flatnonzero(D[s + 1 :, s])
+        q = D[below, s] // pivot
+        T[below] -= q[:, None] * T[s]
+        U[:, s] += U[:, below] @ q
+        # subtract q_c times column s from each column c to the right
+        right = s + 1 + np.flatnonzero(D[s, s + 1 :])
+        q = D[s, right] // pivot
+        T[:, right] -= T[:, s, None] * q
+        V[s] += q @ V[right]
+        if np.count_nonzero(D[s + 1 :, s]) or np.count_nonzero(D[s, s + 1 :]):
             continue
 
         # pivot now divides its row and column; enforce divisibility globally
-        pivot_val = D[s][s]
-        swallow = None
-        for r in range(s + 1, m):
-            for c in range(s + 1, n):
-                if D[r][c] % pivot_val != 0:
-                    swallow = r
-                    break
-            if swallow is not None:
-                break
-        if swallow is not None:
-            row_add(s, swallow, 1)
-            continue
-        if pivot_val < 0:
-            row_negate(s)
+        # (a unit divides everything)
+        if abs(pivot) != 1:
+            bad = np.flatnonzero(np.count_nonzero(D[s + 1 :, s + 1 :] % pivot, axis=1))
+            if bad.size:
+                r = s + 1 + int(bad[0])
+                T[s] += T[r]
+                U[:, r] -= U[:, s]
+                continue
+        if pivot < 0:
+            T[s] = -T[s]
+            U[:, s] = -U[:, s]
         s += 1
 
+    # copies, so that no result keeps the whole of T alive
     return SmithDecomposition(
-        U=_obj_array(U, (m, m)),
-        D=_obj_array(D, (m, n)),
-        V=_obj_array(V, (n, n)),
-        u_inv=_obj_array(Ui, (m, m)),
-        v_inv=_obj_array(Vi, (n, n)),
+        U=U, D=D.copy(), V=V, u_inv=T[:m, n:].copy(), v_inv=T[m:, :n].copy()
     )
 
 
@@ -396,15 +330,13 @@ class HomologySummary:
         Free coefficients are exact integers; torsion coefficients are
         returned before reduction mod the factor orders.
         """
-        cyc = [int(v) for v in np.asarray(cycle).tolist()]
+        cyc = np.array([int(v) for v in np.asarray(cycle).tolist()], dtype=object)
         if len(cyc) != self.num_edges:
             raise ValueError(f"1-chain must have length {self.num_edges}")
         if not self.is_cycle(cyc):
             raise ValueError("not a cycle: boundary is nonzero")
-        y = imat_vec(self._uprime_inv, [cyc[e] for e in self._cotree])
-        free = [y[i] for i in self._free_slots]
-        tors = [y[i] for i in self._torsion_slots]
-        return free, tors
+        y = self._uprime_inv @ cyc[list(self._cotree)]
+        return y[list(self._free_slots)].tolist(), y[list(self._torsion_slots)].tolist()
 
     def flat_values(self, chi: Character) -> np.ndarray:
         """Edge angles of a flat cocycle with holonomy character ``chi``.
@@ -536,9 +468,8 @@ def homology(complex2: Complex2) -> HomologySummary:
     h1_torsion = tuple(dX[i] for i in torsion_slots)
 
     def chain_for_slot(i: int) -> np.ndarray:
-        chain = [0] * E
-        for r, e in enumerate(cotree):
-            chain[e] = int(snfX.U[r, i])
+        chain = np.zeros(E, dtype=object)
+        chain[list(cotree)] = snfX.U[:, i]
         # push each vertex's excess up its forest edge, leaves first
         excess = vertex_boundary(V, ends, chain)
         for x in reversed(order):
@@ -547,7 +478,7 @@ def homology(complex2: Complex2) -> HomologySummary:
                 u, v = ends[e]
                 chain[e] = excess[x] if u == x else -excess[x]
                 excess[u if v == x else v] += excess[x]
-        return np.array(chain, dtype=object)
+        return chain
 
     Z = snfX.kernel_basis()  # F x b2
     return HomologySummary(
@@ -555,9 +486,7 @@ def homology(complex2: Complex2) -> HomologySummary:
         torsion=((), h1_torsion, ()),
         h1_free_generators=tuple(chain_for_slot(i) for i in free_slots),
         h1_torsion_generators=tuple((chain_for_slot(i), dX[i]) for i in torsion_slots),
-        h2_cycles=tuple(
-            np.array([int(Z[r, j]) for r in range(F)], dtype=object) for j in range(Z.shape[1])
-        ),
+        h2_cycles=tuple(z.copy() for z in Z.T),
         num_vertices=V,
         num_edges=E,
         num_faces=F,

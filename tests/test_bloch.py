@@ -34,7 +34,7 @@ from magbloch import (
     verify_block_diagonalization,
 )
 
-from magbloch.bloch import _character_tables, _unitarity_defect
+from magbloch.bloch import _character_tables, _merge_intervals, _unitarity_defect
 from magbloch.complexes import SupercellMap
 from magbloch.homology import TWO_PI
 
@@ -143,6 +143,23 @@ def reference_character_relations(sizes):
     return float(np.max(np.abs(means - indicator))), float(np.max(np.abs(gram - C * np.eye(C))))
 
 
+def loop_character_tables(sizes):
+    """Column means and first Gram row with one ``fsum`` pair per residue r,
+    the loop the per-divisor sums replaced, kept as their reference."""
+    means = np.ones(1, dtype=complex)
+    row = np.ones(1, dtype=complex)
+    for n in sizes:
+        m = np.arange(n)
+        w = np.exp(1j * TWO_PI * (m / n))
+        S = np.empty(n, dtype=complex)
+        for r in range(n):
+            terms = w[r * m % n]
+            S[r] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        means = np.kron(means, S / n)
+        row = np.kron(row, S)
+    return means, row
+
+
 def gram_from_first_row(row, sizes):
     """The Gram matrix gram[a, b] = row[(b - a) mod sizes] of a first row."""
     cells = np.indices(sizes).reshape(len(sizes), -1)
@@ -208,6 +225,16 @@ class TestCharacterRelations:
         assert (report.delta_residual, report.orthogonality_residual) == (
             reference_character_relations(sizes)
         )
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (984,), (2009,), (2048,), (3, 682), (7, 292), (32, 32), (45, 45), (2, 1024)],
+    )
+    def test_divisor_sums_equal_per_residue_loop(self, sizes):
+        # S(r) = S(gcd(r, N)): the same multiset of terms, and fsum is
+        # correctly rounded, so the tables agree exactly
+        for got, want in zip(_character_tables(sizes), loop_character_tables(sizes)):
+            assert got.shape == want.shape and np.all(got == want)
 
 
 def full_unitarity_defect(sizes, V, rows=256):
@@ -446,6 +473,28 @@ class TestSpectrumUnion:
             assert lo <= hi and hi < lo2
         assert band.eigenvalues.shape == (81, 1)
 
+    def test_merge_matches_sequential_scan(self):
+        def scan(values, join_tol):
+            vals = np.sort(values.ravel())
+            out = []
+            lo = hi = float(vals[0])
+            for v in vals[1:]:
+                v = float(v)
+                if v - hi <= join_tol:
+                    hi = v
+                else:
+                    out.append((lo, hi))
+                    lo = hi = v
+            out.append((lo, hi))
+            return tuple(out)
+
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            values = np.round(rng.uniform(-3, 3, size=(int(rng.integers(1, 40)), 3)), 1)
+            for join_tol in (0.0, 0.1, 0.25, 1.0):
+                assert _merge_intervals(values, join_tol) == scan(values, join_tol)
+        assert _merge_intervals(np.zeros((0, 2)), 1.0) == ()
+
 
 class TestMagneticSupercell:
     def test_unit_fraction_is_identity(self, torus):
@@ -490,6 +539,16 @@ class TestMagneticSupercell:
         cx, cov = torus
         ms = magnetic_supercell(cx, cov, 0.5)
         assert ms.fractions == (Fraction(1, 2),)
+
+    @pytest.mark.parametrize(
+        "flux",
+        ["1e400", "-1e400", 10**400, Fraction(10**400, 3)],
+        ids=["str", "negative-str", "int", "fraction"],
+    )
+    def test_flux_overflowing_a_float_rejected(self, torus, flux):
+        cx, cov = torus
+        with pytest.raises(ValueError, match="overflows a float"):
+            magnetic_supercell(cx, cov, flux)
 
 
 def half_flux_fiber_oracle(ms, theta, k):
@@ -549,6 +608,12 @@ class TestButterfly:
         assert "zero denominator" in rows[0].error
         assert "finite" in rows[1].error
         assert rows[2].error is None
+
+    def test_flux_overflowing_a_float_is_an_error_row(self, torus):
+        cx, cov = torus
+        rows = butterfly(cx, cov, ["1/2", "1e400"], (2, 2))
+        assert rows[0].error is None
+        assert (rows[1].p, rows[1].q) == (0, 0) and "overflows a float" in rows[1].error
 
     def test_programming_errors_propagate(self, torus, monkeypatch):
         import magbloch.bloch

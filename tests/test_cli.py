@@ -316,6 +316,15 @@ def test_snf_bound_makes_butterfly_error_row(torus_model, monkeypatch, capsys):
     assert captured.err.startswith("flux 1/11: Smith normal form")
 
 
+def test_butterfly_flux_overflowing_a_float_is_an_error_row(torus_model, capsys):
+    argv = ["butterfly", "--model", torus_model(0.0), "--flux", "1/2,1e400", "--grid", "2,2"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert rows and all(row.startswith("1,2,") for row in rows)
+    assert captured.err == "flux 0/0: flux '1e400' overflows a float\n"
+
+
 def test_python_dash_m(chain_model):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

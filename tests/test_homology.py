@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbloch import (
     Character,
@@ -26,8 +27,9 @@ from magbloch import (
 from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
+    SmithDecomposition,
+    _int_rows,
     cycle_label_invariants,
-    imat_vec,
     int_det,
     spanning_forest,
 )
@@ -126,7 +128,220 @@ class TestSmithNormalForm:
         assert K.shape[1] == 2
         for j in range(K.shape[1]):
             col = [int(K[i, j]) for i in range(3)]
-            assert all(v == 0 for v in imat_vec(np.asarray(A, dtype=object), col))
+            assert all(v == 0 for v in np.asarray(A, dtype=object) @ col)
+
+
+# The nested-list Smith normal form, its helpers included, as it stood before
+# smith_normal_form moved to whole-row and whole-column operations on object
+# ndarrays.  The ndarray routine must reproduce all five matrices exactly.
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _obj_array(rows: list[list[int]], shape: tuple[int, int]) -> np.ndarray:
+    out = np.empty(shape, dtype=object)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            out[i, j] = rows[i][j]
+    return out
+
+
+def _pivot(M: list[list[int]], s: int) -> tuple[int, int] | None:
+    best = None
+    best_val = None
+    for i in range(s, len(M)):
+        row = M[i]
+        for j in range(s, len(row)):
+            a = row[j]
+            if a != 0:
+                v = abs(a)
+                if best_val is None or v < best_val:
+                    best, best_val = (i, j), v
+    return best
+
+
+def reference_smith_normal_form(A) -> SmithDecomposition:
+    """Smith normal form over Z with deterministic pivoting, on nested lists
+    of Python ints: the entry-by-entry routine the ndarray one replaced,
+    kept as its bit-for-bit reference.
+
+    Returns U, D, V with A = U D V exactly, |det U| = |det V| = 1, and
+    diagonal D obeying the divisibility chain.  Pivots are chosen as the
+    smallest nonzero absolute value in the working submatrix, ties broken by
+    row-major position, which makes the output reproducible.
+    """
+    A = np.asarray(A)
+    if A.ndim == 2 and max(A.shape) > MAX_SNF_DIM:
+        raise NumericError(
+            f"Smith normal form: matrix shape {A.shape} exceeds the configured bound {MAX_SNF_DIM}"
+        )
+    D = _int_rows(A)
+    m, n = A.shape
+
+    U = _identity(m)
+    Ui = _identity(m)
+    V = _identity(n)
+    Vi = _identity(n)
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        Ui[i], Ui[j] = Ui[j], Ui[i]
+        for r in range(m):
+            U[r][i], U[r][j] = U[r][j], U[r][i]
+
+    def row_add(i, j, k):
+        # D_new = E D with E adding k * row j to row i
+        Di, Dj = D[i], D[j]
+        for c in range(n):
+            Di[c] += k * Dj[c]
+        Uii, Uij = Ui[i], Ui[j]
+        for c in range(m):
+            Uii[c] += k * Uij[c]
+        for r in range(m):
+            U[r][j] -= k * U[r][i]
+
+    def row_negate(i):
+        D[i] = [-x for x in D[i]]
+        Ui[i] = [-x for x in Ui[i]]
+        for r in range(m):
+            U[r][i] = -U[r][i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            D[r][i], D[r][j] = D[r][j], D[r][i]
+        V[i], V[j] = V[j], V[i]
+        for r in range(n):
+            Vi[r][i], Vi[r][j] = Vi[r][j], Vi[r][i]
+
+    def col_add(i, j, k):
+        # D_new = D F with F adding k * column j to column i
+        for r in range(m):
+            D[r][i] += k * D[r][j]
+        Vj, Vii = V[j], V[i]
+        for c in range(n):
+            Vj[c] -= k * Vii[c]
+        for r in range(n):
+            Vi[r][i] += k * Vi[r][j]
+
+    s = 0
+    while s < min(m, n):
+        piv = _pivot(D, s)
+        if piv is None:
+            break
+        i, j = piv
+        if i != s:
+            row_swap(s, i)
+        if j != s:
+            col_swap(s, j)
+
+        dirty = False
+        for r in range(s + 1, m):
+            if D[r][s] != 0:
+                q = D[r][s] // D[s][s]
+                row_add(r, s, -q)
+                if D[r][s] != 0:
+                    dirty = True
+        for c in range(s + 1, n):
+            if D[s][c] != 0:
+                q = D[s][c] // D[s][s]
+                col_add(c, s, -q)
+                if D[s][c] != 0:
+                    dirty = True
+        if dirty:
+            continue
+
+        # pivot now divides its row and column; enforce divisibility globally
+        pivot_val = D[s][s]
+        swallow = None
+        for r in range(s + 1, m):
+            for c in range(s + 1, n):
+                if D[r][c] % pivot_val != 0:
+                    swallow = r
+                    break
+            if swallow is not None:
+                break
+        if swallow is not None:
+            row_add(s, swallow, 1)
+            continue
+        if pivot_val < 0:
+            row_negate(s)
+        s += 1
+
+    return SmithDecomposition(
+        U=_obj_array(U, (m, m)),
+        D=_obj_array(D, (m, n)),
+        V=_obj_array(V, (n, n)),
+        u_inv=_obj_array(Ui, (m, m)),
+        v_inv=_obj_array(Vi, (n, n)),
+    )
+
+
+def assert_same_as_reference(A):
+    snf, ref = smith_normal_form(A), reference_smith_normal_form(A)
+    for name in ("U", "D", "V", "u_inv", "v_inv"):
+        got, want = getattr(snf, name), getattr(ref, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+        # a fixed-width integer could overflow silently
+        assert all(type(x) is int for x in got.flat), name
+    return snf
+
+
+def cotree_matrix(cx):
+    """X = d2[cotree, :], the matrix homology() runs its Smith form on."""
+    _, d2 = boundary_matrices(cx)
+    forest = set(spanning_forest(cx))
+    return d2[[e for e in range(cx.num_edges) if e not in forest], :]
+
+
+class TestAgainstReference:
+    def test_acceptance_round_trip_matrices(self):
+        # the 500 matrices of the acceptance suite's round trips, same draws
+        rng = np.random.default_rng(109)
+        make_random3(rng)
+        for _ in range(500):
+            m, n = rng.integers(1, 7, size=2)
+            assert_same_as_reference(rng.integers(-9, 10, size=(m, n)))
+
+    def test_sparse_and_empty_shapes(self):
+        for shape in [(0, 0), (0, 3), (2, 0), (1, 1), (3, 2), (2, 5)]:
+            assert_same_as_reference(np.zeros(shape, dtype=int))
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            m, n = (int(x) for x in rng.integers(1, 16, size=2))
+            mask = rng.random((m, n)) < 0.15
+            A = np.where(mask, rng.choice([-3, -2, -1, 1, 2, 4], size=(m, n)), 0)
+            assert_same_as_reference(A)
+        big = 10**30
+        assert_same_as_reference([[big, 1], [1, big]])
+        assert_same_as_reference([[2 * big, 6 * big, 0], [0, 4 * big, 10 * big]])
+
+    def test_cotree_matrices_of_oracle_complexes(self):
+        for cx, _ in oracle_complexes():
+            assert_same_as_reference(cotree_matrix(cx))
+
+    def test_cotree_matrix_of_12x12_block(self, torus):
+        block, _ = build_supercell(*torus, SupercellSpec((12, 12)))
+        X = cotree_matrix(block)
+        assert X.shape == (145, 144)
+        assert assert_same_as_reference(X).invariant_factors() == [1] * 143
+
+
+small_or_huge = st.one_of(st.integers(-4, 4), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def integer_matrices(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(small_or_huge, min_size=n, max_size=n), min_size=m, max_size=m))
+    return np.array(rows, dtype=object).reshape(m, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(integer_matrices())
+def test_property_snf_matches_reference_and_contract(A):
+    verify_decomposition(A, assert_same_as_reference(A))
 
 
 class TestHomology:
