@@ -370,23 +370,32 @@ def boundary_matrices(complex2: Complex2) -> tuple[np.ndarray, np.ndarray]:
     """
     V, E, F = complex2.num_vertices, complex2.num_edges, complex2.num_faces
     d1 = np.zeros((V, E), dtype=int)
-    for e, (u, v, _) in enumerate(complex2.edges):
-        d1[v, e] += 1
-        d1[u, e] -= 1
+    np.add.at(d1, (complex2.targets, np.arange(E)), 1)
+    np.add.at(d1, (complex2.sources, np.arange(E)), -1)
     d2 = np.zeros((E, F), dtype=int)
-    for f, word in enumerate(complex2.faces):
-        for e, sign in face_steps(word):
-            d2[e, f] += sign
+    edges, signs, _ = face_arrays(complex2.faces)
+    steps = signs != 0
+    np.add.at(d2, (edges[steps], np.nonzero(steps)[0]), signs[steps])
     return d1, d2
 
 
 def vertex_boundary(num_vertices: int, ends, chain) -> list[int]:
-    """d1 of an integer 1-chain, exactly, from the (source, target) of each edge."""
+    """d1 of an integer 1-chain, exactly, from the (source, target) of each edge.
+
+    A chain entry that is not an integer (0.5, inf, nan) is a ValueError;
+    integer-valued floats count as their integers.
+    """
     out = [0] * num_vertices
     for (u, v), c in zip(ends, chain):
         if c:
-            out[v] += int(c)
-            out[u] -= int(c)
+            try:
+                k = int(c)
+            except (OverflowError, ValueError):
+                k = None
+            if k is None or k != c:
+                raise ValueError(f"chain entries must be integers, got {c!r}")
+            out[v] += k
+            out[u] -= k
     return out
 
 

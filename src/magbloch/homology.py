@@ -2,10 +2,11 @@
 
 Everything here runs over arbitrary-precision Python ints; no intermediate
 result is ever truncated to a machine word.  Exact integer matrices are
-numpy arrays of dtype=object holding Python ints, and the Smith normal form
-works on them directly, with whole-row and whole-column operations and a
-deterministic pivot rule (smallest nonzero absolute value, row-major index
-tie-break), so generator bases are reproducible across platforms.
+numpy arrays of dtype=object holding Python ints.  The Smith normal form
+eliminates on sparse rows of Python ints, with a deterministic pivot rule
+(smallest nonzero absolute value, row-major index tie-break, floor
+quotients), so generator bases are reproducible across platforms; only its
+results are dense.
 
 There is one cycle basis: the fundamental cycles of the cotree edges of a
 deterministic BFS spanning forest (:func:`spanning_forest`).  A 1-cycle's
@@ -13,7 +14,8 @@ coordinates in it are just its cotree entries, so H1 is presented by the
 cotree rows of d2 and needs one Smith form.  The H1 generators computed
 once per complex in that basis are reused by every downstream consumer
 (characters, holonomy pairings, flat twists, connection synthesis) so that
-angle coordinates stay globally consistent.
+angle coordinates stay globally consistent.  Connections are read off a
+float copy of that Smith data, made once per complex.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, boundary_matrices, face_steps, vertex_boundary
+from .complexes import Complex2, CoveringData, boundary_matrices, vertex_boundary
 from .operators import NumericError
 
 __all__ = [
@@ -45,24 +47,52 @@ MAX_SNF_DIM = 4096
 TWO_PI = 2.0 * np.pi
 
 
-def _int_rows(A) -> list[list[int]]:
-    """Copy a matrix into nested lists of Python ints; reject non-integers."""
+def _checked(A) -> np.ndarray:
+    """A as a 2-d array; reject float entries that are not finite integers."""
     arr = np.asarray(A)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if arr.dtype.kind == "f":
-        if not np.all(arr == np.round(arr)):
-            raise ValueError("matrix entries must be integers")
-    rows = []
-    for row in arr.tolist():
-        rows.append([int(x) for x in row])
-    return rows
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError("matrix entries must be integers")
+    return arr
 
 
-def _eye(n: int) -> np.ndarray:
-    """n x n identity as an object array of Python ints."""
-    out = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(out, 1)
+def _int_rows(A) -> list[list[int]]:
+    """Copy a matrix into nested lists of Python ints; reject non-integers."""
+    return [[int(x) for x in row] for row in _checked(A).tolist()]
+
+
+def _axpy(dst: dict, k: int, src: dict) -> None:
+    """dst += k * src on sparse vectors, dropping entries that cancel."""
+    for i, x in src.items():
+        y = dst.get(i, 0) + k * x
+        if y:
+            dst[i] = y
+        else:
+            dst.pop(i, None)
+
+
+def _add(rows: list[dict], in_col: list[set], r: int, c: int, x: int) -> None:
+    """rows[r][c] += x, keeping the column-to-rows index in step."""
+    row = rows[r]
+    y = row.get(c, 0) + x
+    if y:
+        if c not in row:
+            in_col[c].add(r)
+        row[c] = y
+    elif c in row:
+        del row[c]
+        in_col[c].discard(r)
+
+
+def _dense(shape: tuple[int, int], vectors: list[dict], columns: bool = False) -> np.ndarray:
+    """Object array of Python ints whose rows (or columns) are the sparse
+    ``vectors``, in order."""
+    out = np.zeros(shape, dtype=object)
+    entries = [(p, i, x) for p, vec in enumerate(vectors) for i, x in vec.items()]
+    if entries:
+        p, i, x = zip(*entries)
+        out[(list(i), list(p)) if columns else (list(p), list(i))] = np.array(x, dtype=object)
     return out
 
 
@@ -101,7 +131,9 @@ class SmithDecomposition:
     divisibility chain d_i | d_{i+1}.  ``u_inv`` and ``v_inv`` are carried
     along so that callers can map back to the original bases without
     re-inverting.
-    All five matrices have dtype=object holding Python ints.
+    All five matrices have dtype=object holding Python ints: dense copies,
+    made once, of the sparse rows and columns :func:`smith_normal_form`
+    eliminates on.
     """
 
     U: np.ndarray
@@ -141,69 +173,104 @@ def smith_normal_form(A) -> SmithDecomposition:
     smallest nonzero absolute value in the working submatrix, ties broken by
     row-major position, which makes the output reproducible.
 
-    D works inside T = [[D, U^-1], [V^-1, 0]]: a row operation on D is the
-    same whole-row operation on T's first m rows, which carries U^-1 along,
-    and a column operation on D is one on T's first n columns, carrying
-    V^-1.  U and V take the inverse operation on a column and a row.
+    The elimination runs on sparse rows.  D's rows are ``{column: int}``
+    dicts with a column-to-rows index; the rows of U^-1 and the columns of
+    U go with D's rows, the columns of V^-1 and the rows of V with its
+    columns, all as dicts keyed by original index.  A row or column keeps
+    its key through swaps, which only permute positions, so the pivot rule
+    reads positions while every operation reads keys.  The pivot search
+    walks the rows in position order and stops at the first one holding a
+    unit.  The five dense matrices are filled once at the end.
     """
     A = np.asarray(A)
     if A.ndim == 2 and max(A.shape) > MAX_SNF_DIM:
         raise NumericError(
             f"Smith normal form: matrix shape {A.shape} exceeds the configured bound {MAX_SNF_DIM}"
         )
-    A = np.array(_int_rows(A), dtype=object).reshape(A.shape)
+    A = _checked(A)
     m, n = A.shape
-    T = np.block([[A, _eye(m)], [_eye(n), np.zeros((n, m), dtype=object)]])
-    D = T[:m, :n]
-    U, V = _eye(m), _eye(n)
+    rows: list[dict] = [{} for _ in range(m)]
+    in_col: list[set] = [set() for _ in range(n)]
+    nz_i, nz_j = np.nonzero(A)
+    for i, j, x in zip(nz_i.tolist(), nz_j.tolist(), A[nz_i, nz_j].tolist()):
+        x = int(x)
+        if x:
+            rows[i][j] = x
+            in_col[j].add(i)
+    U = [{i: 1} for i in range(m)]  # column of U, by row key
+    U_inv = [{i: 1} for i in range(m)]  # row of U^-1, by row key
+    V = [{j: 1} for j in range(n)]  # row of V, by column key
+    V_inv = [{j: 1} for j in range(n)]  # column of V^-1, by column key
+    row_at, col_at = list(range(m)), list(range(n))  # key at each position
+    col_pos = list(range(n))  # position of each column key
+    pivots: list[int] = []
 
     s = 0
     while s < min(m, n):
-        flat = D[s:, s:].ravel()
-        nonzero = np.flatnonzero(flat != 0)
-        if nonzero.size == 0:
+        best = None
+        for p in range(s, m):
+            row = rows[row_at[p]]
+            if row:
+                a, _, c = min((abs(x), col_pos[c], c) for c, x in row.items())
+                if best is None or a < best[0]:
+                    best = (a, p, c)
+                    if a == 1:  # nothing is smaller, and later rows lose ties
+                        break
+        if best is None:
             break
-        # argmin keeps the first minimum, so ties go to the row-major first
-        i, j = divmod(int(nonzero[np.argmin(np.abs(flat[nonzero]))]), n - s)
-        i, j = i + s, j + s
+        _, i, C = best
+        R, j = row_at[i], col_pos[C]
         if i != s:
-            T[[s, i]] = T[[i, s]]
-            U[:, [s, i]] = U[:, [i, s]]
+            row_at[s], row_at[i] = R, row_at[s]
         if j != s:
-            T[:, [s, j]] = T[:, [j, s]]
-            V[[s, j]] = V[[j, s]]
+            col_at[s], col_at[j] = C, col_at[s]
+            col_pos[C], col_pos[col_at[j]] = s, j
 
-        # subtract q_r times row s from each row r below
-        pivot = D[s, s]
-        below = s + 1 + np.flatnonzero(D[s + 1 :, s])
-        q = D[below, s] // pivot
-        T[below] -= q[:, None] * T[s]
-        U[:, s] += U[:, below] @ q
-        # subtract q_c times column s from each column c to the right
-        right = s + 1 + np.flatnonzero(D[s, s + 1 :])
-        q = D[s, right] // pivot
-        T[:, right] -= T[:, s, None] * q
-        V[s] += q @ V[right]
-        if np.count_nonzero(D[s + 1 :, s]) or np.count_nonzero(D[s, s + 1 :]):
+        # subtract q_r times row R from each other row r with an entry in C
+        piv_row = rows[R]
+        pivot = piv_row[C]
+        for r in [r for r in in_col[C] if r != R]:
+            q = rows[r][C] // pivot
+            for c, x in piv_row.items():
+                _add(rows, in_col, r, c, -q * x)
+            _axpy(U_inv[r], -q, U_inv[R])
+            _axpy(U[R], q, U[r])
+        # subtract q_c times column C from each other column c with an entry in R
+        for c, x in [(c, x) for c, x in piv_row.items() if c != C]:
+            q = x // pivot
+            for r in in_col[C]:
+                _add(rows, in_col, r, c, -q * rows[r][C])
+            _axpy(V_inv[c], -q, V_inv[C])
+            _axpy(V[C], q, V[c])
+        if len(in_col[C]) > 1 or len(piv_row) > 1:
             continue
 
         # pivot now divides its row and column; enforce divisibility globally
         # (a unit divides everything)
         if abs(pivot) != 1:
-            bad = np.flatnonzero(np.count_nonzero(D[s + 1 :, s + 1 :] % pivot, axis=1))
-            if bad.size:
-                r = s + 1 + int(bad[0])
-                T[s] += T[r]
-                U[:, r] -= U[:, s]
+            bad = next(
+                (r for r in row_at[s + 1 :] if any(x % pivot for x in rows[r].values())), None
+            )
+            if bad is not None:
+                for c, x in rows[bad].items():
+                    _add(rows, in_col, R, c, x)
+                _axpy(U_inv[R], 1, U_inv[bad])
+                _axpy(U[bad], -1, U[R])
                 continue
         if pivot < 0:
-            T[s] = -T[s]
-            U[:, s] = -U[:, s]
+            U_inv[R] = {j: -x for j, x in U_inv[R].items()}
+            U[R] = {i: -x for i, x in U[R].items()}
+        pivots.append(abs(pivot))
+        rows[R] = {}
+        in_col[C].clear()
         s += 1
 
-    # copies, so that no result keeps the whole of T alive
     return SmithDecomposition(
-        U=U, D=D.copy(), V=V, u_inv=T[:m, n:].copy(), v_inv=T[m:, :n].copy()
+        U=_dense((m, m), [U[r] for r in row_at], columns=True),
+        D=_dense((m, n), [{p: d} for p, d in enumerate(pivots)]),
+        V=_dense((n, n), [V[c] for c in col_at]),
+        u_inv=_dense((m, m), [U_inv[r] for r in row_at]),
+        v_inv=_dense((n, n), [V_inv[c] for c in col_at], columns=True),
     )
 
 
@@ -290,7 +357,8 @@ class HomologySummary:
     cycles of the cotree edges of :func:`spanning_forest`: a 1-cycle's
     coordinates there are its cotree entries, and the private Smith data of
     the cotree face matrix turns those into coefficients on the stored
-    generators, exactly.
+    generators, exactly.  Its float copy, made once here, gives the flat
+    cocycles and connections.
     """
 
     betti: tuple[int, int, int]
@@ -304,7 +372,8 @@ class HomologySummary:
     _edge_ends: tuple[tuple[int, int], ...] = field(repr=False)
     _cotree: tuple[int, ...] = field(repr=False)
     _uprime_inv: np.ndarray = field(repr=False)
-    _image_coords: np.ndarray = field(repr=False)
+    _uprime_inv_float: np.ndarray = field(repr=False)
+    _image_coords_float: np.ndarray = field(repr=False)
     _image_factors: tuple[int, ...] = field(repr=False)
     _h2_dual_rowsum: int = field(repr=False)
     _free_slots: tuple[int, ...] = field(repr=False)
@@ -319,6 +388,8 @@ class HomologySummary:
         return b0 - b1 + b2
 
     def is_cycle(self, chain: Sequence[int]) -> bool:
+        """Whether an integer 1-chain has zero boundary; a non-integer entry
+        is a ValueError."""
         chain = np.asarray(chain, dtype=object)
         if chain.shape != (self.num_edges,):
             raise ValueError(f"1-chain must have length {self.num_edges}")
@@ -328,13 +399,12 @@ class HomologySummary:
         """Coefficients of a 1-cycle on the stored (free, torsion) generators.
 
         Free coefficients are exact integers; torsion coefficients are
-        returned before reduction mod the factor orders.
+        returned before reduction mod the factor orders.  A chain with a
+        non-integer entry is a ValueError, as is one that is not a cycle.
         """
-        cyc = np.array([int(v) for v in np.asarray(cycle).tolist()], dtype=object)
-        if len(cyc) != self.num_edges:
-            raise ValueError(f"1-chain must have length {self.num_edges}")
-        if not self.is_cycle(cyc):
+        if not self.is_cycle(cycle):
             raise ValueError("not a cycle: boundary is nonzero")
+        cyc = np.array([int(v) for v in np.asarray(cycle).tolist()], dtype=object)
         y = self._uprime_inv @ cyc[list(self._cotree)]
         return y[list(self._free_slots)].tolist(), y[list(self._torsion_slots)].tolist()
 
@@ -356,7 +426,7 @@ class HomologySummary:
         ):
             w[slot] = TWO_PI * (k_i % m_i) / m_i
         values = np.zeros(self.num_edges)
-        values[list(self._cotree)] = self._uprime_inv.astype(float).T @ w
+        values[list(self._cotree)] = self._uprime_inv_float.T @ w
         return values
 
     def connection_values(self, flux: Sequence[float]) -> np.ndarray:
@@ -370,9 +440,9 @@ class HomologySummary:
         the pairings p, so a face misses flux by 2 pi V[rank:, :]^T (p - round p)
         mod 2 pi: see :meth:`connection_defect_bound`.
         """
-        s = np.divide(self._image_coords.astype(float) @ flux, self._image_factors)
+        s = np.divide(self._image_coords_float @ flux, self._image_factors)
         values = np.zeros(self.num_edges)
-        values[list(self._cotree)] = self._uprime_inv[: len(s)].astype(float).T @ s
+        values[list(self._cotree)] = self._uprime_inv_float[: len(s)].T @ s
         return values
 
     def connection_defect_bound(self, residue: float) -> float:
@@ -451,10 +521,14 @@ def homology(complex2: Complex2) -> HomologySummary:
     _, d2 = boundary_matrices(complex2)
     V, E, F = complex2.num_vertices, complex2.num_edges, complex2.num_faces
     ends = tuple((u, v) for u, v, _ in complex2.edges)
-    for word in complex2.faces:
-        steps = face_steps(word)
-        if any(vertex_boundary(V, [ends[e] for e, _ in steps], [s for _, s in steps])):
-            raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
+    # d1 d2 = 0 face by face: sum the signed ends of d2's nonzeros per
+    # (vertex, face) pair, without forming the V x F product
+    e, f = np.nonzero(d2)
+    c = d2[e, f]
+    pairs = np.concatenate([complex2.targets[e], complex2.sources[e]]) * F + np.tile(f, 2)
+    _, which = np.unique(pairs, return_inverse=True)
+    if np.any(np.bincount(which, weights=np.concatenate([c, -c]))):
+        raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
 
     order, parent, cotree = _bfs_forest(complex2)
     k = len(cotree)
@@ -493,7 +567,8 @@ def homology(complex2: Complex2) -> HomologySummary:
         _edge_ends=ends,
         _cotree=cotree,
         _uprime_inv=snfX.u_inv,
-        _image_coords=snfX.v_inv[:, :rX].T,
+        _uprime_inv_float=snfX.u_inv.astype(float),
+        _image_coords_float=snfX.v_inv[:, :rX].T.astype(float),
         _image_factors=tuple(dX[:rX]),
         _h2_dual_rowsum=int(np.max(np.sum(np.abs(snfX.V[rX:, :]), axis=0), initial=0)),
         _free_slots=free_slots,

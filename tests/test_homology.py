@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from magbloch import (
     twist,
     validate,
 )
+from magbloch.bloch import magnetic_supercell
+from magbloch.complexes import face_steps, vertex_boundary
 from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
@@ -108,6 +113,14 @@ class TestSmithNormalForm:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             smith_normal_form([[0.5]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1.5])
+    def test_rejects_non_finite_and_fractional_floats(self, bad):
+        for routine in (smith_normal_form, int_det):
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                routine([[bad]])
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                routine([[1.0, 2.0], [bad, 4.0]])
 
     def test_size_bound_checked_before_conversion(self, monkeypatch):
         # non-integer entries are a ValueError only once the shape is admitted
@@ -326,6 +339,21 @@ class TestAgainstReference:
         X = cotree_matrix(block)
         assert X.shape == (145, 144)
         assert assert_same_as_reference(X).invariant_factors() == [1] * 143
+
+    def test_cotree_matrix_of_16x16_block(self, torus):
+        block, _ = build_supercell(*torus, SupercellSpec((16, 16)))
+        X = cotree_matrix(block)
+        assert X.shape == (257, 256)
+        assert assert_same_as_reference(X).invariant_factors() == [1] * 255
+
+    def test_cotree_matrices_of_farey_magnetic_supercells(self, torus):
+        # the supercells of a butterfly sweep over every p/q with q <= 24
+        fluxes = sorted({Fraction(p, q) for q in range(1, 25) for p in range(q + 1)})
+        assert len(fluxes) == 181
+        for flux in fluxes:
+            X = cotree_matrix(magnetic_supercell(*torus, flux).complex2)
+            assert X.shape == (flux.denominator + 1, flux.denominator)
+            assert_same_as_reference(X)
 
 
 small_or_huge = st.one_of(st.integers(-4, 4), st.integers(-(10**30), 10**30))
@@ -657,3 +685,154 @@ def test_face_boundary_not_a_cycle_is_rejected():
     cx = Complex2(2, [(0, 1, 1.0)], [(1,)])
     with pytest.raises(AssertionError, match="not a 1-cycle"):
         homology(cx)
+
+
+class TestNonIntegerChains:
+    """Chains with a non-integer entry are rejected, never truncated."""
+
+    @pytest.fixture
+    def loop2(self):
+        # two vertices joined both ways: edges 0 -> 1 and 1 -> 0, one loop
+        return Complex2(2, [(0, 1, 1.0), (1, 0, 1.0)])
+
+    def test_is_cycle(self, loop2):
+        s = homology(loop2)
+        with pytest.raises(ValueError, match="integers"):
+            s.is_cycle([0.5, 0])
+        assert s.is_cycle([1.0, 1.0]) and not s.is_cycle([1.0, 0])
+
+    def test_holonomy(self, loop2):
+        with pytest.raises(ValueError, match="integers"):
+            holonomy(loop2, [1.0, 2.0], [0.5, 0])
+        assert holonomy(loop2, [1.0, 2.0], [1.0, 1.0]) == holonomy(loop2, [1.0, 2.0], [1, 1])
+
+    def test_cycle_coordinates_and_characters(self, loop2):
+        s = homology(loop2)
+        with pytest.raises(ValueError, match="integers"):
+            s.cycle_coordinates([1.5, 1.5])
+        chi = Character(np.array([1.0]))
+        with pytest.raises(ValueError, match="integers"):
+            evaluate_character(chi, s, [1.5, 1.5])
+        assert s.cycle_coordinates([2.0, 2.0]) == s.cycle_coordinates([2, 2])
+        assert evaluate_character(chi, s, [2.0, 2.0]) == evaluate_character(chi, s, [2, 2])
+
+    @pytest.mark.parametrize("bad", [0.5, np.inf, -np.inf, np.nan])
+    def test_vertex_boundary(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            vertex_boundary(2, [(0, 1)], [bad])
+        assert vertex_boundary(2, [(0, 1)], [3.0]) == [-3, 3]
+
+
+class TestFloatSmithData:
+    """Connections read the summary's float copy of the Smith data of X; the
+    values must equal the same formulas on the public Smith form, bitwise."""
+
+    def test_flat_and_connection_values(self):
+        rng = np.random.default_rng(3)
+        for cx, _ in oracle_complexes():
+            s = homology(cx)
+            snf = smith_normal_form(cotree_matrix(cx))
+            forest = set(spanning_forest(cx))
+            cotree = [e for e in range(cx.num_edges) if e not in forest]
+            r, d = snf.rank, snf.diagonal
+
+            chi = character_group(s).sample(rng)
+            w = np.zeros(len(cotree))
+            w[r:] = chi.angles
+            for slot, k_i, m_i in zip(
+                [i for i in range(r) if d[i] > 1], chi.torsion_indices, s.h1_torsion_orders
+            ):
+                w[slot] = TWO_PI * (k_i % m_i) / m_i
+            want = np.zeros(cx.num_edges)
+            want[cotree] = snf.u_inv.astype(float).T @ w
+            assert np.array_equal(s.flat_values(chi), want)
+
+            flux = rng.uniform(-TWO_PI, TWO_PI, size=cx.num_faces)
+            y = np.divide(snf.v_inv[:, :r].T.astype(float) @ flux, tuple(d[:r]))
+            want = np.zeros(cx.num_edges)
+            want[cotree] = snf.u_inv[:r].astype(float).T @ y
+            assert np.array_equal(s.connection_values(flux), want)
+
+
+class TestPeriodicBlocks:
+    def test_32x32_block(self, torus):
+        block, _ = build_supercell(*torus, SupercellSpec((32, 32)))
+        s = homology(block)
+        assert s.betti == (1, 2, 1)
+        assert s.torsion == ((), (), ())
+        for g in s.h1_free_generators:
+            assert s.is_cycle(g)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (12, "ef8cf1310bc79556ffa120df6aa2815f9840fc98ce7d18cbed9b808d0a503679"),
+            (24, "c6b95a6652467269c9c8ad75fd2b485a59c07f78156455083b196b5905ddcfb7"),
+        ],
+    )
+    def test_summary_bytes_are_pinned(self, torus, n, digest):
+        # digests of the summaries of the object-array routine the sparse one replaced
+        block, _ = build_supercell(*torus, SupercellSpec((n, n)))
+        text = json.dumps(homology(block).to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The per-edge and per-step loops that built d1 and d2, and the per-face
+# boundary check homology() ran, before both moved to arrays.
+
+
+def loop_boundary_matrices(cx):
+    V, E, F = cx.num_vertices, cx.num_edges, cx.num_faces
+    d1 = np.zeros((V, E), dtype=int)
+    for e, (u, v, _) in enumerate(cx.edges):
+        d1[v, e] += 1
+        d1[u, e] -= 1
+    d2 = np.zeros((E, F), dtype=int)
+    for f, word in enumerate(cx.faces):
+        for e, sign in face_steps(word):
+            d2[e, f] += sign
+    return d1, d2
+
+
+def loop_faces_are_cycles(cx) -> bool:
+    ends = [(u, v) for u, v, _ in cx.edges]
+    for word in cx.faces:
+        steps = face_steps(word)
+        signs = [s for _, s in steps]
+        if any(vertex_boundary(cx.num_vertices, [ends[e] for e, _ in steps], signs)):
+            return False
+    return True
+
+
+class TestBoundaryMatrices:
+    def cases(self, torus):
+        out = [cx for cx, _ in oracle_complexes()]
+        for sizes in [(1, 1), (2, 3), (12, 12)]:
+            out.append(build_supercell(*torus, SupercellSpec(sizes))[0])
+        return out
+
+    def test_match_loops(self, torus):
+        for cx in self.cases(torus):
+            for got, want in zip(boundary_matrices(cx), loop_boundary_matrices(cx)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_face_check_matches_loop(self, torus):
+        # drop one step from a face: sometimes the word still closes (a loop
+        # edge), mostly it does not; homology() must agree with the loop
+        rejected = 0
+        for cx in self.cases(torus):
+            assert loop_faces_are_cycles(cx)
+            if not cx.faces:
+                continue
+            f = len(cx.faces) // 2
+            faces = list(cx.faces)
+            faces[f] = faces[f][:-1]
+            bad = Complex2(cx.num_vertices, cx.edges, faces)
+            if loop_faces_are_cycles(bad):
+                homology(bad)
+            else:
+                rejected += 1
+                message = "^face boundary is not a 1-cycle; complex is invalid$"
+                with pytest.raises(AssertionError, match=message):
+                    homology(bad)
+        assert rejected >= 20
