@@ -21,6 +21,7 @@ to verify.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -473,10 +474,7 @@ def magnetic_supercell(
     coordinate, and every face copy keeps its fractional flux, so each new
     cell carries an integral number of quanta in total.
     """
-    if covering.rank < 1:
-        raise ValueError("magnetic supercells need a covering of rank >= 1")
-    if not (0 <= axis < covering.rank):
-        raise ValueError(f"axis out of range: {axis} not in 0..{covering.rank - 1}")
+    _check_axis(covering, axis)
     F = complex2.num_faces
     if isinstance(flux, (list, tuple, np.ndarray)):
         fracs = tuple(_as_fraction(x) for x in flux)
@@ -484,10 +482,30 @@ def magnetic_supercell(
             raise ValueError(f"expected {F} flux values, got {len(fracs)}")
     else:
         fracs = tuple(_as_fraction(flux) for _ in range(F))
+    sc, new_cov, sc_map = _magnetic_cell(complex2, covering, _fold(fracs), axis)
+    return MagneticSupercell(sc, new_cov, _flux_vector(fracs, sc_map), sc_map, fracs)
+
+
+def _check_axis(covering: CoveringData, axis: int) -> None:
+    if covering.rank < 1:
+        raise ValueError("magnetic supercells need a covering of rank >= 1")
+    if not (0 <= axis < covering.rank):
+        raise ValueError(f"axis out of range: {axis} not in 0..{covering.rank - 1}")
+
+
+def _fold(fracs: tuple[Fraction, ...]) -> int:
+    """Least common denominator of the face fluxes: the magnetic cell's size."""
     q = 1
     for fr in fracs:
         q = q * fr.denominator // math.gcd(q, fr.denominator)
+    return q
 
+
+def _magnetic_cell(
+    complex2: Complex2, covering: CoveringData, q: int, axis: int
+) -> tuple[Complex2, CoveringData, SupercellMap]:
+    """The q-fold cell along ``axis``, whose covering labels carry the cell
+    coordinate; it depends on the flux only through q."""
     sizes = [1] * covering.rank
     sizes[axis] = q
     spec = SupercellSpec(tuple(sizes))
@@ -495,10 +513,12 @@ def magnetic_supercell(
 
     r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T
     new_tau = (sc_map.cells()[r] + covering.tau[e]) // np.array(spec.sizes)
-    new_cov = CoveringData(covering.rank, new_tau)
+    return sc, CoveringData(covering.rank, new_tau), sc_map
 
-    new_flux = np.tile(TWO_PI * np.array([float(fr) for fr in fracs]), sc_map.num_cells)
-    return MagneticSupercell(sc, new_cov, new_flux, sc_map, fracs)
+
+def _flux_vector(fracs: tuple[Fraction, ...], sc_map: SupercellMap) -> np.ndarray:
+    """Face fluxes 2 pi p/q of the magnetic cell, repeated on every copy."""
+    return np.tile(TWO_PI * np.array([float(fr) for fr in fracs]), sc_map.num_cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,6 +531,13 @@ class ButterflyRow:
     error: str | None = None
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def butterfly(
     complex2: Complex2,
     covering: CoveringData,
@@ -521,31 +548,67 @@ def butterfly(
 
     Each flux is run through the magnetic supercell construction along axis
     0, a synthesized connection, and a band sweep; a denominator above
-    ``MAX_DENOMINATOR`` is an error.  Failures are collected per
-    entry instead of aborting the sweep.  Only domain errors (``ValueError``,
-    which includes :class:`NotQuantizableError`, and :class:`NumericError`)
-    become error rows; any other exception is a bug and propagates.
+    ``MAX_DENOMINATOR`` is an error.  The magnetic cell and its homology
+    depend only on the denominator, so each is built once per distinct
+    denominator, in order; the fluxes then run concurrently on a thread
+    pool as large as the number of CPUs the process may use, and the rows
+    come back in input order.  Every flux goes through the same arithmetic
+    whatever thread runs it, so the rows are identical for any CPU count.
+    Failures are collected per entry instead of aborting the sweep.  Only
+    domain errors (``ValueError``, which includes
+    :class:`NotQuantizableError`, and :class:`NumericError`) become error
+    rows, and a cell or homology failure becomes the row of every flux with
+    that denominator; any other exception is a bug and propagates, with the
+    fluxes not yet started cancelled.
     """
-    rows: list[ButterflyRow] = []
+    # imported here: concurrent.futures imports logging, which every
+    # `import magbloch` would otherwise pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    F = complex2.num_faces
+    rows: list[ButterflyRow | None] = []
+    cells: dict[int, tuple | Exception] = {}  # by cell size, built in order
+    tasks = []
     for raw in fluxes:
         try:
             fr = _as_fraction(raw)
-            if fr.denominator > MAX_DENOMINATOR:
-                raise ValueError(
-                    f"flux denominator {fr.denominator} exceeds bound {MAX_DENOMINATOR}"
-                )
-            ms = magnetic_supercell(complex2, covering, fr)
-            summary = homology(ms.complex2)
-            conn = synthesize_connection(ms.complex2, ms.flux, summary)
-            band = spectrum_union(ms.complex2, ms.covering, conn, grid)
-            rows.append(ButterflyRow(fr.numerator, fr.denominator, band=band))
-        except (ValueError, NumericError) as exc:  # per-entry errors are data
+        except ValueError as exc:
+            rows.append(ButterflyRow(0, 0, error=str(exc)))
+            continue
+        p, q = fr.numerator, fr.denominator
+        if q > MAX_DENOMINATOR:
+            error = f"flux denominator {q} exceeds bound {MAX_DENOMINATOR}"
+            rows.append(ButterflyRow(p, q, error=error))
+            continue
+        fold = _fold((fr,) * F)
+        if fold not in cells:
             try:
-                fr = _as_fraction(raw)
-                p, q = fr.numerator, fr.denominator
-            except ValueError:
-                p, q = 0, 0
-            rows.append(ButterflyRow(p, q, error=str(exc)))
+                _check_axis(covering, 0)
+                sc, cov, sc_map = _magnetic_cell(complex2, covering, fold, 0)
+                cells[fold] = (sc, cov, sc_map, homology(sc))
+            except (ValueError, NumericError) as exc:
+                cells[fold] = exc
+        if isinstance(cells[fold], Exception):
+            rows.append(ButterflyRow(p, q, error=str(cells[fold])))
+        else:
+            tasks.append((len(rows), fr, cells[fold]))
+            rows.append(None)
+
+    def solve(task) -> ButterflyRow:
+        _, fr, (sc, cov, sc_map, summary) = task
+        try:
+            conn = synthesize_connection(sc, _flux_vector((fr,) * F, sc_map), summary)
+            band = spectrum_union(sc, cov, conn, grid)
+        except (ValueError, NumericError) as exc:  # per-entry errors are data
+            return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))
+        return ButterflyRow(fr.numerator, fr.denominator, band=band)
+
+    pool = ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks))))
+    try:
+        for (i, _, _), row in zip(tasks, pool.map(solve, tasks)):
+            rows[i] = row
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows
 
 

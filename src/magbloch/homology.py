@@ -48,13 +48,30 @@ TWO_PI = 2.0 * np.pi
 
 
 def _checked(A) -> np.ndarray:
-    """A as a 2-d array; reject float entries that are not finite integers."""
+    """A as a 2-d array; reject entries that are not finite integers, of any
+    dtype."""
     arr = np.asarray(A)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+    if arr.dtype.kind in "biu":
+        return arr
+    if arr.dtype.kind == "f":
+        integral = np.all(np.isfinite(arr) & (arr == np.round(arr)))
+    else:
+        integral = all(_is_integer(x) for x in arr.flat)
+    if not integral:
         raise ValueError("matrix entries must be integers")
     return arr
+
+
+def _is_integer(x) -> bool:
+    """Whether ``x == int(x)``; an infinite, NaN or complex entry is not."""
+    if isinstance(x, (complex, np.complexfloating)):
+        return False
+    try:
+        return bool(x == int(x))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _int_rows(A) -> list[list[int]]:

@@ -248,7 +248,8 @@ def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarra
         require_dense_size(n, where(0))
     if K == 0 or n == 0:
         return np.zeros((K, n)), np.zeros(K)
-    defect = np.max(np.abs(H - H.conj().transpose(0, 2, 1)), axis=(1, 2))
+    Hc = H.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(H - Hc), axis=(1, 2))
     # gates read "not (value <= bound)", so a NaN fails them
     bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
     if bad.size:
@@ -256,7 +257,8 @@ def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarra
         raise NumericError(
             f"{where(i)}: not Hermitian: defect {defect[i]:.3e} exceeds {HERMITICITY_TOL}"
         )
-    S = 0.5 * (H + H.conj().transpose(0, 2, 1))
+    S = 0.5 * (H + Hc)
+    del Hc
     if not S.imag.any():
         # an exactly real symmetric stack: same matrices, real LAPACK
         S = S.real

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +39,17 @@ from magbloch import (
     verify_block_diagonalization,
 )
 
-from magbloch.bloch import _character_tables, _merge_intervals, _unitarity_defect
+from magbloch.bloch import (
+    MAX_DENOMINATOR,
+    ButterflyRow,
+    _as_fraction,
+    _character_tables,
+    _merge_intervals,
+    _unitarity_defect,
+)
 from magbloch.complexes import SupercellMap
 from magbloch.homology import TWO_PI
+from magbloch.operators import NumericError
 
 from conftest import make_random3
 
@@ -623,8 +636,111 @@ class TestButterfly:
 
         monkeypatch.setattr(magbloch.bloch, "spectrum_union", broken)
         cx, cov = torus
+        threads = threading.active_count()
         with pytest.raises(TypeError, match="broken spectrum_union"):
             butterfly(cx, cov, ["1/2"], (4, 4))
+        with pytest.raises(TypeError, match="broken spectrum_union"):
+            butterfly(cx, cov, [Fraction(p, 7) for p in range(7)], (4, 4))
+        # the pool is shut down and joined before the exception leaves
+        assert threading.active_count() == threads
+
+    def test_threads_joined_after_the_sweep(self, torus):
+        cx, cov = torus
+        threads = threading.active_count()
+        rows = butterfly(cx, cov, ["1/2", "1/3", "2/3", "1/4"], (4, 4))
+        assert all(row.error is None for row in rows)
+        assert threading.active_count() == threads
+
+    def test_empty_flux_list(self, torus):
+        cx, cov = torus
+        assert butterfly(cx, cov, [], (4, 4)) == []
+
+    @pytest.mark.parametrize("snf_bound", [None, 4], ids=["all-cells", "large-q-fail"])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_sweep_equals_serial_reference(self, torus, monkeypatch, cpus, snf_bound):
+        # the q-fold torus cell has a (q + 1) x q cotree matrix, so a bound
+        # of 4 fails the cells and homology of q >= 4 in the shared stage
+        if snf_bound is not None:
+            monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", snf_bound)
+        cx, cov = torus
+        expect = serial_butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        # switch threads as often as possible, so a race on shared state shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_rows(rows, expect)
+        failed = {row.q for row in expect if row.error and "Smith normal form" in row.error}
+        assert failed == (set() if snf_bound is None else {4, 6})
+
+    def test_sweep_without_affinity_masks(self, torus, monkeypatch):
+        cx, cov = torus
+        expect = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        rows = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        assert butterfly_csv(rows).encode() == butterfly_csv(expect).encode()
+        assert butterfly_svg(rows).encode() == butterfly_svg(expect).encode()
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # the executor is imported inside butterfly: concurrent.futures pulls
+        # in logging, which every CLI start would otherwise pay for
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import magbloch, sys; print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
+# duplicates, several fluxes per denominator, integral fluxes and every kind
+# of parse or bound error
+SWEEP_FLUXES = [
+    0, 1, "1/2", Fraction(1, 2), 0.5, "1/3", "2/3", "-1/3", "1/4", "3/4", "1/2",
+    "1/0", float("inf"), "1e400", Fraction(1, 97), "1/6", "5/6", 2, "7/4",
+]
+
+
+def serial_butterfly(cx, cov, fluxes, grid):
+    """One flux after another, each building its own cell and homology."""
+    rows = []
+    for raw in fluxes:
+        try:
+            fr = _as_fraction(raw)
+            if fr.denominator > MAX_DENOMINATOR:
+                raise ValueError(
+                    f"flux denominator {fr.denominator} exceeds bound {MAX_DENOMINATOR}"
+                )
+            ms = magnetic_supercell(cx, cov, fr)
+            summary = homology(ms.complex2)
+            conn = synthesize_connection(ms.complex2, ms.flux, summary)
+            band = spectrum_union(ms.complex2, ms.covering, conn, grid)
+            rows.append(ButterflyRow(fr.numerator, fr.denominator, band=band))
+        except (ValueError, NumericError) as exc:
+            try:
+                fr = _as_fraction(raw)
+                p, q = fr.numerator, fr.denominator
+            except ValueError:
+                p, q = 0, 0
+            rows.append(ButterflyRow(p, q, error=str(exc)))
+    return rows
+
+
+def assert_same_rows(rows, expect):
+    assert butterfly_csv(rows) == butterfly_csv(expect)
+    assert butterfly_svg(rows) == butterfly_svg(expect)
+    assert [(r.p, r.q, r.error) for r in rows] == [(r.p, r.q, r.error) for r in expect]
+    for row, ref in zip(rows, expect):
+        assert (row.band is None) == (ref.band is None)
+        if ref.band is not None:
+            assert np.array_equal(row.band.eigenvalues, ref.band.eigenvalues)
+            assert row.band.intervals == ref.band.intervals
 
 
 class TestEmitters:

@@ -10,7 +10,7 @@ import pytest
 
 from magbloch import Complex2, CoveringData, SupercellSpec, build_supercell, load_model
 from magbloch.bloch import butterfly
-from magbloch.cli import run
+from magbloch.cli import EXIT_INTERNAL, run
 from magbloch.homology import HomologySummary
 
 TWO_PI = 2 * np.pi
@@ -323,6 +323,18 @@ def test_butterfly_flux_overflowing_a_float_is_an_error_row(torus_model, capsys)
     rows = captured.out.splitlines()[1:]
     assert rows and all(row.startswith("1,2,") for row in rows)
     assert captured.err == "flux 0/0: flux '1e400' overflows a float\n"
+
+
+def test_butterfly_programming_error_is_internal_exit_5(torus_model, monkeypatch, capsys):
+    # a bug raised on a pool thread reaches the CLI as an internal error
+    def broken(*args, **kwargs):
+        raise TypeError("broken spectrum_union")
+
+    monkeypatch.setattr(importlib.import_module("magbloch.bloch"), "spectrum_union", broken)
+    argv = ["butterfly", "--model", torus_model(0.0), "--flux", "1/2,1/3,2/3", "--grid", "2,2"]
+    assert run(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: broken spectrum_union" in err
 
 
 def test_python_dash_m(chain_model):

@@ -122,6 +122,32 @@ class TestSmithNormalForm:
             with pytest.raises(ValueError, match="matrix entries must be integers"):
                 routine([[1.0, 2.0], [bad, 4.0]])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.5, 1], [1, 2.5]],
+            [[0.5]],
+            [[Fraction(1, 2), 1], [1, 3]],
+            [[1 + 1j, 1], [1, 3]],
+            [[1 + 0j]],
+            [[np.inf, 1], [1, 3]],
+            [[np.nan]],
+        ],
+        ids=["floats", "half", "fractions", "complex", "real-complex", "inf", "nan"],
+    )
+    @pytest.mark.parametrize("dtype", [object, None], ids=["object", "native"])
+    def test_rejects_non_integers_of_every_dtype(self, bad, dtype):
+        # an entry is accepted only if it is finite and equals int(entry)
+        A = np.array(bad, dtype=dtype)
+        for routine in (smith_normal_form, int_det):
+            with pytest.raises(ValueError, match="matrix entries must be integers"):
+                routine(A)
+
+    def test_integral_entries_of_any_type_accepted(self):
+        A = np.array([[Fraction(4, 2), 10**30], [3, 2.0]], dtype=object)
+        assert int_det(A) == 4 - 3 * 10**30
+        verify_decomposition(A, smith_normal_form(A))
+
     def test_size_bound_checked_before_conversion(self, monkeypatch):
         # non-integer entries are a ValueError only once the shape is admitted
         monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", 3)
