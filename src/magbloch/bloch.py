@@ -72,6 +72,11 @@ __all__ = [
 # q-fold magnetic cell at every grid momentum
 MAX_DENOMINATOR = 64
 
+# largest number of eigenvalues (grid momenta times vertices) a band sweep
+# computes: its momenta, eigenvalues and CSV text all grow with this count,
+# and the bound is the 2048 x 2048 sweep of a one-vertex quotient
+MAX_BAND_EIGENVALUES = 1 << 22
+
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
@@ -158,13 +163,6 @@ class CharacterRelationsReport:
     def max_residual(self) -> float:
         return max(self.delta_residual, self.orthogonality_residual)
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_residual": self.delta_residual,
-            "orthogonality_residual": self.orthogonality_residual,
-            "max_residual": self.max_residual,
-        }
-
 
 def _character_tables(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Column means and first Gram row of the character table of prod Z/N_j.
@@ -247,18 +245,6 @@ class BlockDiagonalizationReport:
     @property
     def relative_deviation(self) -> float:
         return self.max_deviation / max(self.operator_norm, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "unitarity_defect": self.unitarity_defect,
-            "off_diagonal": self.off_diagonal,
-            "fiber_deviation": self.fiber_deviation,
-            "max_deviation": self.max_deviation,
-            "operator_norm": self.operator_norm,
-            "relative_deviation": self.relative_deviation,
-            "supercell_residual": self.supercell_residual,
-            "fiber_residual": self.fiber_residual,
-        }
 
 
 def verify_block_diagonalization(
@@ -413,13 +399,20 @@ def spectrum_union(
 
     Two eigenvalue samples are merged into one interval when their gap is at
     most 2 * (Lipschitz bound) * (grid step), which keeps coarse grids from
-    reporting spurious gaps.
+    reporting spurious gaps.  A sweep of more than ``MAX_BAND_EIGENVALUES``
+    eigenvalues raises :class:`NumericError` before any grid is built.
     """
     grid = tuple(int(n) for n in grid)
     if len(grid) != covering.rank:
         raise ValueError(f"grid must have length {covering.rank}")
     if any(n < 1 for n in grid):
         raise ValueError("grid sizes must be >= 1")
+    count = math.prod(grid) * complex2.num_vertices
+    if count > MAX_BAND_EIGENVALUES:
+        raise NumericError(
+            f"band sweep of {count} eigenvalues (grid {'x'.join(map(str, grid))}, "
+            f"V={complex2.num_vertices}) exceeds bound {MAX_BAND_EIGENVALUES}; reduce the grid"
+        )
     ks = BlochBasis.from_sizes(grid).ks
     eigs = fiber_spectra(complex2, covering, theta, ks).eigenvalues
     step = max((TWO_PI / n for n in grid), default=0.0)
@@ -463,52 +456,35 @@ def magnetic_supercell(
     complex2: Complex2,
     covering: CoveringData,
     flux,
-    axis: int = 0,
 ) -> MagneticSupercell:
     """Enlarge the unit cell so a rational flux becomes integral in total.
 
-    ``flux`` is a rational number of flux quanta per face (p/q meaning face
-    flux 2 pi p/q), either a single value broadcast to every face or one per
-    face.  The cell is enlarged q-fold along ``axis`` (q the least common
-    denominator), the covering labels pick up the carry of the cell
+    ``flux`` is a rational number p/q of flux quanta per face, meaning face
+    flux 2 pi p/q on every face.  The cell is enlarged q-fold along the
+    first covering axis, the covering labels pick up the carry of the cell
     coordinate, and every face copy keeps its fractional flux, so each new
     cell carries an integral number of quanta in total.
     """
-    _check_axis(covering, axis)
-    F = complex2.num_faces
-    if isinstance(flux, (list, tuple, np.ndarray)):
-        fracs = tuple(_as_fraction(x) for x in flux)
-        if len(fracs) != F:
-            raise ValueError(f"expected {F} flux values, got {len(fracs)}")
-    else:
-        fracs = tuple(_as_fraction(flux) for _ in range(F))
-    sc, new_cov, sc_map = _magnetic_cell(complex2, covering, _fold(fracs), axis)
-    return MagneticSupercell(sc, new_cov, _flux_vector(fracs, sc_map), sc_map, fracs)
+    fr = _as_fraction(flux)
+    sc, new_cov, sc_map = _magnetic_cell(complex2, covering, _cell_size(complex2, fr))
+    fracs = (fr,) * complex2.num_faces
+    return MagneticSupercell(sc, new_cov, _face_flux(sc, fr), sc_map, fracs)
 
 
-def _check_axis(covering: CoveringData, axis: int) -> None:
-    if covering.rank < 1:
-        raise ValueError("magnetic supercells need a covering of rank >= 1")
-    if not (0 <= axis < covering.rank):
-        raise ValueError(f"axis out of range: {axis} not in 0..{covering.rank - 1}")
-
-
-def _fold(fracs: tuple[Fraction, ...]) -> int:
-    """Least common denominator of the face fluxes: the magnetic cell's size."""
-    q = 1
-    for fr in fracs:
-        q = q * fr.denominator // math.gcd(q, fr.denominator)
-    return q
+def _cell_size(complex2: Complex2, fr: Fraction) -> int:
+    """The magnetic cell's size for a flux on every face: its denominator,
+    or 1 when there is no face to carry it."""
+    return fr.denominator if complex2.num_faces else 1
 
 
 def _magnetic_cell(
-    complex2: Complex2, covering: CoveringData, q: int, axis: int
+    complex2: Complex2, covering: CoveringData, q: int
 ) -> tuple[Complex2, CoveringData, SupercellMap]:
-    """The q-fold cell along ``axis``, whose covering labels carry the cell
-    coordinate; it depends on the flux only through q."""
-    sizes = [1] * covering.rank
-    sizes[axis] = q
-    spec = SupercellSpec(tuple(sizes))
+    """The q-fold cell along covering axis 0, whose covering labels carry
+    the cell coordinate; it depends on the flux only through q."""
+    if covering.rank < 1:
+        raise ValueError("magnetic supercells need a covering of rank >= 1")
+    spec = SupercellSpec((q,) + (1,) * (covering.rank - 1))
     sc, sc_map = build_supercell(complex2, covering, spec)
 
     r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T
@@ -516,9 +492,9 @@ def _magnetic_cell(
     return sc, CoveringData(covering.rank, new_tau), sc_map
 
 
-def _flux_vector(fracs: tuple[Fraction, ...], sc_map: SupercellMap) -> np.ndarray:
-    """Face fluxes 2 pi p/q of the magnetic cell, repeated on every copy."""
-    return np.tile(TWO_PI * np.array([float(fr) for fr in fracs]), sc_map.num_cells)
+def _face_flux(sc: Complex2, fr: Fraction) -> np.ndarray:
+    """Face fluxes 2 pi p/q of the magnetic cell, the same on every face."""
+    return np.full(sc.num_faces, TWO_PI * float(fr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,8 +522,8 @@ def butterfly(
 ) -> list[ButterflyRow]:
     """Band intervals over a list of rational fluxes (Hofstadter-type sweep).
 
-    Each flux is run through the magnetic supercell construction along axis
-    0, a synthesized connection, and a band sweep; a denominator above
+    Each flux is run through the magnetic supercell construction, a
+    synthesized connection, and a band sweep; a denominator above
     ``MAX_DENOMINATOR`` is an error.  The magnetic cell and its homology
     depend only on the denominator, so each is built once per distinct
     denominator, in order; the fluxes then run concurrently on a thread
@@ -565,7 +541,6 @@ def butterfly(
     # `import magbloch` would otherwise pay for
     from concurrent.futures import ThreadPoolExecutor
 
-    F = complex2.num_faces
     rows: list[ButterflyRow | None] = []
     cells: dict[int, tuple | Exception] = {}  # by cell size, built in order
     tasks = []
@@ -580,24 +555,23 @@ def butterfly(
             error = f"flux denominator {q} exceeds bound {MAX_DENOMINATOR}"
             rows.append(ButterflyRow(p, q, error=error))
             continue
-        fold = _fold((fr,) * F)
-        if fold not in cells:
+        size = _cell_size(complex2, fr)
+        if size not in cells:
             try:
-                _check_axis(covering, 0)
-                sc, cov, sc_map = _magnetic_cell(complex2, covering, fold, 0)
-                cells[fold] = (sc, cov, sc_map, homology(sc))
+                sc, cov, _ = _magnetic_cell(complex2, covering, size)
+                cells[size] = (sc, cov, homology(sc))
             except (ValueError, NumericError) as exc:
-                cells[fold] = exc
-        if isinstance(cells[fold], Exception):
-            rows.append(ButterflyRow(p, q, error=str(cells[fold])))
+                cells[size] = exc
+        if isinstance(cells[size], Exception):
+            rows.append(ButterflyRow(p, q, error=str(cells[size])))
         else:
-            tasks.append((len(rows), fr, cells[fold]))
+            tasks.append((len(rows), fr, cells[size]))
             rows.append(None)
 
     def solve(task) -> ButterflyRow:
-        _, fr, (sc, cov, sc_map, summary) = task
+        _, fr, (sc, cov, summary) = task
         try:
-            conn = synthesize_connection(sc, _flux_vector((fr,) * F, sc_map), summary)
+            conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
             band = spectrum_union(sc, cov, conn, grid)
         except (ValueError, NumericError) as exc:  # per-entry errors are data
             return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))

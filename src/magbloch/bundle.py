@@ -31,7 +31,6 @@ __all__ = [
     "QuantizabilityCertificate",
     "FlatCocycle",
     "NotQuantizableError",
-    "zero_connection",
     "reduce_angles",
     "wrap_angle",
     "curvature",
@@ -45,12 +44,13 @@ __all__ = [
 ]
 
 
+# curvature mismatch, in radians, that difference_class accepts between its
+# two connections
+CURVATURE_TOL = 1e-9
+
+
 class NotQuantizableError(ValueError):
     """Raised when a flux form admits no connection with that curvature."""
-
-
-def zero_connection(complex2: Complex2) -> np.ndarray:
-    return np.zeros(complex2.num_edges)
 
 
 def reduce_angles(theta: np.ndarray) -> np.ndarray:
@@ -198,21 +198,21 @@ def difference_class(
     summary: HomologySummary,
     theta1: Sequence[float],
     theta2: Sequence[float],
-    tol: float = 1e-9,
 ) -> Character:
     """Character of the flat cocycle theta2 - theta1, on the stored H1 basis.
 
-    Requires equal curvatures mod 2pi (checked within ``tol``); the result is
-    trivial exactly when the two connections are equivalent up to gauge.
+    Requires equal curvatures mod 2pi (checked within ``CURVATURE_TOL``);
+    the result is trivial exactly when the two connections are equivalent up
+    to gauge.
     Free generators contribute angles; torsion generators contribute the
     nearest root-of-unity index (exact for genuinely flat differences).
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     mismatch = np.abs(wrap_angle(curvature(complex2, theta2) - curvature(complex2, theta1)))
-    if complex2.num_faces and np.max(mismatch) > tol:
+    if complex2.num_faces and np.max(mismatch) > CURVATURE_TOL:
         raise ValueError(
-            f"curvature mismatch: max face deviation {np.max(mismatch):.3e} exceeds {tol}"
+            f"curvature mismatch: max face deviation {np.max(mismatch):.3e} exceeds {CURVATURE_TOL}"
         )
     delta = theta2 - theta1
     angles = [
@@ -222,7 +222,7 @@ def difference_class(
     for g, m in summary.h1_torsion_generators:
         h = np.mod(holonomy(complex2, delta, g), TWO_PI)
         k = int(round(m * h / TWO_PI)) % m
-        if abs(wrap_angle(h - TWO_PI * k / m)) > max(tol, 1e-7):
+        if abs(wrap_angle(h - TWO_PI * k / m)) > 1e-7:
             raise ValueError(
                 f"difference is not flat on a torsion generator (holonomy {h:.6f}, order {m})"
             )
@@ -241,10 +241,6 @@ class FlatCocycle:
 
     values: np.ndarray
     character: Character
-
-    def max_face_defect(self, complex2: Complex2) -> float:
-        """Largest distance of a face sum from 2*pi*Z."""
-        return float(np.max(np.abs(curvature(complex2, self.values)), initial=0.0))
 
 
 def flat_cocycle(

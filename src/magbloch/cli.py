@@ -9,7 +9,9 @@ Each command accepts only the flags it reads, and ``--tol`` only the
 tolerances of the gates it applies.
 
 Outputs are deterministic: the same model and flags produce byte-identical
-JSON/CSV/SVG.
+JSON/CSV/SVG.  Butterfly output is byte-identical unconditionally; verify's
+JSON is byte-identical for a fixed number of BLAS threads, since its
+residuals come from threaded BLAS solves whose rounding depends on it.
 """
 
 from __future__ import annotations
@@ -316,9 +318,9 @@ def cmd_butterfly(args) -> int:
         raise CliError(f"--grid must have {model.covering.rank} entries", EXIT_PARSE)
     fluxes = _parse_fluxes(args.flux)
     rows = bloch.butterfly(model.complex2, model.covering, fluxes, grid)
-    for row in rows:
+    for raw, row in zip(fluxes, rows):
         if row.error is not None:
-            print(f"flux {row.p}/{row.q}: {row.error}", file=sys.stderr)
+            print(f"flux {raw}: {row.error}", file=sys.stderr)
     if args.svg:
         _write(args.svg, bloch.butterfly_svg(rows))
     _emit(args, bloch.butterfly_csv(rows))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "build_supercell",
     "face_steps",
     "face_arrays",
-    "reorient_edges",
 ]
 
 
@@ -190,11 +189,11 @@ class SupercellSpec:
 class SupercellMap:
     """Indexing of a supercell: vertex ``(cell, v)`` <-> flat index.
 
-    Cells are ordered lexicographically; the flat index is
-    ``cell_rank * base_vertices + v`` (cell-major blocks, which is the block
-    structure used by deck translations and the Bloch transform).
-    ``edge_origin[j]`` records ``(cell_rank, base_edge)`` for supercell edge
-    ``j``; for dirichlet blocks some copies are missing.
+    Cells are ordered lexicographically, and a cell's rank is its position
+    in that order; the flat index is ``rank * base_vertices + v`` (cell-major
+    blocks, which is the block structure used by deck translations and the
+    Bloch transform).  ``edge_origin[j]`` records ``(rank, base_edge)`` for
+    supercell edge ``j``; for dirichlet blocks some copies are missing.
     """
 
     spec: SupercellSpec
@@ -220,24 +219,6 @@ class SupercellMap:
             return np.zeros((1, 0), dtype=int)
         grids = np.meshgrid(*[np.arange(n) for n in self.sizes], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def cell_rank(self, cell: Sequence[int]) -> int:
-        rank = 0
-        for c, n in zip(cell, self.sizes):
-            rank = rank * n + int(c) % n
-        return rank
-
-    def vertex_index(self, cell: Sequence[int], v: int) -> int:
-        return self.cell_rank(cell) * self.base_vertices + v
-
-    def lift(self, index: int) -> tuple[tuple[int, ...], int]:
-        """Return (cell, base vertex) for a supercell vertex index."""
-        rank, v = divmod(index, self.base_vertices)
-        digits = []
-        for n in reversed(self.sizes):
-            rank, c = divmod(rank, n)
-            digits.append(c)
-        return tuple(reversed(digits)), v
 
 
 @dataclass(frozen=True)
@@ -462,36 +443,3 @@ def build_supercell(
     sc_map = SupercellMap(spec, V, E, tuple(zip(r_src.tolist(), e_src.tolist())))
     return sc, sc_map
 
-
-def reorient_edges(
-    complex2: Complex2,
-    edges_to_flip: Iterable[int],
-    covering: CoveringData | None = None,
-    theta: np.ndarray | None = None,
-):
-    """Reverse the orientation of the given edges consistently.
-
-    Face words flip the sign of every reference to a flipped edge, covering
-    labels negate, and connection angles negate (mod 2pi).  Returns the new
-    complex, followed by the new covering and/or connection when given.
-    """
-    flip = set(int(e) for e in edges_to_flip)
-    new_edges = [
-        ((v, u, w) if e in flip else (u, v, w)) for e, (u, v, w) in enumerate(complex2.edges)
-    ]
-    new_faces = []
-    for word in complex2.faces:
-        new_faces.append(tuple(-s if abs(s) - 1 in flip else s for s in word))
-    cx = Complex2(complex2.num_vertices, tuple(new_edges), tuple(new_faces), complex2.potentials)
-    out: list = [cx]
-    if covering is not None:
-        tau = covering.tau.copy()
-        for e in flip:
-            tau[e] = -tau[e]
-        out.append(CoveringData(covering.rank, tau))
-    if theta is not None:
-        th = np.asarray(theta, dtype=float).copy()
-        for e in flip:
-            th[e] = np.mod(-th[e], 2 * np.pi)
-        out.append(th)
-    return out[0] if len(out) == 1 else tuple(out)

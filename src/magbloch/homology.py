@@ -297,7 +297,10 @@ class Character:
 
     ``angles`` holds one angle in [0, 2pi) per free H1 generator;
     ``torsion_indices`` holds k_i with 0 <= k_i < m_i per torsion factor
-    Z/m_i, meaning the generator is sent to exp(2 pi i k_i / m_i).
+    Z/m_i, meaning the generator is sent to exp(2 pi i k_i / m_i).  The
+    torsion indices label the connected component of the character group;
+    the angles move within one component.  For connections with equal
+    curvature, sharing a component means sharing the underlying bundle class.
     """
 
     angles: np.ndarray
@@ -317,16 +320,6 @@ class Character:
     def from_turns(cls, turns: Sequence[float], torsion_indices: Sequence[int] = ()) -> "Character":
         """Build from angles measured in turns, i.e. value exp(2 pi i t)."""
         return cls(TWO_PI * np.asarray(turns, dtype=float), torsion_indices)
-
-    @property
-    def component(self) -> tuple[int, ...]:
-        """Connected component of the character group this point lies in.
-
-        The component is labeled by the torsion indices; the angles move
-        within one component.  For connections with equal curvature, sharing
-        a component means sharing the underlying bundle class.
-        """
-        return self.torsion_indices
 
     def reduce_torsion(self, orders: Sequence[int]) -> "Character":
         if len(orders) != len(self.torsion_indices):
@@ -631,15 +624,6 @@ class CharacterGroup:
         """All characters of the finite part (angles zero), one per component."""
         for combo in itertools.product(*[range(m) for m in self.torsion]):
             yield Character(np.zeros(self.free_rank), combo)
-
-    def grid(self, n: int) -> Iterator[Character]:
-        """Characters with angles on the uniform n-grid per torus direction."""
-        if n < 1:
-            raise ValueError("grid size must be >= 1")
-        steps = [TWO_PI * m / n for m in range(n)]
-        for torsion in self.enumerate_torsion():
-            for combo in itertools.product(steps, repeat=self.free_rank):
-                yield Character(np.array(combo), torsion.torsion_indices)
 
     def sample(self, rng: np.random.Generator) -> Character:
         """One uniform random character."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .complexes import Complex2, CoveringData
 
-__all__ = ["Model", "ModelError", "load_model", "loads_model", "model_to_dict"]
+__all__ = ["Model", "ModelError", "load_model", "loads_model"]
 
 _ALLOWED_KEYS = {"vertices", "edges", "faces", "tau", "potential", "flux"}
 
@@ -152,20 +152,3 @@ def load_model(path: str | Path) -> Model:
         raise ModelError(f"cannot read model file: {exc}") from exc
     return loads_model(text)
 
-
-def model_to_dict(model: Model) -> dict:
-    """Round-trippable dict in the documented schema."""
-    cx = model.complex2
-    out: dict = {
-        "vertices": cx.num_vertices,
-        "edges": [[u, v, w] for u, v, w in cx.edges],
-    }
-    if cx.faces:
-        out["faces"] = [list(word) for word in cx.faces]
-    if model.covering.rank:
-        out["tau"] = model.covering.tau.tolist()
-    if np.any(cx.potentials != 0):
-        out["potential"] = cx.potentials.tolist()
-    if len(model.flux):
-        out["flux"] = np.asarray(model.flux, dtype=float).tolist()
-    return out

@@ -33,7 +33,6 @@ __all__ = [
     "spectrum",
     "fiber_spectra",
     "translate",
-    "translation_matrix",
 ]
 
 DENSE_THRESHOLD = 2048
@@ -41,8 +40,8 @@ DENSE_THRESHOLD = 2048
 HERMITICITY_TOL = 1e-10
 
 # Byte budget of one fiber stack: batches of K fibers keep each (K, V, V)
-# complex temporary of the batched solve near this size, so peak memory
-# does not grow with the number of momenta.
+# complex temporary of the batched solve near this size.  The momenta and
+# eigenvalues of a sweep still grow with the number of momenta.
 STACK_BYTES = 1 << 17
 
 
@@ -75,21 +74,6 @@ class MagneticOperator:
         m = np.asarray(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        if self.dimension == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def norm(self) -> float:
-        """Max-row-sum bound on the operator norm (cheap, solver-free)."""
-        if self.dimension == 0:
-            return 0.0
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,12 +317,3 @@ def translate(
     blocks = s.reshape(sc_map.sizes + (sc_map.base_vertices,) + s.shape[1:])
     return np.roll(blocks, tuple(gamma), axis=tuple(range(d))).reshape(s.shape)
 
-
-def translation_matrix(sc_map: SupercellMap, gamma: Sequence[int]) -> np.ndarray:
-    """Dense permutation matrix of :func:`translate` (for commutator checks)."""
-    n = sc_map.num_vertices
-    T = np.zeros((n, n))
-    eye = np.eye(n)
-    for col in range(n):
-        T[:, col] = translate(eye[:, col], gamma, sc_map).real
-    return T

@@ -65,3 +65,13 @@ def make_random3(rng):
     cov = CoveringData(2, [[0, 0], [0, 0], [1, 0], [0, 1]])
     flux = np.array([2.0 * np.pi * int(rng.integers(-2, 3))])
     return cx, cov, flux
+
+
+def cell_rank(sizes, cell):
+    """Lexicographic rank of a cell of a supercell of these sizes, its
+    coordinates reduced mod the sizes: a per-cell reference for the cell
+    order of ``build_supercell``, deck translations and the Bloch transform."""
+    rank = 0
+    for c, n in zip(cell, sizes):
+        rank = rank * n + int(c) % n
+    return rank

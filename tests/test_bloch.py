@@ -313,20 +313,6 @@ class TestBlockDiagonalization:
         assert report.supercell_residual == sup.residual
         assert report.fiber_residual == fib.residual
         assert 0 < report.supercell_residual <= 1e-8 * max(1.0, report.operator_norm)
-        data = report.to_dict()
-        assert list(data) == [
-            "unitarity_defect",
-            "off_diagonal",
-            "fiber_deviation",
-            "max_deviation",
-            "operator_norm",
-            "relative_deviation",
-            "supercell_residual",
-            "fiber_residual",
-        ]
-        assert data["supercell_residual"] == sup.residual
-        assert data["fiber_residual"] == fib.residual
-        assert data["relative_deviation"] == report.relative_deviation
 
     @pytest.mark.parametrize(
         "sizes, V",
@@ -508,6 +494,17 @@ class TestSpectrumUnion:
                 assert _merge_intervals(values, join_tol) == scan(values, join_tol)
         assert _merge_intervals(np.zeros((0, 2)), 1.0) == ()
 
+    def test_eigenvalue_bound(self, torus, monkeypatch):
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "MAX_BAND_EIGENVALUES", 16)
+        cx, cov = torus
+        assert spectrum_union(cx, cov, None, (4, 4)).eigenvalues.shape == (16, 1)
+        with pytest.raises(NumericError, match="20 eigenvalues"):
+            spectrum_union(cx, cov, None, (4, 5))
+        # a magnetic cell of q vertices needs q eigenvalues per momentum
+        rows = butterfly(cx, cov, ["0", "1/2"], (4, 4))
+        assert rows[0].error is None
+        assert (rows[1].p, rows[1].q) == (1, 2) and "32 eigenvalues" in rows[1].error
+
 
 class TestMagneticSupercell:
     def test_unit_fraction_is_identity(self, torus):
@@ -532,21 +529,15 @@ class TestMagneticSupercell:
         assert sum(ms.flux) == pytest.approx(4 * np.pi)
         assert is_quantizable(ms.complex2, ms.flux).verdict
 
-    def test_axis_choice(self, torus):
-        cx, cov = torus
-        ms = magnetic_supercell(cx, cov, Fraction(1, 2), axis=1)
-        assert ms.sc_map.sizes == (1, 2)
-        assert is_quantizable(ms.complex2, ms.flux).verdict
-
     def test_irrational_rejected(self, torus):
         cx, cov = torus
         with pytest.raises(ValueError, match="irrational"):
             magnetic_supercell(cx, cov, np.pi / 7)
 
-    def test_axis_out_of_range(self, torus):
-        cx, cov = torus
-        with pytest.raises(ValueError, match="axis out of range"):
-            magnetic_supercell(cx, cov, Fraction(1, 2), axis=5)
+    def test_rank_zero_covering_rejected(self, torus):
+        cx, _ = torus
+        with pytest.raises(ValueError, match="covering of rank >= 1"):
+            magnetic_supercell(cx, CoveringData.trivial(2), Fraction(1, 2))
 
     def test_float_input_accepted(self, torus):
         cx, cov = torus
@@ -650,6 +641,13 @@ class TestButterfly:
         rows = butterfly(cx, cov, ["1/2", "1/3", "2/3", "1/4"], (4, 4))
         assert all(row.error is None for row in rows)
         assert threading.active_count() == threads
+
+    def test_rank_zero_covering_is_an_error_row(self, torus):
+        cx, _ = torus
+        rows = butterfly(cx, CoveringData.trivial(2), ["1/2", "abc"], ())
+        assert (rows[0].p, rows[0].q, rows[0].band) == (1, 2, None)
+        assert rows[0].error == "magnetic supercells need a covering of rank >= 1"
+        assert (rows[1].p, rows[1].q) == (0, 0) and "abc" in rows[1].error
 
     def test_empty_flux_list(self, torus):
         cx, cov = torus

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -322,7 +323,33 @@ def test_butterfly_flux_overflowing_a_float_is_an_error_row(torus_model, capsys)
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert rows and all(row.startswith("1,2,") for row in rows)
-    assert captured.err == "flux 0/0: flux '1e400' overflows a float\n"
+    assert captured.err == "flux 1e400: flux '1e400' overflows a float\n"
+
+
+def test_butterfly_errors_name_the_flux_as_typed(torus_model, capsys):
+    argv = ["butterfly", "--model", torus_model(0.0), "--flux", "1/2,abc,1/0,2/194", "--grid", "2,2"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "flux abc: Invalid literal for Fraction: 'abc'",
+        "flux 1/0: flux '1/0' has a zero denominator",
+        "flux 2/194: flux denominator 97 exceeds bound 64",
+    ]
+    rows = captured.out.splitlines()[1:]
+    assert rows and all(row.startswith("1,2,") for row in rows)
+
+
+def test_bands_oversized_grid_exit_4(torus_model, capsys):
+    start = time.perf_counter()
+    code = run(["bands", "--model", torus_model(0.0), "--grid", "2049,2048"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert elapsed < 1.0
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "eigenvalues" in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_butterfly_programming_error_is_internal_exit_5(torus_model, monkeypatch, capsys):

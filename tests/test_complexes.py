@@ -9,9 +9,22 @@ from magbloch import (
     build_supercell,
     validate,
 )
-from magbloch.complexes import SupercellMap, face_arrays, face_steps, reorient_edges
+from magbloch.complexes import SupercellMap, face_arrays, face_steps
 
-from conftest import make_random3
+from conftest import cell_rank, make_random3
+
+
+def reorient_edges(complex2, edges_to_flip, covering):
+    """Reverse the orientation of the given edges consistently: face words
+    flip the sign of every reference to a flipped edge, and covering labels
+    negate."""
+    flip = set(edges_to_flip)
+    edges = [((v, u, w) if e in flip else (u, v, w)) for e, (u, v, w) in enumerate(complex2.edges)]
+    faces = [tuple(-s if abs(s) - 1 in flip else s for s in word) for word in complex2.faces]
+    tau = covering.tau.copy()
+    tau[list(flip)] *= -1
+    cx = Complex2(complex2.num_vertices, edges, faces, complex2.potentials)
+    return cx, CoveringData(covering.rank, tau)
 
 
 def test_face_steps_decoding():
@@ -86,7 +99,7 @@ class TestValidate:
         rng = np.random.default_rng(7)
         for _ in range(5):
             flips = [e for e in range(cx.num_edges) if rng.integers(2)]
-            cx2, cov2 = reorient_edges(cx, flips, covering=cov)
+            cx2, cov2 = reorient_edges(cx, flips, cov)
             assert validate(cx2, cov2).ok
 
 
@@ -160,13 +173,6 @@ class TestBuildSupercell:
         assert all(w == 2.5 for _, _, w in sc.edges)
         assert np.all(sc.potentials == 0.75)
 
-    def test_lift_roundtrip(self, torus):
-        cx, cov = torus
-        _, sc_map = build_supercell(cx, cov, SupercellSpec((2, 3)))
-        for idx in range(sc_map.num_vertices):
-            cell, v = sc_map.lift(idx)
-            assert sc_map.vertex_index(cell, v) == idx
-
     def test_rejects_bad_sizes(self, chain):
         cx, cov = chain
         with pytest.raises(ValueError):
@@ -189,7 +195,7 @@ def reference_build_supercell(complex2, covering, spec):
             if not periodic and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
                 continue
             edge_index[(r, e)] = len(edges)
-            edges.append((r * V + u, map_stub.cell_rank(cell2) * V + v, w))
+            edges.append((r * V + u, cell_rank(spec.sizes, cell2) * V + v, w))
             edge_origin.append((r, e))
     faces = []
     for r in range(len(cells)):
@@ -198,7 +204,7 @@ def reference_build_supercell(complex2, covering, spec):
             for e, sign in face_steps(word):
                 based = cur if sign > 0 else cur - covering.tau[e]
                 nxt = cur + covering.tau[e] if sign > 0 else based
-                idx = edge_index.get((map_stub.cell_rank(based), e))
+                idx = edge_index.get((cell_rank(spec.sizes, based), e))
                 if idx is None or (not periodic and (np.any(nxt < 0) or np.any(nxt >= sizes))):
                     ok = False
                     break

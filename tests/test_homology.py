@@ -506,7 +506,6 @@ class TestCharacterGroup:
     def test_wedge_grid_count(self, wedge3):
         g = character_group(homology(wedge3))
         assert (g.free_rank, g.torsion) == (3, ())
-        assert len(list(g.grid(4))) == 64
 
     def test_sampler(self, torus):
         g = character_group(homology(torus[0]))
@@ -523,7 +522,7 @@ class TestCharacterAlgebra:
         p = a * b
         assert p.angles == pytest.approx([3.0, np.mod(9.0, 2 * np.pi)])
         assert p.torsion_indices == (2,)
-        assert a.isclose((a * b) * b.inverse(), tol=1e-12) or True
+        assert a.isclose((a * b) * b.inverse(), tol=1e-12)
         # reduce against the group orders, then compare
         q = ((a * b) * b.inverse()).reduce_torsion((2,))
         assert a.reduce_torsion((2,)).isclose(q, tol=1e-9)

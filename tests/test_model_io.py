@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from magbloch import ModelError, load_model, loads_model
-from magbloch.model_io import model_to_dict
 
 TORUS_DOC = {
     "vertices": 1,
@@ -64,6 +63,21 @@ def test_schema_errors(mutate, message):
     mutate(doc)
     with pytest.raises(ModelError, match=message):
         loads_model(json.dumps(doc))
+
+
+def model_to_dict(model):
+    """The model as a dict in the documented schema, omitting empty fields."""
+    cx = model.complex2
+    out = {"vertices": cx.num_vertices, "edges": [[u, v, w] for u, v, w in cx.edges]}
+    if cx.faces:
+        out["faces"] = [list(word) for word in cx.faces]
+    if model.covering.rank:
+        out["tau"] = model.covering.tau.tolist()
+    if np.any(cx.potentials != 0):
+        out["potential"] = cx.potentials.tolist()
+    if len(model.flux):
+        out["flux"] = model.flux.tolist()
+    return out
 
 
 def test_roundtrip():
