@@ -77,6 +77,11 @@ MAX_DENOMINATOR = 64
 # and the bound is the 2048 x 2048 sweep of a one-vertex quotient
 MAX_BAND_EIGENVALUES = 1 << 22
 
+# largest cost of a band sweep's fiber solves, in units of K * V^3 (grid
+# momenta times the cube of the vertex count): one unit takes about 1.7e-9 s
+# of dense eigensolve on a 2-vCPU machine, so the bound is about 2 minutes
+MAX_BAND_WORK = 1 << 36
+
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
@@ -89,17 +94,9 @@ class BlochBasis:
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "BlochBasis":
-        sizes = tuple(int(n) for n in sizes)
-        if any(n < 1 for n in sizes):
-            raise ValueError("sizes must be >= 1")
-        if sizes:
-            grids = np.meshgrid(
-                *[TWO_PI * np.arange(n) / n for n in sizes], indexing="ij"
-            )
-            ks = np.stack([g.ravel() for g in grids], axis=-1)
-        else:
-            ks = np.zeros((1, 0))
-        return cls(sizes, ks)
+        """Momenta k = 2 pi m / N of the deck group's cells m, in cell order."""
+        spec = SupercellSpec(sizes)
+        return cls(spec.sizes, TWO_PI * spec.cells() / np.array(spec.sizes))
 
     @property
     def num_characters(self) -> int:
@@ -114,7 +111,7 @@ def bloch_matrix(basis: BlochBasis, sc_map: SupercellMap) -> np.ndarray:
     dense reference for :func:`bloch_transform`; no check builds it.
     """
     _check_sizes(basis, sc_map)
-    W = np.exp(1j * basis.ks @ sc_map.cells().astype(float).T)
+    W = np.exp(1j * basis.ks @ sc_map.spec.cells().astype(float).T)
     return np.kron(W, np.eye(sc_map.base_vertices)) / math.sqrt(sc_map.num_cells)
 
 
@@ -208,10 +205,7 @@ def character_relations_check(sizes: Sequence[int]) -> CharacterRelationsReport:
     all sampled character pairs; returns the worst deviations.  The second
     is read off the first Gram row, which holds every Gram entry.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if any(n < 1 for n in sizes):
-        raise ValueError("sizes must be >= 1")
-    means, row = _character_tables(sizes)
+    means, row = _character_tables(SupercellSpec(sizes).sizes)
     indicator = np.zeros(len(means))
     indicator[0] = 1.0
     delta_res = float(np.max(np.abs(means - indicator)))
@@ -264,13 +258,14 @@ def verify_block_diagonalization(
     ||Phi^dagger Phi - I||_max of the transform as applied, the largest
     off-diagonal block entry of Phi H Phi^dagger, and the largest entrywise
     deviation of the diagonal blocks from the fiber operators.  Large
-    residuals are reported, not raised; the solves raise
-    :class:`NumericError` under the gates of :func:`spectrum`.
+    residuals are reported, not raised; an oversized supercell, rejected
+    before anything is built, and the solves raise :class:`NumericError`
+    under the gates of :func:`spectrum`.
     """
-    spec = SupercellSpec(tuple(int(n) for n in sizes))
+    spec = SupercellSpec(sizes)
+    op = assemble_supercell(complex2, covering, theta, spec)
     basis = BlochBasis.from_sizes(spec.sizes)
     V, C, d = complex2.num_vertices, basis.num_characters, len(spec.sizes)
-    op = assemble_supercell(complex2, covering, theta, spec)
     supercell = spectrum(op)
     fibers = fiber_spectra(complex2, covering, theta, basis.ks)
     eigs = supercell.eigenvalues
@@ -327,7 +322,7 @@ def multiplier_action(
         raise ValueError(f"fhat must have length {sc_map.num_cells}")
     s = np.asarray(s, dtype=complex)
     out = np.zeros_like(s)
-    cells = sc_map.cells()
+    cells = sc_map.spec.cells()
     for r in np.flatnonzero(fhat):
         out = out + fhat[r] * translate(s, cells[r], sc_map)
     return out
@@ -400,18 +395,26 @@ def spectrum_union(
     Two eigenvalue samples are merged into one interval when their gap is at
     most 2 * (Lipschitz bound) * (grid step), which keeps coarse grids from
     reporting spurious gaps.  A sweep of more than ``MAX_BAND_EIGENVALUES``
-    eigenvalues raises :class:`NumericError` before any grid is built.
+    eigenvalues, or of more than ``MAX_BAND_WORK`` units K * V^3 of fiber
+    solves, raises :class:`NumericError` before any grid is built.
     """
-    grid = tuple(int(n) for n in grid)
+    spec = SupercellSpec(grid)
+    grid = spec.sizes
     if len(grid) != covering.rank:
         raise ValueError(f"grid must have length {covering.rank}")
-    if any(n < 1 for n in grid):
-        raise ValueError("grid sizes must be >= 1")
-    count = math.prod(grid) * complex2.num_vertices
+    V = complex2.num_vertices
+    where = f"(grid {'x'.join(map(str, grid))}, V={V})"
+    count = spec.num_cells * V
     if count > MAX_BAND_EIGENVALUES:
         raise NumericError(
-            f"band sweep of {count} eigenvalues (grid {'x'.join(map(str, grid))}, "
-            f"V={complex2.num_vertices}) exceeds bound {MAX_BAND_EIGENVALUES}; reduce the grid"
+            f"band sweep of {count} eigenvalues {where} exceeds bound "
+            f"{MAX_BAND_EIGENVALUES}; reduce the grid"
+        )
+    work = spec.num_cells * V**3
+    if work > MAX_BAND_WORK:
+        raise NumericError(
+            f"band sweep of {work} units of K*V^3 {where} exceeds bound "
+            f"{MAX_BAND_WORK}; reduce the grid"
         )
     ks = BlochBasis.from_sizes(grid).ks
     eigs = fiber_spectra(complex2, covering, theta, ks).eigenvalues
@@ -448,8 +451,6 @@ class MagneticSupercell:
     complex2: Complex2
     covering: CoveringData
     flux: np.ndarray
-    sc_map: SupercellMap
-    fractions: tuple[Fraction, ...]
 
 
 def magnetic_supercell(
@@ -466,9 +467,8 @@ def magnetic_supercell(
     cell carries an integral number of quanta in total.
     """
     fr = _as_fraction(flux)
-    sc, new_cov, sc_map = _magnetic_cell(complex2, covering, _cell_size(complex2, fr))
-    fracs = (fr,) * complex2.num_faces
-    return MagneticSupercell(sc, new_cov, _face_flux(sc, fr), sc_map, fracs)
+    sc, new_cov = _magnetic_cell(complex2, covering, _cell_size(complex2, fr))
+    return MagneticSupercell(sc, new_cov, _face_flux(sc, fr))
 
 
 def _cell_size(complex2: Complex2, fr: Fraction) -> int:
@@ -479,7 +479,7 @@ def _cell_size(complex2: Complex2, fr: Fraction) -> int:
 
 def _magnetic_cell(
     complex2: Complex2, covering: CoveringData, q: int
-) -> tuple[Complex2, CoveringData, SupercellMap]:
+) -> tuple[Complex2, CoveringData]:
     """The q-fold cell along covering axis 0, whose covering labels carry
     the cell coordinate; it depends on the flux only through q."""
     if covering.rank < 1:
@@ -488,8 +488,8 @@ def _magnetic_cell(
     sc, sc_map = build_supercell(complex2, covering, spec)
 
     r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T
-    new_tau = (sc_map.cells()[r] + covering.tau[e]) // np.array(spec.sizes)
-    return sc, CoveringData(covering.rank, new_tau), sc_map
+    new_tau = (spec.cells()[r] + covering.tau[e]) // np.array(spec.sizes)
+    return sc, CoveringData(covering.rank, new_tau)
 
 
 def _face_flux(sc: Complex2, fr: Fraction) -> np.ndarray:
@@ -558,7 +558,7 @@ def butterfly(
         size = _cell_size(complex2, fr)
         if size not in cells:
             try:
-                sc, cov, _ = _magnetic_cell(complex2, covering, size)
+                sc, cov = _magnetic_cell(complex2, covering, size)
                 cells[size] = (sc, cov, homology(sc))
             except (ValueError, NumericError) as exc:
                 cells[size] = exc

@@ -29,7 +29,6 @@ from .operators import NumericError
 
 __all__ = [
     "QuantizabilityCertificate",
-    "FlatCocycle",
     "NotQuantizableError",
     "reduce_angles",
     "wrap_angle",
@@ -39,7 +38,6 @@ __all__ = [
     "gauge_transform",
     "holonomy",
     "difference_class",
-    "flat_cocycle",
     "twist",
 ]
 
@@ -230,32 +228,6 @@ def difference_class(
     return Character(np.array(angles), tuple(indices))
 
 
-@dataclass(frozen=True, eq=False)
-class FlatCocycle:
-    """Edge angles with face sums in 2*pi*Z, representing a character.
-
-    ``values`` is a real edge vector (not reduced; zero on the spanning
-    forest), and ``character`` records the holonomy character it represents
-    on the shared H1 generator basis.
-    """
-
-    values: np.ndarray
-    character: Character
-
-
-def flat_cocycle(
-    complex2: Complex2, summary: HomologySummary, chi: Character
-) -> FlatCocycle:
-    """Flat edge cocycle with prescribed holonomy character.
-
-    The values come from :meth:`HomologySummary.flat_values`: zero on the
-    deterministic spanning forest, and on the cotree the exact generator
-    coordinates of the character (killed generators get 0, torsion factors
-    get 2 pi k/m, free factors get the character angles).
-    """
-    return FlatCocycle(summary.flat_values(chi), chi)
-
-
 def twist(
     complex2: Complex2,
     summary: HomologySummary,
@@ -268,5 +240,4 @@ def twist(
     recovers ``chi``; this realizes tensoring the quantization with the flat
     bundle of the character.
     """
-    lam = flat_cocycle(complex2, summary, chi)
-    return reduce_angles(np.asarray(theta, dtype=float) + lam.values)
+    return reduce_angles(np.asarray(theta, dtype=float) + summary.flat_values(chi))

@@ -29,7 +29,7 @@ from . import bloch, bundle
 from .complexes import validate
 from .homology import character_group, homology
 from .model_io import Model, ModelError, load_model
-from .operators import NumericError, fiber_spectra, require_dense_size
+from .operators import NumericError, fiber_spectra
 
 EXIT_OK = 0
 EXIT_NOT_QUANTIZABLE = 1
@@ -254,9 +254,6 @@ def cmd_verify(args) -> int:
         raise CliError(
             f"--supercell must have {model.covering.rank} entries for this model", EXIT_PARSE
         )
-    # the supercell is the largest dense solve: reject it before any O(n^2) work
-    n = model.complex2.num_vertices * math.prod(sizes)
-    require_dense_size(n, f"supercell(N={sizes}, periodic)")
     theta = _connection_from_model(model, tols)
     block = bloch.verify_block_diagonalization(model.complex2, model.covering, theta, sizes)
     chars = bloch.character_relations_check(sizes)

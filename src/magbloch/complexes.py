@@ -14,6 +14,7 @@ the complex, realized at finite scale by :func:`build_supercell`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,13 +155,6 @@ class CoveringData:
         """Rank-0 covering (the complex is its own cover)."""
         return cls(0, np.zeros((num_edges, 0), dtype=int))
 
-    def face_shift(self, word: Sequence[int]) -> np.ndarray:
-        """Signed sum of tau along a boundary word."""
-        total = np.zeros(self.rank, dtype=int)
-        for e, sign in face_steps(word):
-            total += sign * self.tau[e]
-        return total
-
 
 @dataclass(frozen=True)
 class SupercellSpec:
@@ -168,6 +162,8 @@ class SupercellSpec:
 
     ``periodic`` identifies opposite sides (quotient by the sublattice
     ``N Z^d``); ``dirichlet`` keeps the block open and drops whatever leaves.
+    The sizes index the deck group Z/N_1 x ... x Z/N_d: its elements are the
+    cells, and its characters the sampled Bloch momenta.
     """
 
     sizes: tuple[int, ...]
@@ -176,29 +172,36 @@ class SupercellSpec:
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if any(n < 1 for n in self.sizes):
-            raise ValueError(f"supercell sizes must be >= 1, got {self.sizes}")
+            raise ValueError(f"sizes must be >= 1, got {self.sizes}")
         if self.boundary not in ("periodic", "dirichlet"):
             raise ValueError(f"boundary must be 'periodic' or 'dirichlet', got {self.boundary!r}")
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.sizes, dtype=int)) if self.sizes else 1
+        return math.prod(self.sizes)
+
+    def cells(self) -> np.ndarray:
+        """All cells as an array of shape (num_cells, d), lexicographic order."""
+        if not self.sizes:
+            return np.zeros((1, 0), dtype=int)
+        grids = np.meshgrid(*[np.arange(n) for n in self.sizes], indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class SupercellMap:
     """Indexing of a supercell: vertex ``(cell, v)`` <-> flat index.
 
-    Cells are ordered lexicographically, and a cell's rank is its position
-    in that order; the flat index is ``rank * base_vertices + v`` (cell-major
-    blocks, which is the block structure used by deck translations and the
-    Bloch transform).  ``edge_origin[j]`` records ``(rank, base_edge)`` for
-    supercell edge ``j``; for dirichlet blocks some copies are missing.
+    Cells are ordered lexicographically (:meth:`SupercellSpec.cells`), and a
+    cell's rank is its position in that order; the flat index is
+    ``rank * base_vertices + v`` (cell-major blocks, which is the block
+    structure used by deck translations and the Bloch transform).
+    ``edge_origin[j]`` records ``(rank, base_edge)`` for supercell edge
+    ``j``; for dirichlet blocks some copies are missing.
     """
 
     spec: SupercellSpec
     base_vertices: int
-    base_edges: int
     edge_origin: tuple[tuple[int, int], ...]
 
     @property
@@ -212,13 +215,6 @@ class SupercellMap:
     @property
     def num_vertices(self) -> int:
         return self.num_cells * self.base_vertices
-
-    def cells(self) -> np.ndarray:
-        """All cells as an array of shape (num_cells, d), lexicographic order."""
-        if not self.sizes:
-            return np.zeros((1, 0), dtype=int)
-        grids = np.meshgrid(*[np.arange(n) for n in self.sizes], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -287,6 +283,8 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
 
     checks["face_edge_refs"] = True
     checks["faces_closed"] = True
+    tau = covering.tau if covering is not None and covering.tau.shape[0] == E else None
+    shifts = []  # tau sum along each face word, from its decoded steps
     for f, word in enumerate(complex2.faces):
         if len(word) == 0:
             fail("face_edge_refs", f"face {f} has empty boundary word", (f,))
@@ -300,6 +298,9 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
             bad = tuple(i for i, (e, _) in enumerate(steps) if not (0 <= e < E))
             fail("face_edge_refs", f"face {f} references missing edges", (f,) + bad)
             continue
+        if tau is not None:
+            edges, signs = np.array(steps).T
+            shifts.append(signs @ tau[edges])
         if not checks["edge_endpoints"]:
             continue
         ends = []
@@ -319,8 +320,7 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
         else:
             checks["face_tau_zero"] = True
             if checks["face_edge_refs"]:
-                for f, word in enumerate(complex2.faces):
-                    shift = covering.face_shift(word)
+                for f, shift in enumerate(shifts):
                     if np.any(shift != 0):
                         fail("face_tau_zero", f"face {f} lifts to shift {shift.tolist()}", (f,))
 
@@ -402,7 +402,7 @@ def build_supercell(
     V, E = complex2.num_vertices, complex2.num_edges
     sizes = np.array(spec.sizes, dtype=int)
     periodic = spec.boundary == "periodic"
-    cells = SupercellMap(spec, V, E, ()).cells()
+    cells = spec.cells()
     tau = covering.tau
 
     def rank(points: np.ndarray) -> np.ndarray:
@@ -440,6 +440,6 @@ def build_supercell(
 
     potentials = np.tile(complex2.potentials, len(cells))
     sc = Complex2(len(cells) * V, tuple(edges), tuple(faces), potentials)
-    sc_map = SupercellMap(spec, V, E, tuple(zip(r_src.tolist(), e_src.tolist())))
+    sc_map = SupercellMap(spec, V, tuple(zip(r_src.tolist(), e_src.tolist())))
     return sc, sc_map
 

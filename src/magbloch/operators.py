@@ -203,15 +203,18 @@ def assemble_supercell(
     the result equals the quotient assembly of :func:`build_supercell`'s
     complex.  With dirichlet boundary the operator is the compression of the
     periodic one onto the block: diagonal entries keep every incident cover
-    edge while hoppings that leave the block are dropped.
+    edge while hoppings that leave the block are dropped.  A block whose
+    dimension exceeds ``DENSE_THRESHOLD`` raises :class:`NumericError`
+    before anything is built.
     """
+    tag = f"supercell(N={spec.sizes}, {spec.boundary})"
+    require_dense_size(complex2.num_vertices * spec.num_cells, tag)
     sc, sc_map = build_supercell(complex2, covering, spec)
     phases = _edge_phases(complex2, theta)[[e for _, e in sc_map.edge_origin]]
     if spec.boundary == "dirichlet":
         # the weight of cover edges leaving the block acts as a potential
         full = np.tile(_degree(complex2), sc_map.num_cells)
         sc = Complex2(sc.num_vertices, sc.edges, sc.faces, sc.potentials + full - _degree(sc))
-    tag = f"supercell(N={spec.sizes}, {spec.boundary})"
     return MagneticOperator(_assemble(sc, phases[None])[0], tag)
 
 

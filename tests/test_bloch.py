@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,6 @@ from magbloch.bloch import (
     _merge_intervals,
     _unitarity_defect,
 )
-from magbloch.complexes import SupercellMap
 from magbloch.homology import TWO_PI
 from magbloch.operators import NumericError
 
@@ -68,6 +68,28 @@ class TestBlochBasis:
     def test_rank_zero(self):
         basis = BlochBasis.from_sizes(())
         assert basis.num_characters == 1 and basis.ks.shape == (1, 0)
+
+    @pytest.mark.parametrize("sizes", [(), (1,), (7,), (3, 4), (2, 3, 5)])
+    def test_grid_is_per_axis_meshgrid(self, sizes):
+        # an independent reference, the per-axis grids 2 pi m_j / N_j: the
+        # momenta derived from the cells are the same floats, bit for bit
+        if sizes:
+            axes = np.meshgrid(*[TWO_PI * np.arange(n) / n for n in sizes], indexing="ij")
+            expect = np.stack([g.ravel() for g in axes], axis=-1)
+        else:
+            expect = np.zeros((1, 0))
+        ks = BlochBasis.from_sizes(sizes).ks
+        assert ks.dtype == expect.dtype and np.array_equal(ks, expect)
+
+    def test_zero_size_rejected_once(self, chain):
+        cx, cov = chain
+        for call in (
+            lambda: BlochBasis.from_sizes((2, 0)),
+            lambda: character_relations_check((2, 0)),
+            lambda: spectrum_union(cx, cov, None, (0,)),
+        ):
+            with pytest.raises(ValueError, match=r"^sizes must be >= 1, got \("):
+                call()
 
 
 class TestBlochTransform:
@@ -184,7 +206,7 @@ def dense_character_tables(sizes):
     """Column means and Gram matrix of the dense table W[k, gamma] = exp(i k.gamma),
     the unfactorized computation kept as the reference."""
     basis = BlochBasis.from_sizes(sizes)
-    cells = SupercellMap(SupercellSpec(basis.sizes), 1, 0, ()).cells().astype(float)
+    cells = SupercellSpec(basis.sizes).cells().astype(float)
     W = np.exp(1j * basis.ks @ cells.T)
     return W.mean(axis=0), W.conj() @ W.T
 
@@ -270,6 +292,14 @@ def full_unitarity_defect(sizes, V, rows=256):
 
 
 class TestBlockDiagonalization:
+    @pytest.mark.parametrize("sizes", [(400, 400), (2**32, 2**32)])
+    def test_oversized_rejected_before_building(self, torus, sizes):
+        cx, cov = torus
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="exceeds the dense solver threshold"):
+            verify_block_diagonalization(cx, cov, None, sizes)
+        assert time.perf_counter() - start < 1.0
+
     def test_chain_blocks_are_dispersion_values(self, chain):
         cx, cov = chain
         report = verify_block_diagonalization(cx, cov, None, (2,))
@@ -346,7 +376,7 @@ class TestMultiplier:
         _, sc_map = build_supercell(cx, cov, SupercellSpec((2, 2)))
         rng = np.random.default_rng(0)
         s = rng.normal(size=4) + 1j * rng.normal(size=4)
-        cells = sc_map.cells()
+        cells = sc_map.spec.cells()
         for r in range(4):
             fhat = np.zeros(4, complex)
             fhat[r] = 1.0
@@ -367,7 +397,7 @@ class TestMultiplier:
         D = Phi @ M @ Phi.conj().T
         off = D - np.diag(np.diag(D))
         assert np.max(np.abs(off)) <= 1e-12
-        cells = sc_map.cells().astype(float)
+        cells = sc_map.spec.cells().astype(float)
         expect = np.array([np.sum(fhat * np.exp(1j * (k @ cells.T))) for k in basis.ks])
         assert np.diag(D) == pytest.approx(expect)
 
@@ -505,6 +535,30 @@ class TestSpectrumUnion:
         assert rows[0].error is None
         assert (rows[1].p, rows[1].q) == (1, 2) and "32 eigenvalues" in rows[1].error
 
+    def test_work_bound(self, torus, monkeypatch):
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "MAX_BAND_WORK", 16)
+        cx, cov = torus
+        assert spectrum_union(cx, cov, None, (4, 4)).eigenvalues.shape == (16, 1)
+        with pytest.raises(NumericError, match=r"20 units of K\*V\^3 \(grid 4x5, V=1\)"):
+            spectrum_union(cx, cov, None, (4, 5))
+        # the flux-1/2 cell has 2 vertices: 16 momenta cost 16 * 2^3 units
+        rows = butterfly(cx, cov, ["0", "1/2"], (4, 4))
+        assert rows[0].error is None
+        assert (rows[1].p, rows[1].q) == (1, 2) and "128 units" in rows[1].error
+
+    def test_work_bound_default(self, chain, monkeypatch):
+        # 300 momenta on a 2048-vertex quotient is about 75 minutes of solves;
+        # it is rejected before any fiber is assembled
+        _, cov = chain
+        cx = Complex2(2048, [(0, 0, 1.0)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a sweep over the work bound")
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "fiber_spectra", refuse)
+        with pytest.raises(NumericError, match="exceeds bound 68719476736"):
+            spectrum_union(cx, cov, None, (300,))
+
 
 class TestMagneticSupercell:
     def test_unit_fraction_is_identity(self, torus):
@@ -542,7 +596,7 @@ class TestMagneticSupercell:
     def test_float_input_accepted(self, torus):
         cx, cov = torus
         ms = magnetic_supercell(cx, cov, 0.5)
-        assert ms.fractions == (Fraction(1, 2),)
+        assert np.array_equal(ms.flux, magnetic_supercell(cx, cov, Fraction(1, 2)).flux)
 
     @pytest.mark.parametrize(
         "flux",

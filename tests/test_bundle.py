@@ -12,7 +12,6 @@ from magbloch import (
     character_group,
     curvature,
     difference_class,
-    flat_cocycle,
     gauge_transform,
     holonomy,
     homology,
@@ -300,16 +299,16 @@ class TestFlatCocycleAndTwist:
 
     def test_torsion_cocycle_value(self, torsion_cx):
         s = homology(torsion_cx)
-        lam = flat_cocycle(torsion_cx, s, Character(np.zeros(0), (1,)))
-        assert lam.values[0] == pytest.approx(np.pi)
-        assert np.max(np.abs(curvature(torsion_cx, lam.values))) <= 1e-9
+        lam = s.flat_values(Character(np.zeros(0), (1,)))
+        assert lam[0] == pytest.approx(np.pi)
+        assert np.max(np.abs(curvature(torsion_cx, lam))) <= 1e-9
 
     def test_cocycle_vanishes_on_forest(self, square_disk):
         # disk: b1 = 0, so only the trivial character exists
         s = homology(square_disk)
-        lam = flat_cocycle(square_disk, s, Character.trivial(0))
+        lam = s.flat_values(Character.trivial(0))
         tree = spanning_forest(square_disk)
-        assert np.all(lam.values[tree] == 0)
+        assert np.all(lam[tree] == 0)
 
     def test_curvature_preserved(self, torus):
         cx, _ = torus

@@ -143,8 +143,8 @@ def test_verify_size_guard_before_assembly(chain_model, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("assembled an oversized supercell")
 
-    monkeypatch.setattr("magbloch.bloch.assemble_supercell", refuse)
-    monkeypatch.setattr("magbloch.operators.assemble_supercell", refuse)
+    monkeypatch.setattr("magbloch.operators.build_supercell", refuse)
+    monkeypatch.setattr("magbloch.operators._assemble", refuse)
     assert run(["verify", "--model", chain_model, "--supercell", "2100"]) == 4
     assert "matrix dimension 2100 exceeds the dense solver threshold 2048" in (
         capsys.readouterr().err
@@ -243,6 +243,15 @@ def test_bands_csv_row_count(torus_model, capsys):
     assert len(lines) == 1025
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.all((values >= -1e-9) & (values <= 8.0 + 1e-9))
+
+
+def test_bands_momentum_columns_are_the_grid(torus_model, capsys):
+    # the k columns print the grid 2 pi m / N itself, independent of LAPACK
+    assert run(["bands", "--model", torus_model(TWO_PI), "--grid", "3,4"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    k1, k2 = np.meshgrid(TWO_PI * np.arange(3) / 3, TWO_PI * np.arange(4) / 4, indexing="ij")
+    expect = [f"{a:.17g},{b:.17g}" for a, b in zip(k1.ravel(), k2.ravel())]
+    assert [",".join(line.split(",")[:2]) for line in lines[1:]] == expect
 
 
 def test_bands_grid_required(torus_model):

@@ -551,7 +551,7 @@ def test_label_snf_sees_distinct_labels_only(torus, monkeypatch):
     # 2 x 145 label matrix, above the bound set here
     cx, cov = torus
     block, sc_map = build_supercell(cx, cov, SupercellSpec((12, 12)))
-    cells = sc_map.cells()
+    cells = sc_map.spec.cells()
     tau = CoveringData(2, [(cells[r] + cov.tau[e]) // 12 for r, e in sc_map.edge_origin])
     assert block.num_edges - block.num_vertices + 1 > 100
     monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", 100)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from magbloch import (
 )
 from magbloch import operators
 from magbloch.bloch import lipschitz_bound
-from magbloch.complexes import SupercellMap
 from magbloch.operators import STACK_BYTES
 
 from conftest import cell_rank, make_random3
@@ -165,6 +166,18 @@ class TestAssembleSupercell:
         op = assemble_supercell(cx, cov, theta, SupercellSpec((3, 2)))
         assert op.matrix.shape == (18, 18)
         assert hermiticity_defect(op) <= 1e-12
+
+    @pytest.mark.parametrize("sizes, n", [((400, 400), 160000), ((2**32, 2**32), 2**64)])
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_oversized_rejected_before_building(self, torus, sizes, n, boundary):
+        cx, cov = torus
+        start = time.perf_counter()
+        with pytest.raises(NumericError) as err:
+            assemble_supercell(cx, cov, None, SupercellSpec(sizes, boundary))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value).startswith(
+            f"supercell(N={sizes}, {boundary}): matrix dimension {n} exceeds"
+        )
 
 
 class TestSpectrum:
@@ -449,7 +462,7 @@ class TestTranslateReference:
         rng = np.random.default_rng(43)
         cx, cov, _ = make_random3(rng)
         _, sc_map = build_supercell(cx, cov, SupercellSpec((3, 2)))
-        cells, V = sc_map.cells(), 3
+        cells, V = sc_map.spec.cells(), 3
         s = rng.normal(size=18) + 1j * rng.normal(size=18)
         for _ in range(10):
             gamma = rng.integers(-4, 5, size=2)
@@ -465,8 +478,7 @@ def reference_supercell(complex2, covering, theta, spec):
     incident cover edge adds to the diagonal, hoppings leaving a dirichlet
     block are dropped."""
     V = complex2.num_vertices
-    sc_map = SupercellMap(spec, V, complex2.num_edges, ())
-    cells, sizes = sc_map.cells(), np.array(spec.sizes)
+    cells, sizes = spec.cells(), np.array(spec.sizes)
     n = len(cells) * V
     H = np.zeros((n, n), dtype=complex)
     diag = np.zeros(n)
