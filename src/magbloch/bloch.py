@@ -39,10 +39,13 @@ from .complexes import (
 from .homology import TWO_PI, Character, HomologySummary, homology
 from .operators import (
     NumericError,
+    _blocks,
+    _eigh_gated,
+    _hermitian_part,
+    _one_blas_thread,
+    _supercell_stack,
     assemble_fibers,
-    assemble_supercell,
     fiber_spectra,
-    spectrum,
     translate,
 )
 
@@ -121,14 +124,26 @@ def _check_sizes(basis: BlochBasis, sc_map: SupercellMap) -> None:
 
 
 def _transform(x: np.ndarray, d: int, first: int = 0, adjoint: bool = False) -> np.ndarray:
-    """Bloch transform (or its adjoint) along the d cell axes ``first, ..., first+d-1``.
+    """Bloch transform (or its adjoint) of x in place, along the d cell axes
+    ``first, ..., first+d-1``; returns x.
 
     Under the sign table in the module docstring the transform is the
     orthonormal inverse FFT over the cell axes, and its adjoint the
-    orthonormal forward FFT.
+    orthonormal forward FFT.  Like numpy's ``ifftn``/``fftn`` it transforms
+    one axis at a time, the last cell axis first, so the result is theirs
+    bit for bit.  Each pass goes a block at a time along one axis that is
+    not a cell axis, axis 0 when ``first`` > 0 and else the last axis, and
+    writes the block back into x, so its temporaries hold one block.
     """
-    axes = tuple(range(first, first + d))
-    return (np.fft.fftn if adjoint else np.fft.ifftn)(x, axes=axes, norm="ortho")
+    fft = np.fft.fft if adjoint else np.fft.ifft
+    along = 0 if first else x.ndim - 1
+    count = x.shape[along]
+    lead = (slice(None),) * along
+    for axis in reversed(range(first, first + d)):
+        for block in _blocks(count, x.nbytes // max(count, 1)):
+            part = lead + (block,)
+            x[part] = fft(x[part], axis=axis, norm="ortho")
+    return x
 
 
 def bloch_transform(
@@ -142,7 +157,7 @@ def bloch_transform(
     applied as the orthonormal inverse FFT over the cell axes.
     """
     _check_sizes(basis, sc_map)
-    s = np.asarray(s, dtype=complex)
+    s = np.array(s, dtype=complex)
     if s.shape != (sc_map.num_vertices,):
         raise ValueError(f"vector must have length {sc_map.num_vertices}")
     out = _transform(s.reshape(sc_map.sizes + (sc_map.base_vertices,)), len(sc_map.sizes))
@@ -249,33 +264,40 @@ def verify_block_diagonalization(
 ) -> BlockDiagonalizationReport:
     """Check the finite Bloch decomposition of the periodic supercell operator.
 
-    Assembles the periodic supercell operator H once.  Its gated eigensolve
-    and the gated fiber solves at the sampled momenta give the spectral
-    comparison: sorted supercell eigenvalues against the sorted union of
-    fiber eigenvalues.  Then H is conjugated by the Bloch unitary Phi,
-    formed by transforming the row cell axes of H and then, with the
-    adjoint, its column cell axes.  Reports the unitarity defect
-    ||Phi^dagger Phi - I||_max of the transform as applied, the largest
-    off-diagonal block entry of Phi H Phi^dagger, and the largest entrywise
-    deviation of the diagonal blocks from the fiber operators.  Large
-    residuals are reported, not raised; an oversized supercell, rejected
-    before anything is built, and the solves raise :class:`NumericError`
-    under the gates of :func:`spectrum`.
+    Compares the periodic supercell operator H with its fibers at the
+    sampled momenta, holding one dense n x n copy of the operator at a
+    time besides the symmetrized S.  In order:
+
+    1. assemble H and run the Hermiticity gate of :func:`spectrum` on it,
+       which also writes S = (H + H^dagger) / 2;
+    2. conjugate H by the Bloch unitary Phi in place: transform its row
+       cell axes, then, with the adjoint, its column cell axes;
+    3. read the largest entrywise deviation of the diagonal blocks of
+       Phi H Phi^dagger from the fiber operators and its largest
+       off-diagonal block entry, then free the buffer;
+    4. solve S under the eigenpair residual gate of :func:`spectrum`;
+    5. solve the fibers under the same gates and compare the sorted
+       supercell eigenvalues with the sorted union of fiber eigenvalues;
+    6. measure the unitarity defect ||Phi^dagger Phi - I||_max of the
+       transform as applied.
+
+    Large residuals are reported, not raised; an oversized supercell,
+    rejected before anything is built, and the solves raise
+    :class:`NumericError`.
     """
     spec = SupercellSpec(sizes)
-    op = assemble_supercell(complex2, covering, theta, spec)
+    H, tag = _supercell_stack(complex2, covering, theta, spec)
+    S, scale = _hermitian_part(H, lambda i: tag)
     basis = BlochBasis.from_sizes(spec.sizes)
     V, C, d = complex2.num_vertices, basis.num_characters, len(spec.sizes)
-    supercell = spectrum(op)
-    fibers = fiber_spectra(complex2, covering, theta, basis.ks)
-    eigs = supercell.eigenvalues
-    max_dev = float(np.max(np.abs(eigs - np.sort(fibers.eigenvalues.ravel())))) if V else 0.0
-    norm = float(np.max(np.abs(eigs))) if V else 0.0
+    n = V * C
 
     shape = spec.sizes + (V,)
-    B = _transform(op.matrix.reshape(shape + shape), d)
-    del op
-    B = _transform(B, d, first=d + 1, adjoint=True).reshape(C, V, C, V)
+    B = H.reshape(n, n)
+    del H
+    _transform(B.reshape(shape + (n,)), d)
+    _transform(B.reshape((n,) + shape), d, first=1, adjoint=True)
+    B = B.reshape(C, V, C, V)
     diagonal = np.arange(C)
     blocks = B[diagonal, :, diagonal, :]
     fiber_ops = assemble_fibers(complex2, covering, theta, basis.ks)
@@ -285,26 +307,35 @@ def verify_block_diagonalization(
         B[diagonal, :, diagonal, :] = 0.0
         off = float(np.max(np.abs(B)))
     del B
+
+    vals, residual = _eigh_gated(S, scale, lambda i: tag)
+    del S
+    eigs = vals[0]
+    fibers = fiber_spectra(complex2, covering, theta, basis.ks)
+    max_dev = float(np.max(np.abs(eigs - np.sort(fibers.eigenvalues.ravel())))) if V else 0.0
+    norm = float(np.max(np.abs(eigs))) if V else 0.0
     return BlockDiagonalizationReport(
         _unitarity_defect(spec.sizes) if V else 0.0,
         off,
         fiber_dev,
         max_dev,
         norm,
-        supercell.residual,
+        float(residual[0]),
         fibers.residual,
     )
 
 
 def _unitarity_defect(sizes: tuple[int, ...]) -> float:
     """||Phi^dagger Phi - I||_max of the transform as applied: the transform
-    and then its adjoint on every unit vector of the cell axes.  Phi is
-    kron(W, I_V), the same cell transform on every base vertex, so the C x C
-    round trip measures the defect of the whole transform."""
+    and then its adjoint on every unit vector of the cell axes, run in
+    place on one C x C identity.  Phi is kron(W, I_V), the same cell
+    transform on every base vertex, so the C x C round trip measures the
+    defect of the whole transform."""
     C, d = math.prod(sizes), len(sizes)
-    eye = np.eye(C, dtype=complex).reshape((C,) + sizes)
-    back = _transform(_transform(eye, d, first=1), d, first=1, adjoint=True)
-    back -= eye
+    back = np.eye(C, dtype=complex)
+    cells = back.reshape((C,) + sizes)
+    _transform(_transform(cells, d, first=1), d, first=1, adjoint=True)
+    back[np.diag_indices(C)] -= 1.0
     return float(np.max(np.abs(back)))
 
 
@@ -527,9 +558,10 @@ def butterfly(
     ``MAX_DENOMINATOR`` is an error.  The magnetic cell and its homology
     depend only on the denominator, so each is built once per distinct
     denominator, in order; the fluxes then run concurrently on a thread
-    pool as large as the number of CPUs the process may use, and the rows
-    come back in input order.  Every flux goes through the same arithmetic
-    whatever thread runs it, so the rows are identical for any CPU count.
+    pool as large as the number of CPUs the process may use, with OpenBLAS
+    held to one thread until the pool is joined, and the rows come back in
+    input order.  Every flux goes through the same arithmetic whatever
+    thread runs it, so the rows are identical for any CPU count.
     Failures are collected per entry instead of aborting the sweep.  Only
     domain errors (``ValueError``, which includes
     :class:`NotQuantizableError`, and :class:`NumericError`) become error
@@ -577,12 +609,15 @@ def butterfly(
             return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))
         return ButterflyRow(fr.numerator, fr.denominator, band=band)
 
-    pool = ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks))))
-    try:
-        for (i, _, _), row in zip(tasks, pool.map(solve, tasks)):
-            rows[i] = row
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # the pool is the parallelism: a threaded BLAS inside each of its solves
+    # would compete with it for the same CPUs
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks))))
+        try:
+            for (i, _, _), row in zip(tasks, pool.map(solve, tasks)):
+                rows[i] = row
+        finally:
+            pool.shutdown(cancel_futures=True)
     return rows
 
 

@@ -13,8 +13,9 @@ Matrices are dense; ``DENSE_THRESHOLD`` rejects oversized requests.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +44,11 @@ HERMITICITY_TOL = 1e-10
 # complex temporary of the batched solve near this size.  The momenta and
 # eigenvalues of a sweep still grow with the number of momenta.
 STACK_BYTES = 1 << 17
+
+# Byte budget of one block of rows or columns: the gates below and the
+# in-place Bloch transform walk a large matrix a block at a time, so their
+# temporaries stay near this size.  Fiber stacks fit in one block.
+_BLOCK_BYTES = 1 << 20
 
 
 class NumericError(RuntimeError):
@@ -94,6 +100,13 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
+
+
+def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` of about ``_BLOCK_BYTES`` each,
+    for items of ``item_bytes`` bytes; at least one item per slice."""
+    step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _edge_phases(
@@ -204,22 +217,115 @@ def assemble_supercell(
     complex.  With dirichlet boundary the operator is the compression of the
     periodic one onto the block: diagonal entries keep every incident cover
     edge while hoppings that leave the block are dropped.  A block whose
-    dimension exceeds ``DENSE_THRESHOLD`` raises :class:`NumericError`
-    before anything is built.
+    dimension or cell count exceeds ``DENSE_THRESHOLD`` raises
+    :class:`NumericError` before anything is built.
     """
+    H, tag = _supercell_stack(complex2, covering, theta, spec)
+    return MagneticOperator(H[0], tag)
+
+
+def _supercell_stack(
+    complex2: Complex2,
+    covering: CoveringData,
+    theta: Sequence[float] | None,
+    spec: SupercellSpec,
+) -> tuple[np.ndarray, str]:
+    """The matrix of :func:`assemble_supercell` as a writable (1, n, n)
+    stack, with its provenance tag."""
     tag = f"supercell(N={spec.sizes}, {spec.boundary})"
     require_dense_size(complex2.num_vertices * spec.num_cells, tag)
+    # the cells are enumerated even when there are no vertices to copy
+    if spec.num_cells > DENSE_THRESHOLD:
+        raise NumericError(
+            f"{tag}: {spec.num_cells} cells exceed the dense solver threshold "
+            f"{DENSE_THRESHOLD}; reduce the supercell size"
+        )
     sc, sc_map = build_supercell(complex2, covering, spec)
     phases = _edge_phases(complex2, theta)[[e for _, e in sc_map.edge_origin]]
     if spec.boundary == "dirichlet":
         # the weight of cover edges leaving the block acts as a potential
         full = np.tile(_degree(complex2), sc_map.num_cells)
         sc = Complex2(sc.num_vertices, sc.edges, sc.faces, sc.potentials + full - _degree(sc))
-    return MagneticOperator(_assemble(sc, phases[None])[0], tag)
+    return _assemble(sc, phases[None]), tag
+
+
+def _hermitian_part(
+    H: np.ndarray, where: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gate 1 of the eigensolve: the dense threshold and the Hermiticity gate.
+
+    One pass over blocks of rows of the (K, n, n) stack computes each
+    matrix's Hermiticity defect max |H - H^dagger| and row-sum norm, and
+    writes the symmetrized S = (H + H^dagger) / 2, with the same arithmetic
+    on every entry as the whole-matrix expressions; the other n x n
+    temporaries of those expressions are never made.  When H has no
+    imaginary entry neither has S, which is then written as its real part.
+    Returns S and each matrix's residual scale, its row-sum norm and at
+    least 1.  A failure raises :class:`NumericError` naming ``where(i)`` of
+    the first failing matrix.
+    """
+    K, n = H.shape[0], H.shape[1]
+    if K:
+        require_dense_size(n, where(0))
+    real = not H.imag.any()
+    S = np.empty(H.shape, dtype=float if real else complex)
+    defect, rowsum = np.zeros(K), np.zeros(K)
+    for rows in _blocks(n, 16 * K * n):
+        block = H[:, rows, :]
+        adjoint = H[:, :, rows].conj().transpose(0, 2, 1)
+        defect = np.maximum(defect, np.max(np.abs(block - adjoint), axis=(1, 2)))
+        rowsum = np.maximum(rowsum, np.max(np.sum(np.abs(block), axis=2), axis=1))
+        half_sum = 0.5 * (block + adjoint)
+        S[:, rows, :] = half_sum.real if real else half_sum
+    # gates read "not (value <= bound)", so a NaN fails them
+    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"{where(i)}: not Hermitian: defect {defect[i]:.3e} exceeds {HERMITICITY_TOL}"
+        )
+    return S, np.maximum(rowsum, 1.0)
+
+
+def _eigh_gated(
+    S: np.ndarray, scale: np.ndarray, where: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gate 2 of the eigensolve: ``eigh`` of the symmetrized (K, n, n) stack
+    S and the eigenpair residual gate, 1e-8 times ``scale`` per matrix.
+
+    A stack with no nonzero imaginary entry is solved, and its residuals
+    computed, in real arithmetic.  The product S V is one matmul, so BLAS
+    rounds every column as for the whole product; the residual is then
+    finished in place and reduced a block of columns at a time.  Returns
+    the ascending eigenvalues (K, n) and each matrix's residual
+    max_i ||S v_i - lam_i v_i||_2; a failure raises :class:`NumericError`
+    naming ``where(i)`` of the first failing matrix.
+    """
+    K, n = S.shape[0], S.shape[1]
+    if K == 0 or n == 0:
+        return np.zeros((K, n)), np.zeros(K)
+    if S.dtype == complex and not S.imag.any():
+        # an exactly real symmetric stack: same matrices, real LAPACK
+        S = S.real
+    vals, vecs = np.linalg.eigh(S)
+    R = S @ vecs
+    residual = np.zeros(K)
+    for cols in _blocks(n, 16 * K * n):
+        block = R[:, :, cols]
+        block -= vecs[:, :, cols] * vals[:, None, cols]
+        residual = np.maximum(residual, np.max(np.linalg.norm(block, axis=1), axis=1))
+    bad = np.flatnonzero(~(residual <= 1e-8 * scale))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(
+            f"{where(i)}: eigenpair residual {residual[i]:.3e} exceeds 1e-8 * {scale[i]:.3e}"
+        )
+    return np.sort(vals, axis=1), residual
 
 
 def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Gated Hermitian eigensolve of a (K, n, n) stack.
+    """Gated Hermitian eigensolve of a (K, n, n) stack: gate 1 on H, then
+    gate 2 on its symmetrized part.
 
     Applies to each matrix the dense threshold, the Hermiticity gate, the
     symmetrized ``eigh`` and the eigenpair residual gate (1e-8 times that
@@ -230,35 +336,8 @@ def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarra
     failure raises :class:`NumericError` naming ``where(i)`` of the first
     failing matrix.
     """
-    K, n = H.shape[0], H.shape[1]
-    if K:
-        require_dense_size(n, where(0))
-    if K == 0 or n == 0:
-        return np.zeros((K, n)), np.zeros(K)
-    Hc = H.conj().transpose(0, 2, 1)
-    defect = np.max(np.abs(H - Hc), axis=(1, 2))
-    # gates read "not (value <= bound)", so a NaN fails them
-    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
-    if bad.size:
-        i = bad[0]
-        raise NumericError(
-            f"{where(i)}: not Hermitian: defect {defect[i]:.3e} exceeds {HERMITICITY_TOL}"
-        )
-    S = 0.5 * (H + Hc)
-    del Hc
-    if not S.imag.any():
-        # an exactly real symmetric stack: same matrices, real LAPACK
-        S = S.real
-    vals, vecs = np.linalg.eigh(S)
-    residual = np.max(np.linalg.norm(S @ vecs - vecs * vals[:, None, :], axis=1), axis=1)
-    scale = np.maximum(np.max(np.sum(np.abs(H), axis=2), axis=1), 1.0)
-    bad = np.flatnonzero(~(residual <= 1e-8 * scale))
-    if bad.size:
-        i = bad[0]
-        raise NumericError(
-            f"{where(i)}: eigenpair residual {residual[i]:.3e} exceeds 1e-8 * {scale[i]:.3e}"
-        )
-    return np.sort(vals, axis=1), residual
+    S, scale = _hermitian_part(H, where)
+    return _eigh_gated(S, scale, where)
 
 
 def spectrum(op: MagneticOperator) -> Spectrum:
@@ -320,3 +399,55 @@ def translate(
     blocks = s.reshape(sc_map.sizes + (sc_map.base_vertices,) + s.shape[1:])
     return np.roll(blocks, tuple(gamma), axis=tuple(range(d))).reshape(s.shape)
 
+
+# (get, set) thread-count functions of OpenBLAS: the prefixed symbols of
+# the scipy_openblas builds in numpy's wheels (64-bit and 32-bit integer
+# interface), then a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions as numpy's linear
+    algebra sees them, or None when it is linked against no OpenBLAS.
+
+    They are looked up through numpy's ``_umath_linalg`` extension, whose
+    library dependencies include the BLAS numpy was built with.
+    """
+    # imported here: only a butterfly sweep needs ctypes
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS limited to one thread, then restore its
+    thread count, also when an exception propagates.  The count is
+    process-wide; without OpenBLAS the body runs unchanged."""
+    control = _openblas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

@@ -75,3 +75,31 @@ def cell_rank(sizes, cell):
     for c, n in zip(cell, sizes):
         rank = rank * n + int(c) % n
     return rank
+
+
+def reference_eigh_checked(H, where):
+    """The gated eigensolve as whole-stack expressions: H^dagger, H - H^dagger,
+    its modulus, H + H^dagger and S, then three n x n residual temporaries.
+    The reference for the blocked gates, which must agree with it bit for bit."""
+    from magbloch.operators import HERMITICITY_TOL, NumericError, require_dense_size
+
+    K, n = H.shape[0], H.shape[1]
+    if K:
+        require_dense_size(n, where(0))
+    if K == 0 or n == 0:
+        return np.zeros((K, n)), np.zeros(K)
+    Hc = H.conj().transpose(0, 2, 1)
+    defect = np.max(np.abs(H - Hc), axis=(1, 2))
+    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
+    if bad.size:
+        raise NumericError(f"{where(bad[0])}: not Hermitian")
+    S = 0.5 * (H + Hc)
+    if not S.imag.any():
+        S = S.real
+    vals, vecs = np.linalg.eigh(S)
+    residual = np.max(np.linalg.norm(S @ vecs - vecs * vals[:, None, :], axis=1), axis=1)
+    scale = np.maximum(np.max(np.sum(np.abs(H), axis=2), axis=1), 1.0)
+    bad = np.flatnonzero(~(residual <= 1e-8 * scale))
+    if bad.size:
+        raise NumericError(f"{where(bad[0])}: eigenpair residual")
+    return np.sort(vals, axis=1), residual

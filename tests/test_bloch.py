@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from magbloch import (
     CoveringData,
     SupercellSpec,
     assemble_fiber,
+    assemble_fibers,
     assemble_quotient,
     assemble_supercell,
     band_csv,
@@ -40,8 +44,10 @@ from magbloch import (
     verify_block_diagonalization,
 )
 
+from magbloch import operators
 from magbloch.bloch import (
     MAX_DENOMINATOR,
+    BlockDiagonalizationReport,
     ButterflyRow,
     _as_fraction,
     _character_tables,
@@ -49,9 +55,9 @@ from magbloch.bloch import (
     _unitarity_defect,
 )
 from magbloch.homology import TWO_PI
-from magbloch.operators import NumericError
+from magbloch.operators import STACK_BYTES, NumericError
 
-from conftest import make_random3
+from conftest import make_random3, reference_eigh_checked
 
 
 class TestBlochBasis:
@@ -291,7 +297,145 @@ def full_unitarity_defect(sizes, V, rows=256):
     return worst
 
 
+def reference_verify(cx, cov, theta, sizes):
+    """verify_block_diagonalization with whole-matrix expressions: the gated
+    supercell and fiber solves first, then the conjugation of the assembled
+    operator by ``ifftn`` and ``fftn`` over its cell axes, and the round
+    trip of a separate identity.  Returns the seven report fields; the
+    staged, blocked verify must agree with it bit for bit."""
+    spec = SupercellSpec(sizes)
+    op = assemble_supercell(cx, cov, theta, spec)
+    basis = BlochBasis.from_sizes(spec.sizes)
+    V, C, d = cx.num_vertices, basis.num_characters, len(spec.sizes)
+    vals, residual = reference_eigh_checked(op.matrix[None], lambda i: op.provenance)
+    eigs = vals[0]
+    # the fibers in the batches of fiber_spectra
+    batch = max(1, STACK_BYTES // (16 * max(V, 1) ** 2))
+    fiber_eigs, fiber_residual = [], 0.0
+    for start in range(0, C, batch):
+        v, r = reference_eigh_checked(assemble_fibers(cx, cov, theta, basis.ks[start : start + batch]), str)
+        fiber_eigs.append(v)
+        fiber_residual = max(fiber_residual, float(r.max()))
+    fiber_eigs = np.concatenate(fiber_eigs)
+    max_dev = float(np.max(np.abs(eigs - np.sort(fiber_eigs.ravel())))) if V else 0.0
+    norm = float(np.max(np.abs(eigs))) if V else 0.0
+
+    shape = spec.sizes + (V,)
+    B = np.fft.ifftn(op.matrix.reshape(shape + shape), axes=tuple(range(d)), norm="ortho")
+    B = np.fft.fftn(B, axes=tuple(range(d + 1, 2 * d + 1)), norm="ortho").reshape(C, V, C, V)
+    diagonal = np.arange(C)
+    blocks = B[diagonal, :, diagonal, :]
+    fiber_dev = float(np.max(np.abs(blocks - assemble_fibers(cx, cov, theta, basis.ks)))) if V else 0.0
+    off = 0.0
+    if C > 1 and V:
+        B[diagonal, :, diagonal, :] = 0.0
+        off = float(np.max(np.abs(B)))
+    axes = tuple(range(1, d + 1))
+    eye = np.eye(C, dtype=complex).reshape((C,) + spec.sizes)
+    back = np.fft.fftn(np.fft.ifftn(eye, axes=axes, norm="ortho"), axes=axes, norm="ortho")
+    unitarity = float(np.max(np.abs(back - eye))) if V else 0.0
+    return (unitarity, off, fiber_dev, max_dev, norm, float(residual[0]), fiber_residual)
+
+
+VERIFY_MODELS = ["torus", "tri", "magnetic_cell(3)", "block(5,3)", "random3"]
+
+
+def verify_model(name):
+    """(complex, covering, connection) of a named verify model: the torus and
+    the 3-vertex quotient without connection (real operators), the flux-1/3
+    magnetic cell and the periodic 5x3 block as its own quotient with their
+    flux connections, and a random quotient with a random connection."""
+    torus = Complex2(1, [(0, 0, 1.0), (0, 0, 1.0)], [(1, 2, -1, -2)])
+    torus_cov = CoveringData(2, [[1, 0], [0, 1]])
+    if name == "torus":
+        return torus, torus_cov, None
+    if name == "tri":
+        edges = [(0, 1, 1.3), (1, 2, 0.7), (2, 0, 1.1), (0, 0, 0.9)]
+        cx = Complex2(3, edges, [(1, 2, 3, 4, -3, -2, -1, -4)], [0.2, -0.5, 0.1])
+        return cx, CoveringData(2, [[0, 0], [0, 0], [1, 0], [0, 1]]), None
+    if name == "magnetic_cell(3)":
+        ms = magnetic_supercell(torus, torus_cov, Fraction(1, 3))
+        return ms.complex2, ms.covering, synthesize_connection(ms.complex2, ms.flux)
+    if name == "block(5,3)":
+        # the deck labels of the block are the carries of its cells
+        spec = SupercellSpec((5, 3))
+        sc, sc_map = build_supercell(torus, torus_cov, spec)
+        r, e = np.array(sc_map.edge_origin).T
+        tau = (spec.cells()[r] + torus_cov.tau[e]) // np.array(spec.sizes)
+        theta = synthesize_connection(sc, np.full(sc.num_faces, TWO_PI / sc.num_faces))
+        return sc, CoveringData(2, tau), theta
+    rng = np.random.default_rng(31)
+    cx, cov, _ = make_random3(rng)
+    return cx, cov, rng.uniform(0, TWO_PI, size=cx.num_edges)
+
+
 class TestBlockDiagonalization:
+    @pytest.mark.parametrize("sizes", [(1,), (1, 1), (3, 2), (2, 3, 4), (16, 16), (32, 32)], ids=str)
+    @pytest.mark.parametrize("model", VERIFY_MODELS)
+    def test_equals_whole_matrix_reference(self, model, sizes):
+        cx, cov, theta = verify_model(model)
+
+        def outcome(verify):
+            try:
+                return verify(cx, cov, theta, sizes)
+            except (ValueError, NumericError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(verify_block_diagonalization)
+        if isinstance(got, BlockDiagonalizationReport):
+            got = dataclasses.astuple(got)
+        assert got == outcome(reference_verify)
+        # the rank-2 models reject other ranks, and the dense threshold
+        # rejects 16x16 and 32x32 cells of 15 vertices and 32x32 of 3
+        if len(sizes) != 2:
+            assert got[0] is ValueError
+        elif cx.num_vertices * math.prod(sizes) > 2048:
+            assert got[0] is NumericError
+        else:
+            assert len(got) == 7
+
+    def test_torus_32x32_holds_one_dense_copy(self, torus):
+        # H and the real S while the gate runs, then H transformed in place
+        # next to S, then S, its eigenvectors and their product: 2.0 x 16 n^2
+        # bytes (the whole-matrix version peaked at 4.0)
+        cx, cov = torus
+        n = 32 * 32
+        verify_block_diagonalization(cx, cov, None, (2, 2))
+        tracemalloc.start()
+        try:
+            verify_block_diagonalization(cx, cov, None, (32, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 16 * n * n
+
+    def test_non_hermitian_supercell_raises_before_any_fft(self, torus, monkeypatch):
+        cx, cov = torus
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            real = getattr(np.fft, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        with pytest.raises(NumericError, match=r"^supercell\(N=\(4, 4\), periodic\): not Hermitian"):
+            verify_block_diagonalization(cx, cov, [0.0, np.nan], (4, 4))
+        assert calls == []
+        verify_block_diagonalization(cx, cov, [0.0, 0.1], (4, 4))
+        assert calls
+
+    def test_zero_vertex_supercell_rejected_by_its_cell_count(self):
+        # the dense dimension V * prod N is 0, but the cells would be built
+        cx, cov = Complex2(0, []), CoveringData(2, np.zeros((0, 2)))
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="10000000000 cells exceed the dense solver threshold"):
+            verify_block_diagonalization(cx, cov, None, (100000, 100000))
+        assert time.perf_counter() - start < 0.1
+        report = verify_block_diagonalization(cx, cov, None, (32, 64))
+        assert dataclasses.astuple(report) == (0.0,) * 7
+
     @pytest.mark.parametrize("sizes", [(400, 400), (2**32, 2**32)])
     def test_oversized_rejected_before_building(self, torus, sizes):
         cx, cov = torus
@@ -695,6 +839,67 @@ class TestButterfly:
         rows = butterfly(cx, cov, ["1/2", "1/3", "2/3", "1/4"], (4, 4))
         assert all(row.error is None for row in rows)
         assert threading.active_count() == threads
+
+    def test_blas_held_to_one_thread_and_restored(self, torus, monkeypatch):
+        control = operators._openblas_thread_control()
+        if control is None:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        get, set_ = control
+        cx, cov = torus
+        seen = []
+        real = spectrum_union
+
+        def spy(*args):
+            seen.append(get())
+            return real(*args)
+
+        def broken(*args):
+            raise TypeError("broken spectrum_union")
+
+        original = get()
+        set_(2)
+        expect = get()
+        try:
+            monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", spy)
+            butterfly(cx, cov, ["1/2", "1/3", "1/4"], (4, 4))
+            assert seen == [1, 1, 1] and get() == expect
+            monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", broken)
+            with pytest.raises(TypeError, match="broken spectrum_union"):
+                butterfly(cx, cov, ["1/2", "1/3"], (4, 4))
+            assert get() == expect
+        finally:
+            set_(original)
+
+    def test_sweep_without_openblas_is_unchanged(self, torus, monkeypatch):
+        cx, cov = torus
+        expect = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        monkeypatch.setattr(operators, "_openblas_thread_control", lambda: None)
+        rows = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
+        assert butterfly_csv(rows).encode() == butterfly_csv(expect).encode()
+        assert butterfly_svg(rows).encode() == butterfly_svg(expect).encode()
+
+    def test_csv_equals_a_pinned_run(self, torus, tmp_path):
+        # the CLI with BLAS pinned from the environment writes the bytes the
+        # in-process sweep does
+        cx, cov = torus
+        fluxes = ["0", "1/2", "1/3", "2/3", "1/4", "3/5"]
+        model = tmp_path / "torus.json"
+        doc = {"vertices": 1, "edges": [[0, 0, 1.0], [0, 0, 1.0]], "faces": [[1, 2, -1, -2]],
+               "tau": [[1, 0], [0, 1]]}
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "b.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "magbloch", "butterfly", "--model", str(model),
+             "--flux", ",".join(fluxes), "--grid", "6,6", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = butterfly(cx, cov, fluxes, (6, 6))
+        assert out.read_bytes() == butterfly_csv(rows).encode()
 
     def test_rank_zero_covering_is_an_error_row(self, torus):
         cx, _ = torus

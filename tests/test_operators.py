@@ -24,7 +24,7 @@ from magbloch import operators
 from magbloch.bloch import lipschitz_bound
 from magbloch.operators import STACK_BYTES
 
-from conftest import cell_rank, make_random3
+from conftest import cell_rank, make_random3, reference_eigh_checked
 
 
 def translation_matrix(sc_map, gamma):
@@ -598,6 +598,23 @@ class TestRealPath:
         assert seen == [np.float64, np.complex128]
         assert np.max(np.abs(vals - complex_eigvalsh(H))) <= eig_tol(H)
 
+    def test_tiny_symmetric_imaginary_part_stays_real(self, monkeypatch):
+        # H is non-Hermitian by 2e-13, within the gate, and its imaginary
+        # parts cancel in S: S has no nonzero imaginary entry, so the real
+        # solver runs, as for the whole-stack reference
+        rng = np.random.default_rng(49)
+        A = rng.normal(size=(2, 5, 5))
+        H = (A + A.transpose(0, 2, 1)).astype(complex)
+        H[:, 1, 3] += 1e-13j
+        H[:, 3, 1] += 1e-13j
+        assert 2e-13 <= operators.HERMITICITY_TOL
+        seen = spy_eigh_dtypes(monkeypatch)
+        vals, residual = operators._eigh_checked(H, str)
+        assert seen == [np.float64]
+        ref_vals, ref_residual = reference_eigh_checked(H, str)
+        assert seen == [np.float64, np.float64]
+        assert np.array_equal(vals, ref_vals) and np.array_equal(residual, ref_residual)
+
     def test_real_non_symmetric_fails_hermiticity(self, monkeypatch):
         seen = spy_eigh_dtypes(monkeypatch)
         with pytest.raises(NumericError, match="probe: not Hermitian"):
@@ -623,3 +640,55 @@ class TestRealPath:
         with pytest.raises(NumericError, match=r"supercell\(N=\(2, 2\), periodic\): eigenpair"):
             spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 2))))
         assert seen == [np.float64, np.float64]
+
+
+class TestBlockedGates:
+    """The gates walk a large stack in row and column blocks; every result
+    equals the whole-stack reference bit for bit."""
+
+    @pytest.mark.parametrize("K, n", [(1, 300), (1, 301), (3, 200), (2, 1), (1, 0), (0, 4)])
+    @pytest.mark.parametrize("kind", ["real", "complex", "symmetrized-real"])
+    def test_equals_whole_stack_reference(self, K, n, kind):
+        rng = np.random.default_rng(50 + n)
+        A = rng.normal(size=(K, n, n))
+        if kind == "complex":
+            A = A + 1j * rng.normal(size=(K, n, n))
+        H = A + A.conj().transpose(0, 2, 1)
+        if kind == "symmetrized-real":
+            # complex entries whose imaginary parts cancel in S
+            H = H + 1e-14j * (A + A.transpose(0, 2, 1))
+        H = H.astype(complex)
+        vals, residual = operators._eigh_checked(H, str)
+        ref_vals, ref_residual = reference_eigh_checked(H, str)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(residual, ref_residual)
+
+    def test_several_blocks(self):
+        # the larger sizes above are walked in more than one block
+        for K, n in [(1, 300), (3, 200)]:
+            assert len(list(operators._blocks(n, 16 * K * n))) > 1
+
+    @pytest.mark.parametrize("defect", [1e-9, np.nan])
+    def test_late_block_fails_hermiticity(self, defect):
+        rng = np.random.default_rng(51)
+        A = rng.normal(size=(2, 300, 300))
+        H = (A + A.transpose(0, 2, 1)).astype(complex)
+        H[1, 299, 0] += defect
+        with pytest.raises(NumericError, match="matrix 1: not Hermitian"):
+            operators._eigh_checked(H, lambda i: f"matrix {i}")
+
+    def test_hermitian_part_holds_one_extra_copy(self):
+        import tracemalloc
+
+        n = 512
+        rng = np.random.default_rng(52)
+        H = (rng.normal(size=(1, n, n)) + 1j * rng.normal(size=(1, n, n))).astype(complex)
+        H = H + H.conj().transpose(0, 2, 1)
+        tracemalloc.start()
+        try:
+            S, _ = operators._hermitian_part(H, str)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S itself plus temporaries of a few blocks
+        assert peak <= S.nbytes + 8 * operators._BLOCK_BYTES
