@@ -324,17 +324,15 @@ def _eigh_gated(
 
 
 def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Gated Hermitian eigensolve of a (K, n, n) stack: gate 1 on H, then
-    gate 2 on its symmetrized part.
+    """Gated Hermitian eigensolve of a (K, n, n) stack: gate 1
+    (:func:`_hermitian_part`) on H, then gate 2 (:func:`_eigh_gated`) on its
+    symmetrized part.
 
     Applies to each matrix the dense threshold, the Hermiticity gate, the
     symmetrized ``eigh`` and the eigenpair residual gate (1e-8 times that
-    matrix's row-sum norm, at least 1e-8).  A stack whose symmetrized
-    matrices have no nonzero imaginary entry is solved, and its residuals
-    computed, in real arithmetic.  Returns the ascending eigenvalues
-    (K, n) and each matrix's residual max_i ||H v_i - lam_i v_i||_2; a
-    failure raises :class:`NumericError` naming ``where(i)`` of the first
-    failing matrix.
+    matrix's row-sum norm, at least 1e-8).  Returns the ascending
+    eigenvalues (K, n) and each matrix's residual; a failure raises
+    :class:`NumericError` naming ``where(i)`` of the first failing matrix.
     """
     S, scale = _hermitian_part(H, where)
     return _eigh_gated(S, scale, where)
@@ -420,11 +418,11 @@ def _openblas_thread_control():
     # imported here: only a butterfly sweep needs ctypes
     import ctypes
 
-    from numpy.linalg import _umath_linalg
-
     try:
+        from numpy.linalg import _umath_linalg
+
         lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
+    except (ImportError, OSError):
         return None
     for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
         get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
