@@ -39,10 +39,10 @@ from .complexes import (
 from .homology import TWO_PI, Character, HomologySummary, homology
 from .operators import (
     NumericError,
-    _blocks,
     _eigh_gated,
     _hermitian_part,
     _one_blas_thread,
+    _require_cell_count,
     _supercell_stack,
     assemble_fibers,
     fiber_spectra,
@@ -61,6 +61,7 @@ __all__ = [
     "multiplier_action",
     "momentum_character",
     "lipschitz_bound",
+    "require_sweep_size",
     "spectrum_union",
     "magnetic_supercell",
     "MagneticSupercell",
@@ -123,27 +124,16 @@ def _check_sizes(basis: BlochBasis, sc_map: SupercellMap) -> None:
         raise ValueError("Bloch basis and supercell have different sizes")
 
 
-def _transform(x: np.ndarray, d: int, first: int = 0, adjoint: bool = False) -> np.ndarray:
-    """Bloch transform (or its adjoint) of x in place, along the d cell axes
-    ``first, ..., first+d-1``; returns x.
+def _transform(x: np.ndarray, axes: tuple[int, ...], adjoint: bool = False) -> np.ndarray:
+    """Bloch transform (or its adjoint) of x in place over the cell ``axes``;
+    returns x.
 
-    Under the sign table in the module docstring the transform is the
+    Under the sign table in the module docstring the transform is numpy's
     orthonormal inverse FFT over the cell axes, and its adjoint the
-    orthonormal forward FFT.  Like numpy's ``ifftn``/``fftn`` it transforms
-    one axis at a time, the last cell axis first, so the result is theirs
-    bit for bit.  Each pass goes a block at a time along one axis that is
-    not a cell axis, axis 0 when ``first`` > 0 and else the last axis, and
-    writes the block back into x, so its temporaries hold one block.
+    orthonormal forward FFT; ``out=x`` makes numpy write the result into x.
     """
-    fft = np.fft.fft if adjoint else np.fft.ifft
-    along = 0 if first else x.ndim - 1
-    count = x.shape[along]
-    lead = (slice(None),) * along
-    for axis in reversed(range(first, first + d)):
-        for block in _blocks(count, x.nbytes // max(count, 1)):
-            part = lead + (block,)
-            x[part] = fft(x[part], axis=axis, norm="ortho")
-    return x
+    fftn = np.fft.fftn if adjoint else np.fft.ifftn
+    return fftn(x, axes=axes, norm="ortho", out=x)
 
 
 def bloch_transform(
@@ -160,7 +150,8 @@ def bloch_transform(
     s = np.array(s, dtype=complex)
     if s.shape != (sc_map.num_vertices,):
         raise ValueError(f"vector must have length {sc_map.num_vertices}")
-    out = _transform(s.reshape(sc_map.sizes + (sc_map.base_vertices,)), len(sc_map.sizes))
+    cells = s.reshape(sc_map.sizes + (sc_map.base_vertices,))
+    out = _transform(cells, tuple(range(len(sc_map.sizes))))
     return out.reshape(sc_map.num_cells, sc_map.base_vertices)
 
 
@@ -270,8 +261,9 @@ def verify_block_diagonalization(
 
     1. assemble H and run the Hermiticity gate of :func:`spectrum` on it,
        which also writes S = (H + H^dagger) / 2;
-    2. conjugate H by the Bloch unitary Phi in place: transform its row
-       cell axes, then, with the adjoint, its column cell axes;
+    2. conjugate H by the Bloch unitary Phi in place: numpy's in-place
+       ``ifftn`` over its row cell axes, then ``fftn`` over its column
+       cell axes;
     3. read the largest entrywise deviation of the diagonal blocks of
        Phi H Phi^dagger from the fiber operators and its largest
        off-diagonal block entry, then free the buffer;
@@ -290,13 +282,12 @@ def verify_block_diagonalization(
     S, scale = _hermitian_part(H, lambda i: tag)
     basis = BlochBasis.from_sizes(spec.sizes)
     V, C, d = complex2.num_vertices, basis.num_characters, len(spec.sizes)
-    n = V * C
 
     shape = spec.sizes + (V,)
-    B = H.reshape(n, n)
+    B = H.reshape(shape + shape)
     del H
-    _transform(B.reshape(shape + (n,)), d)
-    _transform(B.reshape((n,) + shape), d, first=1, adjoint=True)
+    _transform(B, tuple(range(d)))
+    _transform(B, tuple(range(d + 1, 2 * d + 1)), adjoint=True)
     B = B.reshape(C, V, C, V)
     diagonal = np.arange(C)
     blocks = B[diagonal, :, diagonal, :]
@@ -331,10 +322,10 @@ def _unitarity_defect(sizes: tuple[int, ...]) -> float:
     place on one C x C identity.  Phi is kron(W, I_V), the same cell
     transform on every base vertex, so the C x C round trip measures the
     defect of the whole transform."""
-    C, d = math.prod(sizes), len(sizes)
+    C = math.prod(sizes)
     back = np.eye(C, dtype=complex)
-    cells = back.reshape((C,) + sizes)
-    _transform(_transform(cells, d, first=1), d, first=1, adjoint=True)
+    axes = tuple(range(1, len(sizes) + 1))
+    _transform(_transform(back.reshape((C,) + sizes), axes), axes, adjoint=True)
     back[np.diag_indices(C)] -= 1.0
     return float(np.max(np.abs(back)))
 
@@ -415,6 +406,25 @@ def _merge_intervals(values: np.ndarray, join_tol: float) -> tuple[tuple[float, 
     return tuple(zip(los.tolist(), his.tolist()))
 
 
+def require_sweep_size(num_momenta: int, num_vertices: int, where: str, remedy: str) -> None:
+    """Raise :class:`NumericError` if fiber solves at ``num_momenta`` momenta
+    of ``num_vertices`` vertices exceed ``MAX_BAND_EIGENVALUES`` eigenvalues
+    or ``MAX_BAND_WORK`` units of K * V^3; the message names ``where`` and
+    ends with ``remedy``."""
+    count = num_momenta * num_vertices
+    if count > MAX_BAND_EIGENVALUES:
+        raise NumericError(
+            f"band sweep of {count} eigenvalues {where} exceeds bound "
+            f"{MAX_BAND_EIGENVALUES}; {remedy}"
+        )
+    work = num_momenta * num_vertices**3
+    if work > MAX_BAND_WORK:
+        raise NumericError(
+            f"band sweep of {work} units of K*V^3 {where} exceeds bound "
+            f"{MAX_BAND_WORK}; {remedy}"
+        )
+
+
 def spectrum_union(
     complex2: Complex2,
     covering: CoveringData,
@@ -435,18 +445,7 @@ def spectrum_union(
         raise ValueError(f"grid must have length {covering.rank}")
     V = complex2.num_vertices
     where = f"(grid {'x'.join(map(str, grid))}, V={V})"
-    count = spec.num_cells * V
-    if count > MAX_BAND_EIGENVALUES:
-        raise NumericError(
-            f"band sweep of {count} eigenvalues {where} exceeds bound "
-            f"{MAX_BAND_EIGENVALUES}; reduce the grid"
-        )
-    work = spec.num_cells * V**3
-    if work > MAX_BAND_WORK:
-        raise NumericError(
-            f"band sweep of {work} units of K*V^3 {where} exceeds bound "
-            f"{MAX_BAND_WORK}; reduce the grid"
-        )
+    require_sweep_size(spec.num_cells, V, where, "reduce the grid")
     ks = BlochBasis.from_sizes(grid).ks
     eigs = fiber_spectra(complex2, covering, theta, ks).eigenvalues
     step = max((TWO_PI / n for n in grid), default=0.0)
@@ -495,7 +494,8 @@ def magnetic_supercell(
     flux 2 pi p/q on every face.  The cell is enlarged q-fold along the
     first covering axis, the covering labels pick up the carry of the cell
     coordinate, and every face copy keeps its fractional flux, so each new
-    cell carries an integral number of quanta in total.
+    cell carries an integral number of quanta in total.  A q above
+    ``DENSE_THRESHOLD`` raises :class:`NumericError` before the cell is built.
     """
     fr = _as_fraction(flux)
     sc, new_cov = _magnetic_cell(complex2, covering, _cell_size(complex2, fr))
@@ -516,6 +516,7 @@ def _magnetic_cell(
     if covering.rank < 1:
         raise ValueError("magnetic supercells need a covering of rank >= 1")
     spec = SupercellSpec((q,) + (1,) * (covering.rank - 1))
+    _require_cell_count(spec, f"magnetic supercell(q={q})")
     sc, sc_map = build_supercell(complex2, covering, spec)
 
     r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T

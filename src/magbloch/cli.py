@@ -240,6 +240,8 @@ def cmd_fibers(args) -> int:
         raise CliError("fibers needs --k", EXIT_PARSE)
     theta = _connection_from_model(model, tols)
     ks = _parse_klist(args.k, model.covering.rank)
+    V = model.complex2.num_vertices
+    bloch.require_sweep_size(len(ks), V, f"({len(ks)} momenta, V={V})", "pass fewer --k momenta")
     eigs = fiber_spectra(model.complex2, model.covering, theta, ks).eigenvalues
     _emit(args, bloch.band_csv(bloch.BandData(ks, eigs, (), ())))
     return EXIT_OK

@@ -45,9 +45,9 @@ HERMITICITY_TOL = 1e-10
 # eigenvalues of a sweep still grow with the number of momenta.
 STACK_BYTES = 1 << 17
 
-# Byte budget of one block of rows or columns: the gates below and the
-# in-place Bloch transform walk a large matrix a block at a time, so their
-# temporaries stay near this size.  Fiber stacks fit in one block.
+# Byte budget of one block of rows or columns: the gates below walk a large
+# matrix a block at a time, so their temporaries stay near this size.  Fiber
+# stacks fit in one block.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -62,6 +62,17 @@ def require_dense_size(n: int, where: str) -> None:
         raise NumericError(
             f"{where}: matrix dimension {n} exceeds the dense solver threshold "
             f"{DENSE_THRESHOLD}; reduce the supercell size or grid"
+        )
+
+
+def _require_cell_count(spec: SupercellSpec, where: str) -> None:
+    """Raise :class:`NumericError` if the supercell ``spec`` has more cells
+    than ``DENSE_THRESHOLD``, before :func:`build_supercell` enumerates
+    them, which it does whatever the vertex count."""
+    if spec.num_cells > DENSE_THRESHOLD:
+        raise NumericError(
+            f"{where}: {spec.num_cells} cells exceed the dense solver threshold "
+            f"{DENSE_THRESHOLD}; reduce the supercell size"
         )
 
 
@@ -234,12 +245,7 @@ def _supercell_stack(
     stack, with its provenance tag."""
     tag = f"supercell(N={spec.sizes}, {spec.boundary})"
     require_dense_size(complex2.num_vertices * spec.num_cells, tag)
-    # the cells are enumerated even when there are no vertices to copy
-    if spec.num_cells > DENSE_THRESHOLD:
-        raise NumericError(
-            f"{tag}: {spec.num_cells} cells exceed the dense solver threshold "
-            f"{DENSE_THRESHOLD}; reduce the supercell size"
-        )
+    _require_cell_count(spec, tag)
     sc, sc_map = build_supercell(complex2, covering, spec)
     phases = _edge_phases(complex2, theta)[[e for _, e in sc_map.edge_origin]]
     if spec.boundary == "dirichlet":

@@ -52,6 +52,7 @@ from magbloch.bloch import (
     _as_fraction,
     _character_tables,
     _merge_intervals,
+    _transform,
     _unitarity_defect,
 )
 from magbloch.homology import TWO_PI
@@ -143,6 +144,19 @@ class TestBlochTransform:
         s = rng.normal(size=36) + 1j * rng.normal(size=36)
         stacked = bloch_transform(s, basis, sc_map).ravel()
         assert np.max(np.abs(stacked - bloch_matrix(basis, sc_map) @ s)) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1,), (7,), (2048,), (3, 682), (7, 292), (2, 3, 4)], ids=str)
+    def test_equals_numpy_ifftn(self, sizes):
+        # five base vertices, one loop per covering axis: the transform is
+        # numpy's orthonormal inverse FFT over the cell axes, bit for bit
+        d, V = len(sizes), 5
+        cx = Complex2(V, [(0, 0, 1.0)] * d)
+        _, sc_map = build_supercell(cx, CoveringData(d, np.eye(d, dtype=int)), SupercellSpec(sizes))
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=sc_map.num_vertices) + 1j * rng.normal(size=sc_map.num_vertices)
+        want = np.fft.ifftn(s.reshape(sizes + (V,)), axes=tuple(range(d)), norm="ortho")
+        got = bloch_transform(s, BlochBasis.from_sizes(sizes), sc_map)
+        assert np.array_equal(got, want.reshape(-1, V))
 
     def test_diagonalizes_translation(self, chain):
         cx, cov = chain
@@ -408,6 +422,25 @@ class TestBlockDiagonalization:
         finally:
             tracemalloc.stop()
         assert peak <= 2.6 * 16 * n * n
+
+    @pytest.mark.parametrize("sizes, V", [((32, 32), 1), ((16, 16), 3)], ids=str)
+    def test_conjugation_runs_in_place(self, sizes, V):
+        # the passes of verify on its operator buffer: numpy writes each
+        # transform into the buffer and allocates no n x n temporary
+        d, n = len(sizes), math.prod(sizes) * V
+        rng = np.random.default_rng(5)
+        B = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).reshape(2 * (sizes + (V,)))
+        want = np.fft.ifftn(B, axes=tuple(range(d)), norm="ortho")
+        want = np.fft.fftn(want, axes=tuple(range(d + 1, 2 * d + 1)), norm="ortho")
+        tracemalloc.start()
+        try:
+            _transform(B, tuple(range(d)))
+            _transform(B, tuple(range(d + 1, 2 * d + 1)), adjoint=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert np.array_equal(B, want)
 
     def test_non_hermitian_supercell_raises_before_any_fft(self, torus, monkeypatch):
         cx, cov = torus
@@ -751,6 +784,18 @@ class TestMagneticSupercell:
         cx, cov = torus
         with pytest.raises(ValueError, match="overflows a float"):
             magnetic_supercell(cx, cov, flux)
+
+    def test_cell_count_above_the_dense_threshold_rejected(self, torus, monkeypatch):
+        cx, cov = torus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an oversized magnetic cell")
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "build_supercell", refuse)
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match=r"^magnetic supercell\(q=1000000\): 1000000 cells exceed"):
+            magnetic_supercell(cx, cov, "1/1000000")
+        assert time.perf_counter() - start < 0.1
 
 
 def half_flux_fiber_oracle(ms, theta, k):

@@ -361,6 +361,44 @@ def test_bands_oversized_grid_exit_4(torus_model, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.fixture
+def tri_model(tmp_path):
+    path = tmp_path / "tri.json"
+    edges = [[0, 1, 1.3], [1, 2, 0.7], [2, 0, 1.1], [0, 0, 0.9]]
+    faces = [[1, 2, 3, 4, -3, -2, -1, -4]]
+    tau = [[0, 0], [0, 0], [1, 0], [0, 1]]
+    path.write_text(json.dumps({"vertices": 3, "edges": edges, "faces": faces, "tau": tau}))
+    return str(path)
+
+
+def test_bands_work_bound_exit_4(tri_model, monkeypatch, capsys):
+    # 3 x 3 momenta of 3 vertices cost 243 units of K*V^3
+    monkeypatch.setattr("magbloch.bloch.MAX_BAND_WORK", 16)
+    assert run(["bands", "--model", tri_model, "--grid", "3,3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: band sweep of 243 units of K*V^3 (grid 3x3, V=3) exceeds bound 16; "
+        "reduce the grid\n"
+    )
+
+
+def test_fibers_work_bound_exit_4_before_any_solve(tri_model, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a sweep over the work bound")
+
+    monkeypatch.setattr("magbloch.bloch.MAX_BAND_WORK", 16)
+    monkeypatch.setattr("magbloch.cli.fiber_spectra", refuse)
+    k = "0,0;0.1,0;0.2,0;0.3,0;0.4,0"
+    assert run(["fibers", "--model", tri_model, "--k", k]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: band sweep of 135 units of K*V^3 (5 momenta, V=3) exceeds bound 16; "
+        "pass fewer --k momenta\n"
+    )
+
+
 def test_butterfly_programming_error_is_internal_exit_5(torus_model, monkeypatch, capsys):
     # a bug raised on a pool thread reaches the CLI as an internal error
     def broken(*args, **kwargs):
