@@ -41,8 +41,8 @@ DENSE_THRESHOLD = 2048
 HERMITICITY_TOL = 1e-10
 
 # Byte budget of one fiber stack: batches of K fibers keep each (K, V, V)
-# complex temporary of the batched solve near this size.  The momenta and
-# eigenvalues of a sweep still grow with the number of momenta.
+# complex temporary near this size.  It bounds memory, never a result.  The
+# momenta and eigenvalues of a sweep still grow with the number of momenta.
 STACK_BYTES = 1 << 17
 
 # Byte budget of one block of rows or columns: the gates below walk a large
@@ -299,8 +299,10 @@ def _eigh_gated(
     """Gate 2 of the eigensolve: ``eigh`` of the symmetrized (K, n, n) stack
     S and the eigenpair residual gate, 1e-8 times ``scale`` per matrix.
 
-    A stack with no nonzero imaginary entry is solved, and its residuals
-    computed, in real arithmetic.  The product S V is one matmul, so BLAS
+    Each matrix with no nonzero imaginary entry is solved, and its residual
+    computed, in real arithmetic, so its results depend on it alone.  A
+    stack of one kind goes to LAPACK whole, as S or its real view, and a
+    mixed one as two copies.  The product S V is one matmul, so BLAS
     rounds every column as for the whole product; the residual is then
     finished in place and reduced a block of columns at a time.  Returns
     the ascending eigenvalues (K, n) and each matrix's residual
@@ -308,18 +310,19 @@ def _eigh_gated(
     naming ``where(i)`` of the first failing matrix.
     """
     K, n = S.shape[0], S.shape[1]
-    if K == 0 or n == 0:
-        return np.zeros((K, n)), np.zeros(K)
-    if S.dtype == complex and not S.imag.any():
-        # an exactly real symmetric stack: same matrices, real LAPACK
-        S = S.real
-    vals, vecs = np.linalg.eigh(S)
-    R = S @ vecs
-    residual = np.zeros(K)
-    for cols in _blocks(n, 16 * K * n):
-        block = R[:, :, cols]
-        block -= vecs[:, :, cols] * vals[:, None, cols]
-        residual = np.maximum(residual, np.max(np.linalg.norm(block, axis=1), axis=1))
+    real = np.ones(K, dtype=bool) if S.dtype == float else ~S.imag.any(axis=(1, 2))
+    vals, residual = np.zeros((K, n)), np.zeros(K)
+    for pick, part in ((real, S.real), (~real, S)):
+        if pick.any():
+            sub = part if pick.all() else part[pick]
+            w, vecs = np.linalg.eigh(sub)
+            R = sub @ vecs
+            res = np.zeros(len(sub))
+            for cols in _blocks(n, 16 * len(sub) * n):
+                block = R[:, :, cols]
+                block -= vecs[:, :, cols] * w[:, None, cols]
+                res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
+            vals[pick], residual[pick] = w, res
     bad = np.flatnonzero(~(residual <= 1e-8 * scale))
     if bad.size:
         i = bad[0]
@@ -367,7 +370,8 @@ def fiber_spectra(
     ascending at ``ks[i]``, and whose residual is the worst over all fibers.
     The fibers are assembled and solved in batches of at most
     ``STACK_BYTES`` per matrix stack, each fiber under the gates of
-    :func:`spectrum`; a failure names its momentum.
+    :func:`spectrum`; a failure names its momentum.  Row i depends on
+    ``ks[i]`` alone, not on the other momenta or the batch size.
     """
     ks, phases, tau_t = _fiber_data(complex2, covering, theta, ks)
     V = complex2.num_vertices

@@ -236,6 +236,55 @@ def test_verify_builds_one_supercell(chain_model, monkeypatch, capsys):
     assert calls == [(6,)]
 
 
+def test_verify_assembles_each_operator_once(tri_model, monkeypatch, capsys):
+    operators = importlib.import_module("magbloch.operators")
+    stacks = []
+    assemble = operators._assemble
+
+    def counted(complex2, phases):
+        stacks.append((phases.shape[0], complex2.num_vertices))
+        return assemble(complex2, phases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify solved a second fiber assembly")
+
+    monkeypatch.setattr(operators, "_assemble", counted)
+    # every module that imported the fiber solver counts
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("magbloch") and hasattr(
+            mod, "fiber_spectra"
+        ):
+            monkeypatch.setattr(mod, "fiber_spectra", refuse)
+    assert run(["verify", "--model", tri_model, "--supercell", "2,3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # one supercell of 18 vertices, then the stack of 6 fibers of 3
+    assert stacks == [(1, 18), (6, 3)]
+
+
+@pytest.fixture
+def cell3_model(tmp_path):
+    """The flux-1/3 magnetic cell of the unit square lattice: its k1 = 0
+    fibers are exactly real, the others complex."""
+    edges, tau, faces = [], [], []
+    for i in range(3):
+        edges += [[i, (i + 1) % 3, 1.0], [i, i, 1.0]]
+        tau += [[(i + 1) // 3, 0], [0, 1]]
+        faces.append([2 * i + 1, 2 * ((i + 1) % 3) + 2, -(2 * i + 1), -(2 * i + 2)])
+    doc = {"vertices": 3, "edges": edges, "faces": faces, "tau": tau, "flux": [TWO_PI / 3] * 3}
+    path = tmp_path / "cell3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_fibers_row_depends_only_on_its_momentum(cell3_model, capsys):
+    assert run(["fibers", "--model", cell3_model, "--k", "0,0"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert run(["fibers", "--model", cell3_model, "--k", "0,0;0.3,0.7"]) == 0
+    pair = capsys.readouterr().out.splitlines()
+    assert len(alone) == 2 and len(pair) == 3
+    assert pair[1] == alone[1]
+
+
 def test_bands_csv_row_count(torus_model, capsys):
     assert run(["bands", "--model", torus_model(TWO_PI), "--grid", "32,32"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -423,6 +472,38 @@ def test_python_dash_m(chain_model):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+# one run of every command; the modules it loads are printed as JSON
+DEPENDENCY_PROBE = """
+import json, sys
+before = set(sys.modules)
+from magbloch import cli
+model, svg = sys.argv[1:]
+argv = {
+    "validate": [], "homology": [], "quantizable": [], "classes": [],
+    "fibers": ["--k", "0,0;1,2"], "verify": ["--supercell", "2,2"], "bands": ["--grid", "2,2"],
+    "butterfly": ["--flux", "0,1/2,1/3", "--grid", "2,2", "--svg", svg],
+}
+assert set(argv) == set(cli._COMMANDS)
+codes = {name: cli.run([name, "--model", model] + args) for name, args in argv.items()}
+loaded = sorted({name.split(".")[0] for name in set(sys.modules) - before})
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_cli_loads_only_numpy_and_the_standard_library(torus_model, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-c", DEPENDENCY_PROBE, torus_model(TWO_PI), str(tmp_path / "b.svg")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(report["codes"].values()) == {0}
+    loaded = set(report["loaded"])
+    # butterfly's lazy imports ran
+    assert {"concurrent", "ctypes"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"magbloch", "numpy"}
 
 
 # the flags each command reads besides --model and --out

@@ -861,3 +861,52 @@ class TestBoundaryMatrices:
                 with pytest.raises(AssertionError, match=message):
                     homology(bad)
         assert rejected >= 20
+
+
+class TestPushDownAlongTheCover:
+    """For a valid cover (tau onto Z^d), the N-periodic supercell M_N pushes
+    its first homology down to a subgroup of H1(M) with quotient Z^d / N:
+    the holonomy classes that die on M_N are the momentum characters of the
+    sampled grid.  Checked exactly, through the Smith form of the pushed
+    generators together with H1(M)'s torsion relations."""
+
+    @staticmethod
+    def quotient_factors(cx, cov, sizes):
+        """Non-unit invariant factors and free rank of H1(M) / p_* H1(M_N)."""
+        sc, sc_map = build_supercell(cx, cov, SupercellSpec(sizes))
+        up = homology(sc)
+        down = homology(cx)
+        chains = list(up.h1_free_generators) + [g for g, _ in up.h1_torsion_generators]
+        columns = []
+        for chain in chains:
+            pushed = [0] * cx.num_edges
+            for (_, e), c in zip(sc_map.edge_origin, chain.tolist()):
+                pushed[e] += int(c)
+            free, tors = down.cycle_coordinates(pushed)
+            columns.append(free + tors)
+        b1, orders = down.betti[1], down.h1_torsion_orders
+        for i, t in enumerate(orders):
+            columns.append([t if j == b1 + i else 0 for j in range(b1 + len(orders))])
+        A = np.array(columns, dtype=object).T
+        snf = smith_normal_form(A)
+        return [d for d in snf.invariant_factors() if d != 1], A.shape[0] - snf.rank
+
+    @pytest.mark.parametrize(
+        "sizes, expect",
+        [((3, 4), [12]), ((4, 4), [4, 4]), ((6, 5), [30]), ((1, 1), []), ((2, 1), [2])],
+    )
+    def test_quotient_is_the_momentum_grid(self, torus, sizes, expect):
+        grid = smith_normal_form(np.diag(sizes).astype(object)).invariant_factors()
+        assert [d for d in grid if d != 1] == expect
+        tri, tri_cov, _ = make_random3(np.random.default_rng(60))
+        for cx, cov in [torus, (tri, tri_cov)]:
+            assert validate(cx, cov).ok
+            assert self.quotient_factors(cx, cov, sizes) == (expect, 0)
+
+    def test_a_cover_with_tau_not_onto_fails_the_identity(self, torus):
+        # tau = diag(2, 1) misses Z^2: M_N has two components and the
+        # quotient has order 16 / 2, not Z/4 + Z/4
+        cx, _ = torus
+        cov = CoveringData(2, [[2, 0], [0, 1]])
+        assert not validate(cx, cov).ok
+        assert self.quotient_factors(cx, cov, (4, 4)) == ([2, 4], 0)

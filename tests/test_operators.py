@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from magbloch import (
     build_supercell,
     fiber_spectra,
     gauge_transform,
+    magnetic_supercell,
     spectrum,
     synthesize_connection,
     translate,
@@ -587,15 +589,18 @@ class TestRealPath:
         spectrum(op)
         assert seen == [np.complex128]
 
-    def test_one_imaginary_entry_keeps_the_stack_complex(self, monkeypatch):
+    def test_one_imaginary_entry_sends_only_its_matrix_to_complex(self, monkeypatch):
         rng = np.random.default_rng(48)
         A = rng.normal(size=(3, 4, 4))
         H = (A + A.transpose(0, 2, 1)).astype(complex)
         seen = spy_eigh_dtypes(monkeypatch)
-        operators._eigh_checked(H, str)
+        before, before_residual = operators._eigh_checked(H, str)
         H[1, 2, 3] += 1e-13j
-        vals, _ = operators._eigh_checked(H, str)
-        assert seen == [np.float64, np.complex128]
+        vals, residual = operators._eigh_checked(H, str)
+        # the whole real stack, then its two real matrices, then the perturbed one
+        assert seen == [np.float64, np.float64, np.complex128]
+        assert np.array_equal(vals[[0, 2]], before[[0, 2]])
+        assert np.array_equal(residual[[0, 2]], before_residual[[0, 2]])
         assert np.max(np.abs(vals - complex_eigvalsh(H))) <= eig_tol(H)
 
     def test_tiny_symmetric_imaginary_part_stays_real(self, monkeypatch):
@@ -640,6 +645,55 @@ class TestRealPath:
         with pytest.raises(NumericError, match=r"supercell\(N=\(2, 2\), periodic\): eigenpair"):
             spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 2))))
         assert seen == [np.float64, np.float64]
+
+
+def flux_third_cell():
+    """The flux-1/3 magnetic cell of a weighted square lattice with its
+    canonical connection, and momenta of which every fourth has k1 = 0:
+    those fibers are exactly real, the others complex."""
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.5, 2.0, size=2)
+    torus = Complex2(1, [(0, 0, float(w[0])), (0, 0, float(w[1]))], [(1, 2, -1, -2)], [0.3])
+    ms = magnetic_supercell(torus, CoveringData(2, [[1, 0], [0, 1]]), Fraction(1, 3))
+    theta = synthesize_connection(ms.complex2, ms.flux)
+    ks = rng.uniform(-np.pi, np.pi, size=(60, 2))
+    ks[::4, 0] = 0.0
+    return ms.complex2, ms.covering, theta, ks
+
+
+class TestPerMatrixRule:
+    """A matrix goes to real or complex LAPACK by its own entries alone, so
+    a fiber's eigenvalues do not depend on the rest of its stack."""
+
+    @pytest.mark.parametrize(
+        "stack_bytes, calls", [(STACK_BYTES, 1), (1, 60), (5 * 16 * 3**2, 12)]
+    )
+    def test_fiber_eigenvalues_do_not_depend_on_the_batch(self, monkeypatch, stack_bytes, calls):
+        cx, cov, theta, ks = flux_third_cell()
+        alone = [fiber_spectra(cx, cov, theta, k[None]).eigenvalues[0] for k in ks]
+        monkeypatch.setattr(operators, "STACK_BYTES", stack_bytes)
+        solves = []
+        solve = operators._eigh_checked
+
+        def counted(H, where):
+            solves.append(len(H))
+            return solve(H, where)
+
+        monkeypatch.setattr(operators, "_eigh_checked", counted)
+        batched = fiber_spectra(cx, cov, theta, ks).eigenvalues
+        assert len(solves) == calls
+        assert np.array_equal(batched, np.array(alone))
+
+    def test_each_matrix_of_a_mixed_stack_equals_its_lone_reference(self):
+        cx, cov, theta, ks = flux_third_cell()
+        H = assemble_fibers(cx, cov, theta, ks)
+        real = ~H.imag.any(axis=(1, 2))
+        assert real[::4].all() and real.sum() == len(H) // 4
+        vals, residual = operators._eigh_checked(H, str)
+        for i in range(len(H)):
+            ref_vals, ref_residual = reference_eigh_checked(H[i : i + 1], str)
+            assert np.array_equal(vals[i], ref_vals[0])
+            assert np.array_equal(residual[i], ref_residual[0])
 
 
 class TestBlockedGates:
