@@ -295,11 +295,9 @@ def verify_block_diagonalization(
     diagonal = np.arange(C)
     blocks = B[diagonal, :, diagonal, :]
     fiber_ops = assemble_fibers(complex2, covering, theta, basis.ks)
-    fiber_dev = float(np.max(np.abs(blocks - fiber_ops))) if V else 0.0
-    off = 0.0
-    if C > 1 and V:
-        B[diagonal, :, diagonal, :] = 0.0
-        off = float(np.max(np.abs(B)))
+    fiber_dev = float(np.max(np.abs(blocks - fiber_ops), initial=0.0))
+    B[diagonal, :, diagonal, :] = 0.0
+    off = float(np.max(np.abs(B), initial=0.0))
     del B
 
     vals, residual = _eigh_gated(S, scale, lambda i: tag)
@@ -308,8 +306,8 @@ def verify_block_diagonalization(
     fiber_vals, fiber_res = _eigh_checked(
         fiber_ops, lambda i: f"fiber at k=[{_format_k(basis.ks[i])}]"
     )
-    max_dev = float(np.max(np.abs(eigs - np.sort(fiber_vals.ravel())))) if V else 0.0
-    norm = float(np.max(np.abs(eigs))) if V else 0.0
+    max_dev = float(np.max(np.abs(eigs - np.sort(fiber_vals.ravel())), initial=0.0))
+    norm = float(np.max(np.abs(eigs), initial=0.0))
     return BlockDiagonalizationReport(
         _unitarity_defect(spec.sizes) if V else 0.0,
         off,
@@ -379,8 +377,6 @@ def momentum_character(
 def lipschitz_bound(complex2: Complex2, covering: CoveringData) -> float:
     """Bound on the momentum-derivative of any fiber eigenvalue:
     2 * sum_e w_e * |tau(e)|_1."""
-    if covering.rank == 0 or complex2.num_edges == 0:
-        return 0.0
     return float(
         2.0 * np.sum(complex2.weights * np.sum(np.abs(covering.tau), axis=1))
     )

@@ -6,7 +6,8 @@ violation, 4 numeric failure (residual above tolerance, oversized dense
 solve, non-Hermitian input), 5 internal error (traceback on stderr).
 
 Each command accepts only the flags it reads, and ``--tol`` only the
-tolerances of the gates it applies.
+tolerances of the gates it applies.  Inputs are read in one order: the model
+(exit 2), its validity (3; ``validate`` reports it), ``--tol``, other flags.
 
 Outputs are deterministic: the same model and flags produce byte-identical
 JSON/CSV/SVG.  Butterfly output is byte-identical unconditionally; verify's
@@ -47,28 +48,21 @@ DEFAULT_TOLERANCES = {
     "decomposition": 1e-8,
 }
 
-# the tolerances a command's --tol may set: those of the gates it applies
-_GATES = {
-    "quantizable": ("quantizability",),
-    "fibers": ("quantizability",),
-    "verify": tuple(DEFAULT_TOLERANCES),
-    "bands": ("quantizability",),
-}
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
 
-def _parse_sizes(text: str, name: str) -> tuple[int, ...]:
+def _parse_sizes(text: str, name: str, rank: int) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"--{name} expects comma-separated integers, got {text!r}", EXIT_PARSE)
     if any(n < 1 for n in sizes):
         raise CliError(f"--{name} entries must be >= 1", EXIT_PARSE)
+    if len(sizes) != rank:
+        raise CliError(f"--{name} must have {rank} entries for this model", EXIT_PARSE)
     return sizes
 
 
@@ -99,9 +93,10 @@ def _parse_klist(text: str, rank: int) -> np.ndarray:
     return np.array(points)
 
 
-def _parse_tols(args) -> dict:
-    tols = {name: DEFAULT_TOLERANCES[name] for name in _GATES[args.command]}
-    for pair in args.tol or []:
+def _parse_tols(args, gates: tuple[str, ...]) -> dict:
+    tols = {name: DEFAULT_TOLERANCES[name] for name in gates}
+    # a command without gates has no --tol
+    for pair in getattr(args, "tol", None) or []:
         if "=" not in pair:
             raise CliError(f"--tol expects NAME=VALUE, got {pair!r}", EXIT_PARSE)
         name, _, value = pair.partition("=")
@@ -120,9 +115,9 @@ def _parse_tols(args) -> dict:
     return tols
 
 
-def _load(args) -> Model:
+def _load(path: str) -> Model:
     try:
-        return load_model(args.model)
+        return load_model(path)
     except ModelError as exc:
         raise CliError(f"model error: {exc}", EXIT_PARSE)
 
@@ -152,12 +147,7 @@ def _emit_json(args, data: dict) -> None:
     _emit(args, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _connection_from_model(model: Model, tols: dict) -> np.ndarray:
-    return bundle.synthesize_connection(model.complex2, model.flux, tol=tols["quantizability"])
-
-
-def cmd_validate(args) -> int:
-    model = _load(args)
+def cmd_validate(args, model: Model, tols: dict) -> int:
     report = validate(model.complex2, model.covering)
     if args.json:
         _emit_json(args, report.to_dict())
@@ -169,9 +159,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
-def cmd_homology(args) -> int:
-    model = _load(args)
-    _require_valid(model)
+def cmd_homology(args, model: Model, tols: dict) -> int:
     summary = homology(model.complex2)
     if args.json:
         _emit_json(args, summary.to_dict())
@@ -186,10 +174,7 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def cmd_quantizable(args) -> int:
-    model = _load(args)
-    _require_valid(model)
-    tols = _parse_tols(args)
+def cmd_quantizable(args, model: Model, tols: dict) -> int:
     summary = homology(model.complex2)
     cert = bundle.is_quantizable(
         model.complex2, model.flux, summary, tol=tols["quantizability"]
@@ -204,9 +189,7 @@ def cmd_quantizable(args) -> int:
     return EXIT_OK if cert.verdict else EXIT_NOT_QUANTIZABLE
 
 
-def cmd_classes(args) -> int:
-    model = _load(args)
-    _require_valid(model)
+def cmd_classes(args, model: Model, tols: dict) -> int:
     group = character_group(homology(model.complex2))
     torsion_chars = [list(c.torsion_indices) for c in group.enumerate_torsion()]
     data = {
@@ -229,16 +212,13 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def cmd_fibers(args) -> int:
-    model = _load(args)
-    _require_valid(model)
-    tols = _parse_tols(args)
+def cmd_fibers(args, model: Model, tols: dict) -> int:
     if args.grid:
         raise CliError("fibers takes --k only; use `bands --grid` for a momentum grid", EXIT_PARSE)
     # not required by the parser, so that --grid gets the pointer above
     if not args.k:
         raise CliError("fibers needs --k", EXIT_PARSE)
-    theta = _connection_from_model(model, tols)
+    theta = bundle.synthesize_connection(model.complex2, model.flux, tol=tols["quantizability"])
     ks = _parse_klist(args.k, model.covering.rank)
     V = model.complex2.num_vertices
     bloch.require_sweep_size(len(ks), V, f"({len(ks)} momenta, V={V})", "pass fewer --k momenta")
@@ -247,16 +227,9 @@ def cmd_fibers(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    model = _load(args)
-    _require_valid(model)
-    tols = _parse_tols(args)
-    sizes = _parse_sizes(args.supercell, "supercell")
-    if len(sizes) != model.covering.rank:
-        raise CliError(
-            f"--supercell must have {model.covering.rank} entries for this model", EXIT_PARSE
-        )
-    theta = _connection_from_model(model, tols)
+def cmd_verify(args, model: Model, tols: dict) -> int:
+    sizes = _parse_sizes(args.supercell, "supercell", model.covering.rank)
+    theta = bundle.synthesize_connection(model.complex2, model.flux, tol=tols["quantizability"])
     block = bloch.verify_block_diagonalization(model.complex2, model.covering, theta, sizes)
     chars = bloch.character_relations_check(sizes)
     results = {
@@ -286,14 +259,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_bands(args) -> int:
-    model = _load(args)
-    _require_valid(model)
-    tols = _parse_tols(args)
-    grid = _parse_sizes(args.grid, "grid")
-    if len(grid) != model.covering.rank:
-        raise CliError(f"--grid must have {model.covering.rank} entries", EXIT_PARSE)
-    theta = _connection_from_model(model, tols)
+def cmd_bands(args, model: Model, tols: dict) -> int:
+    grid = _parse_sizes(args.grid, "grid", model.covering.rank)
+    theta = bundle.synthesize_connection(model.complex2, model.flux, tol=tols["quantizability"])
     band = bloch.spectrum_union(model.complex2, model.covering, theta, grid)
     if args.json:
         _emit_json(
@@ -309,12 +277,8 @@ def cmd_bands(args) -> int:
     return EXIT_OK
 
 
-def cmd_butterfly(args) -> int:
-    model = _load(args)
-    _require_valid(model)
-    grid = _parse_sizes(args.grid, "grid")
-    if len(grid) != model.covering.rank:
-        raise CliError(f"--grid must have {model.covering.rank} entries", EXIT_PARSE)
+def cmd_butterfly(args, model: Model, tols: dict) -> int:
+    grid = _parse_sizes(args.grid, "grid", model.covering.rank)
     fluxes = _parse_fluxes(args.flux)
     rows = bloch.butterfly(model.complex2, model.covering, fluxes, grid)
     for raw, row in zip(fluxes, rows):
@@ -336,16 +300,18 @@ _OPTIONS = {
 }
 
 # command: (handler, the options it reads besides --model, --out and --tol,
-# the required ones); a command takes --tol when it has gates in _GATES
+# the required ones, the gates it applies); a command with gates takes
+# --tol, which may set only their tolerances
 _COMMANDS = {
-    "validate": (cmd_validate, ("--json",), ()),
-    "homology": (cmd_homology, ("--json",), ()),
-    "quantizable": (cmd_quantizable, ("--json",), ()),
-    "classes": (cmd_classes, ("--json",), ()),
-    "fibers": (cmd_fibers, ("--k", "--grid"), ()),  # --grid only to point to bands
-    "verify": (cmd_verify, ("--supercell", "--json"), ("--supercell",)),
-    "bands": (cmd_bands, ("--grid", "--json"), ("--grid",)),
-    "butterfly": (cmd_butterfly, ("--flux", "--grid", "--svg"), ("--flux", "--grid")),
+    "validate": (cmd_validate, ("--json",), (), ()),
+    "homology": (cmd_homology, ("--json",), (), ()),
+    "quantizable": (cmd_quantizable, ("--json",), (), ("quantizability",)),
+    "classes": (cmd_classes, ("--json",), (), ()),
+    # --grid only to point to bands
+    "fibers": (cmd_fibers, ("--k", "--grid"), (), ("quantizability",)),
+    "verify": (cmd_verify, ("--supercell", "--json"), ("--supercell",), tuple(DEFAULT_TOLERANCES)),
+    "bands": (cmd_bands, ("--grid", "--json"), ("--grid",), ("quantizability",)),
+    "butterfly": (cmd_butterfly, ("--flux", "--grid", "--svg"), ("--flux", "--grid"), ()),
 }
 
 
@@ -356,18 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
         "on periodic weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, options, required) in _COMMANDS.items():
+    for name, (fn, options, required, gates) in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--model", required=True, help="path to a JSON model file")
         for option in options:
             p.add_argument(option, required=option in required, **_OPTIONS[option])
         p.add_argument("--out", help="write the primary output to a file")
-        if name in _GATES:
+        if gates:
             p.add_argument(
                 "--tol",
                 action="append",
                 metavar="NAME=VALUE",
-                help=f"override a tolerance ({', '.join(_GATES[name])}); repeatable",
+                help=f"override a tolerance ({', '.join(gates)}); repeatable",
             )
     return parser
 
@@ -378,8 +344,12 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
+    handler, _, _, gates = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command][0](args)
+        model = _load(args.model)
+        if args.command != "validate":
+            _require_valid(model)
+        return handler(args, model, _parse_tols(args, gates))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

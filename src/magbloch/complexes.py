@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -156,6 +157,16 @@ class CoveringData:
         return cls(0, np.zeros((num_edges, 0), dtype=int))
 
 
+def _as_size(n) -> int:
+    """A size as an int; a float, string or bool is rejected, not truncated."""
+    try:
+        if not isinstance(n, bool):  # operator.index takes bools
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"sizes must be integers, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SupercellSpec:
     """Finite block of the cover: sizes per covering direction plus boundary.
@@ -170,7 +181,7 @@ class SupercellSpec:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(map(_as_size, self.sizes)))
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"sizes must be >= 1, got {self.sizes}")
         if self.boundary not in ("periodic", "dirichlet"):

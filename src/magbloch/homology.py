@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, boundary_matrices, vertex_boundary
+from .complexes import Complex2, CoveringData, face_arrays, vertex_boundary
 from .operators import NumericError
 
 __all__ = [
@@ -528,13 +528,13 @@ def homology(complex2: Complex2) -> HomologySummary:
     cotree and completed to cycles up the forest), and H2 = ker d2 = ker X
     (there are no 3-cells), returned as a lattice basis.
     """
-    _, d2 = boundary_matrices(complex2)
     V, E, F = complex2.num_vertices, complex2.num_edges, complex2.num_faces
     ends = tuple((u, v) for u, v, _ in complex2.edges)
-    # d1 d2 = 0 face by face: sum the signed ends of d2's nonzeros per
-    # (vertex, face) pair, without forming the V x F product
-    e, f = np.nonzero(d2)
-    c = d2[e, f]
+    words, signs, _ = face_arrays(complex2.faces)
+    f, step = np.nonzero(signs)
+    e, c = words[f, step], signs[f, step]
+    # d1 d2 = 0 face by face: sum the signed ends of the face steps per
+    # (vertex, face) pair, without forming d1, d2 or their product
     pairs = np.concatenate([complex2.targets[e], complex2.sources[e]]) * F + np.tile(f, 2)
     _, which = np.unique(pairs, return_inverse=True)
     if np.any(np.bincount(which, weights=np.concatenate([c, -c]))):
@@ -543,7 +543,13 @@ def homology(complex2: Complex2) -> HomologySummary:
     order, parent, cotree = _bfs_forest(complex2)
     k = len(cotree)
 
-    snfX = smith_normal_form(d2[list(cotree), :])
+    # X = d2[cotree, :], summed from the steps along cotree edges
+    row = np.full(E, -1)
+    row[list(cotree)] = np.arange(k)
+    on = row[e] >= 0
+    X = np.zeros((k, F), dtype=int)
+    np.add.at(X, (row[e[on]], f[on]), c[on])
+    snfX = smith_normal_form(X)
     rX = snfX.rank
     dX = snfX.diagonal
 

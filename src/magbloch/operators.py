@@ -14,6 +14,7 @@ Matrices are dense; ``DENSE_THRESHOLD`` rejects oversized requests.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -443,19 +444,33 @@ def _openblas_thread_control():
     return None
 
 
+# bodies of _one_blas_thread running now, and the thread count before them
+_pin_lock = threading.Lock()
+_pinned_sweeps = 0
+_unpinned_threads = 0
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with OpenBLAS limited to one thread, then restore its
     thread count, also when an exception propagates.  The count is
-    process-wide; without OpenBLAS the body runs unchanged."""
+    process-wide, so overlapping bodies share one pin, which the last one
+    out restores.  Without OpenBLAS the body runs unchanged."""
+    global _pinned_sweeps, _unpinned_threads
     control = _openblas_thread_control()
     if control is None:
         yield
         return
     get, set_ = control
-    before = get()
-    set_(1)
+    with _pin_lock:
+        if _pinned_sweeps == 0:
+            _unpinned_threads = get()
+            set_(1)
+        _pinned_sweeps += 1
     try:
         yield
     finally:
-        set_(before)
+        with _pin_lock:
+            _pinned_sweeps -= 1
+            if _pinned_sweeps == 0:
+                set_(_unpinned_threads)

@@ -56,7 +56,7 @@ from magbloch.bloch import (
     _unitarity_defect,
 )
 from magbloch.homology import TWO_PI
-from magbloch.operators import STACK_BYTES, NumericError
+from magbloch.operators import NumericError
 
 from conftest import make_random3, reference_eigh_checked
 
@@ -97,6 +97,19 @@ class TestBlochBasis:
         ):
             with pytest.raises(ValueError, match=r"^sizes must be >= 1, got \("):
                 call()
+
+    def test_non_integer_size_rejected(self, chain):
+        cx, cov = chain
+        for call in (
+            lambda: BlochBasis.from_sizes((2.9,)),
+            lambda: character_relations_check((2.9,)),
+            lambda: spectrum_union(cx, cov, None, (2.9,)),
+            lambda: verify_block_diagonalization(cx, cov, None, (2.9,)),
+        ):
+            with pytest.raises(ValueError, match=r"^sizes must be integers, got 2.9$"):
+                call()
+        [row] = butterfly(cx, cov, ["1/2"], (2.9,))
+        assert row.band is None and row.error == "sizes must be integers, got 2.9"
 
 
 class TestBlochTransform:
@@ -323,11 +336,12 @@ def reference_verify(cx, cov, theta, sizes):
     V, C, d = cx.num_vertices, basis.num_characters, len(spec.sizes)
     vals, residual = reference_eigh_checked(op.matrix[None], lambda i: op.provenance)
     eigs = vals[0]
-    # the fibers in the batches of fiber_spectra
-    batch = max(1, STACK_BYTES // (16 * max(V, 1) ** 2))
+    # each fiber on its own: verify's solver picks real or complex LAPACK
+    # per matrix, whatever shares its stack
+    fibers = assemble_fibers(cx, cov, theta, basis.ks)
     fiber_eigs, fiber_residual = [], 0.0
-    for start in range(0, C, batch):
-        v, r = reference_eigh_checked(assemble_fibers(cx, cov, theta, basis.ks[start : start + batch]), str)
+    for i in range(C):
+        v, r = reference_eigh_checked(fibers[i : i + 1], str)
         fiber_eigs.append(v)
         fiber_residual = max(fiber_residual, float(r.max()))
     fiber_eigs = np.concatenate(fiber_eigs)
@@ -339,7 +353,7 @@ def reference_verify(cx, cov, theta, sizes):
     B = np.fft.fftn(B, axes=tuple(range(d + 1, 2 * d + 1)), norm="ortho").reshape(C, V, C, V)
     diagonal = np.arange(C)
     blocks = B[diagonal, :, diagonal, :]
-    fiber_dev = float(np.max(np.abs(blocks - assemble_fibers(cx, cov, theta, basis.ks)))) if V else 0.0
+    fiber_dev = float(np.max(np.abs(blocks - fibers))) if V else 0.0
     off = 0.0
     if C > 1 and V:
         B[diagonal, :, diagonal, :] = 0.0
@@ -914,6 +928,41 @@ class TestButterfly:
             assert get() == expect
         finally:
             set_(original)
+
+    def test_overlapping_sweeps_share_one_pin(self, monkeypatch):
+        # a fake OpenBLAS at 2 threads; the second sweep enters while the
+        # first holds the pin and leaves after it
+        threads = [2]
+        monkeypatch.setattr(
+            operators,
+            "_openblas_thread_control",
+            lambda: (lambda: threads[0], lambda n: threads.__setitem__(0, n)),
+        )
+        first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with operators._one_blas_thread():
+                first_in.set()
+                second_in.wait(10)
+                seen["first"] = threads[0]
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with operators._one_blas_thread():
+                second_in.set()
+                first_out.wait(10)
+                seen["second"] = threads[0]
+
+        workers = [threading.Thread(target=first), threading.Thread(target=second)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(10)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == {"first": 1, "second": 1}
+        assert threads == [2]
 
     def test_sweep_without_openblas_is_unchanged(self, torus, monkeypatch):
         cx, cov = torus

@@ -582,6 +582,171 @@ def test_unwritable_svg_exit_2(torus_model, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.fixture
+def empty_face_model(tmp_path):
+    """The torus with a second face whose boundary word is empty: it loads,
+    and validation fails on it."""
+    path = tmp_path / "empty-face.json"
+    doc = {"vertices": 1, "edges": [[0, 0, 1.0], [0, 0, 1.0]], "faces": [[1, 2, -1, -2], []],
+           "tau": [[1, 0], [0, 1]]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology"],
+        ["quantizable"],
+        ["classes"],
+        ["fibers", "--k", "0,0"],
+        ["verify", "--supercell", "2,2"],
+        ["bands", "--grid", "2,2"],
+        ["butterfly", "--flux", "1/2", "--grid", "2,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_invalid_model_exit_3(empty_face_model, capsys, argv):
+    assert run(argv + ["--model", empty_face_model]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model fails validation: face_edge_refs: face 1 has empty boundary word\n"
+    )
+
+
+def test_validate_reports_an_invalid_model(empty_face_model, capsys):
+    assert run(["validate", "--model", empty_face_model, "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert [name for name, ok in data["checks"].items() if not ok] == ["face_edge_refs"]
+    assert data["issues"] == [
+        {"check": "face_edge_refs", "detail": "face 1 has empty boundary word", "where": [1]}
+    ]
+    assert run(["validate", "--model", empty_face_model]) == 3
+    assert "  face_edge_refs: face 1 has empty boundary word (at [1])\n" in (
+        capsys.readouterr().out
+    )
+
+
+def test_validate_json(torus_model, capsys):
+    assert run(["validate", "--model", torus_model(0.0), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "ok": True,
+        "issues": [],
+        "checks": {
+            name: True
+            for name in [
+                "edge_endpoints", "edge_weights_positive", "potentials_finite", "face_edge_refs",
+                "faces_closed", "tau_shape", "face_tau_zero", "tau_surjective",
+            ]
+        },
+    }
+
+
+def test_inputs_are_read_in_order(empty_face_model, torus_model, capsys):
+    # the model, then its validity, then --tol, then the command's own flags
+    bad_tol = ["--tol", "nope=1"]
+    assert run(["bands", "--model", "/nonexistent/x.json", "--grid", "0"] + bad_tol) == 2
+    assert "model error" in capsys.readouterr().err
+    assert run(["bands", "--model", empty_face_model, "--grid", "0"] + bad_tol) == 3
+    assert "model fails validation" in capsys.readouterr().err
+    assert run(["bands", "--model", torus_model(0.0), "--grid", "0"] + bad_tol) == 2
+    assert "bands applies no tolerance 'nope'" in capsys.readouterr().err
+
+
+def test_quantizable_text(torus_model, capsys):
+    assert run(["quantizable", "--model", torus_model(np.pi)]) == 1
+    assert capsys.readouterr().out == (
+        "verdict: NOT quantizable\n2-cycle 0: pairing 0.5 residue 5.000e-01\n"
+    )
+    assert run(["quantizable", "--model", torus_model(0.0)]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: quantizable\n2-cycle 0: pairing 0 residue 0.000e+00\n"
+    )
+
+
+def test_classes_text(tmp_path, capsys):
+    # one loop a with face word a a: H1 = Z/2, two flat classes
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0, 1.0]], "faces": [[1, 1]]}))
+    assert run(["classes", "--model", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "character group: torus of dimension 0 x 2 component(s)\n"
+        "torsion orders: [2]\n"
+        "component representative: torsion indices [0]\n"
+        "component representative: torsion indices [1]\n"
+    )
+
+
+def test_verify_text(chain_model, capsys):
+    argv = ["verify", "--model", chain_model, "--supercell", "3", "--tol", "unitarity=1e-30"]
+    assert run(argv + ["--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert run(argv) == 4
+    res = data["residuals"]
+    assert capsys.readouterr().out == (
+        f"FAIL  unitarity: {res['unitarity']:.3e} (tol 1.0e-30)\n"
+        f"PASS  off_diagonal: {res['off_diagonal']:.3e} (tol 1.0e-10)\n"
+        f"PASS  fiber_deviation: {res['fiber_deviation']:.3e} (tol 1.0e-10)\n"
+        f"PASS  char_relations: {res['char_relations']:.3e} (tol 1.0e-12)\n"
+        f"PASS  decomposition: {res['decomposition']:.3e} (tol 1.0e-08)\n"
+    )
+
+
+def test_bands_json(chain_model, capsys):
+    # the chain's single band 2 - 2 cos k, sampled at k = 0, pi/2, pi, 3 pi/2
+    assert run(["bands", "--model", chain_model, "--grid", "4", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["grid"] == [4] and data["num_bands"] == 1
+    [[lo, hi]] = data["intervals"]
+    assert lo == pytest.approx(0.0, abs=1e-12) and hi == pytest.approx(4.0)
+
+
+SIZE_FLAGS = [
+    ("verify", "--supercell", []),
+    ("bands", "--grid", []),
+    ("butterfly", "--grid", ["--flux", "1/2"]),
+]
+
+
+@pytest.mark.parametrize("command,flag,extra", SIZE_FLAGS, ids=["verify", "bands", "butterfly"])
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("2", "must have 2 entries"),
+        ("2,2,2", "must have 2 entries"),
+        ("2.5,2", "expects comma-separated integers, got '2.5,2'"),
+        ("2,x", "expects comma-separated integers, got '2,x'"),
+        ("0,2", "entries must be >= 1"),
+    ],
+)
+def test_bad_sizes_exit_2(torus_model, capsys, command, flag, extra, value, message):
+    assert run([command, "--model", torus_model(TWO_PI), flag, value] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantizable"],
+        ["fibers", "--k", "0,0"],
+        ["verify", "--supercell", "2,2"],
+        ["bands", "--grid", "2,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_tolerance_exit_2(torus_model, capsys, argv):
+    argv = argv + ["--model", torus_model(TWO_PI)]
+    assert run(argv + ["--tol", "quantizability"]) == 2
+    assert "--tol expects NAME=VALUE, got 'quantizability'" in capsys.readouterr().err
+    assert run(argv + ["--tol", "quantizability=small"]) == 2
+    assert "--tol quantizability expects a number, got 'small'" in capsys.readouterr().err
+
+
 def test_model_type_error_exit_2(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0, None]]}))

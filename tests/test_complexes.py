@@ -94,6 +94,29 @@ class TestValidate:
         report = validate(cx)
         assert not report.checks["face_edge_refs"]
 
+    @pytest.mark.parametrize(
+        "faces,detail",
+        [([()], "face 0 has empty boundary word"), ([(1, 0, -1)], "face 0 contains a zero step")],
+    )
+    def test_malformed_face_word(self, faces, detail):
+        report = validate(Complex2(1, [(0, 0, 1.0)], faces), CoveringData(1, [[1]]))
+        assert not report.ok and [i.check for i in report.issues] == ["face_edge_refs"]
+        assert report.issues[0].detail == detail and report.issues[0].where == (0,)
+
+    def test_wrong_potential_count(self):
+        report = validate(Complex2(2, [(0, 1, 1.0)], potentials=[0.0]))
+        assert [(i.check, i.detail) for i in report.issues] == [
+            ("potentials_finite", "expected 2 potentials, got 1")
+        ]
+
+    def test_wrong_tau_count(self, torus):
+        cx, _ = torus
+        report = validate(cx, CoveringData(2, [[1, 0]]))
+        assert [(i.check, i.detail) for i in report.issues] == [
+            ("tau_shape", "expected 2 tau labels, got 1")
+        ]
+        assert "face_tau_zero" not in report.checks
+
     def test_invariant_under_reorientation(self, torus):
         cx, cov = torus
         rng = np.random.default_rng(7)
@@ -179,6 +202,15 @@ class TestBuildSupercell:
             build_supercell(cx, cov, SupercellSpec((0,)))
         with pytest.raises(ValueError):
             build_supercell(cx, cov, SupercellSpec((2, 2)))
+
+    @pytest.mark.parametrize("sizes", [(2.7, 3), ("3",), (True, 2), (2, np.True_), (2.0,)])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match=r"^sizes must be integers, got "):
+            SupercellSpec(sizes)
+
+    def test_numpy_integer_sizes(self):
+        spec = SupercellSpec((np.int64(2), np.int32(3)))
+        assert spec.sizes == (2, 3) and all(type(n) is int for n in spec.sizes)
 
     def test_cell_count_is_exact(self):
         assert SupercellSpec((2**32, 2**32)).num_cells == 2**64
