@@ -78,6 +78,10 @@ __all__ = [
 # q-fold magnetic cell at every grid momentum
 MAX_DENOMINATOR = 64
 
+# a float flux farther than this from every fraction of denominator at most
+# 4096 is irrational
+RATIONAL_TOL = 1e-12
+
 # largest number of eigenvalues (grid momenta times vertices) a band sweep
 # computes: its momenta, eigenvalues and CSV text all grow with this count,
 # and the bound is the 2048 x 2048 sweep of a one-vertex quotient
@@ -454,7 +458,7 @@ def spectrum_union(
     return BandData(ks, eigs, _merge_intervals(eigs, join_tol), grid)
 
 
-def _as_fraction(x, tol: float = 1e-12) -> Fraction:
+def _as_fraction(x) -> Fraction:
     if isinstance(x, (Fraction, int, str)):
         try:
             frac = Fraction(x)
@@ -467,11 +471,11 @@ def _as_fraction(x, tol: float = 1e-12) -> Fraction:
         return frac
     if not math.isfinite(float(x)):
         raise ValueError(f"flux must be finite, got {x!r}")
-    # denominators are bounded well below 1/sqrt(tol), so a float that no
-    # small rational matches within tol is treated as irrational
+    # denominators are bounded well below 1/sqrt(RATIONAL_TOL), so a float
+    # that no small rational matches within it is treated as irrational
     frac = Fraction(float(x)).limit_denominator(4096)
-    if abs(float(frac) - float(x)) > tol:
-        raise ValueError(f"irrational flux: {x!r} is not rational within {tol}")
+    if abs(float(frac) - float(x)) > RATIONAL_TOL:
+        raise ValueError(f"irrational flux: {x!r} is not rational within {RATIONAL_TOL}")
     return frac
 
 
@@ -547,6 +551,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _representative(fr: Fraction, size: int, summary: HomologySummary) -> tuple[Fraction, bool]:
+    """The flux whose spectra a flux's row is read from, and whether they are
+    read at opposite momenta.
+
+    With p = the flux's numerator mod ``size``, the representative is
+    min(p, size - p) / size, read at -k when p > size / 2.  This is exact
+    on a magnetic cell without H1 torsion: every invariant factor of its
+    cotree matrix is 1, so the canonical connection is an integer
+    combination of the face fluxes, and fluxes x and m +- x give connections
+    equal or opposite mod 2 pi.  Weights and potentials are real, so
+    H_{m - x}(k) = conj(H_x(-k)) has the spectrum of H_x at -k, and the grid
+    is closed under k -> -k.  On a cell with torsion a flux is its own
+    representative.
+    """
+    if summary.h1_torsion_orders:
+        return fr, False
+    p = fr.numerator % size
+    return Fraction(min(p, size - p), size), 2 * p > size
+
+
+def _at_opposite_momenta(band: BandData) -> BandData:
+    """The band data with each momentum's eigenvalues taken from its
+    opposite: row i reads the row of the cell -m_i mod N, the momentum
+    -k_i mod 2 pi.  The intervals, merged from the same values, are kept."""
+    spec = SupercellSpec(band.grid)
+    opposite = np.ravel_multi_index(tuple((-spec.cells() % spec.sizes).T), spec.sizes)
+    return BandData(band.ks, band.eigenvalues[opposite], band.intervals, band.grid)
+
+
 def butterfly(
     complex2: Complex2,
     covering: CoveringData,
@@ -559,17 +592,23 @@ def butterfly(
     synthesized connection, and a band sweep; a denominator above
     ``MAX_DENOMINATOR`` is an error.  The magnetic cell and its homology
     depend only on the denominator, so each is built once per distinct
-    denominator, in order; the fluxes then run concurrently on a thread
-    pool as large as the number of CPUs the process may use, with OpenBLAS
-    held to one thread until the pool is joined, and the rows come back in
-    input order.  Every flux goes through the same arithmetic whatever
-    thread runs it, so the rows are identical for any CPU count.
-    Failures are collected per entry instead of aborting the sweep.  Only
-    domain errors (``ValueError``, which includes
+    denominator, in order.  Fluxes with the same representative (see
+    :func:`_representative`: p/q, q - p/q and their integer shifts on a
+    cell without H1 torsion) share one band sweep, that of the
+    representative, whether or not it is in the list; each flux still
+    synthesizes its own connection, whose certificate and curvature gate
+    decide its error, and a flux whose representative fails is solved on
+    its own.  So a row depends only on its flux.  The representatives run
+    concurrently on a thread pool as large as the number of CPUs the
+    process may use, with OpenBLAS held to one thread until the pool is
+    joined, and the rows come back in input order.  Every flux goes through
+    the same arithmetic whatever thread runs it, so the rows are identical
+    for any CPU count.  Failures are collected per entry instead of
+    aborting the sweep.  Only domain errors (``ValueError``, which includes
     :class:`NotQuantizableError`, and :class:`NumericError`) become error
     rows, and a cell or homology failure becomes the row of every flux with
     that denominator; any other exception is a bug and propagates, with the
-    fluxes not yet started cancelled.
+    representatives not yet started cancelled.
     """
     # imported here: concurrent.futures imports logging, which every
     # `import magbloch` would otherwise pay for
@@ -577,7 +616,8 @@ def butterfly(
 
     rows: list[ButterflyRow | None] = []
     cells: dict[int, tuple | Exception] = {}  # by cell size, built in order
-    tasks = []
+    # (cell size, representative) -> [(row index, flux, read at -k)]
+    classes: dict[tuple[int, Fraction], list] = {}
     for raw in fluxes:
         try:
             fr = _as_fraction(raw)
@@ -599,25 +639,41 @@ def butterfly(
         if isinstance(cells[size], Exception):
             rows.append(ButterflyRow(p, q, error=str(cells[size])))
         else:
-            tasks.append((len(rows), fr, cells[size]))
+            rep, mirrored = _representative(fr, size, cells[size][2])
+            classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
 
-    def solve(task) -> ButterflyRow:
-        _, fr, (sc, cov, summary) = task
-        try:
-            conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
-            band = spectrum_union(sc, cov, conn, grid)
-        except (ValueError, NumericError) as exc:  # per-entry errors are data
-            return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))
-        return ButterflyRow(fr.numerator, fr.denominator, band=band)
+    def solve(key) -> list[tuple[int, ButterflyRow]]:
+        size, rep = key
+        sc, cov, summary = cells[size]
+
+        # one flux's row: its own connection and gates, then its own band
+        # sweep, or the representative's band when that one succeeded
+        def row(fr: Fraction, shared: BandData | None = None, mirrored: bool = False):
+            try:
+                conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
+                if shared is None:
+                    band = spectrum_union(sc, cov, conn, grid)
+                else:
+                    band = _at_opposite_momenta(shared) if mirrored else shared
+            except (ValueError, NumericError) as exc:  # per-entry errors are data
+                return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))
+            return ButterflyRow(fr.numerator, fr.denominator, band=band)
+
+        first = row(rep)
+        return [
+            (i, first if fr == rep else row(fr, first.band, mirrored))
+            for i, fr, mirrored in classes[key]
+        ]
 
     # the pool is the parallelism: a threaded BLAS inside each of its solves
     # would compete with it for the same CPUs
     with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks))))
+        pool = ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(classes))))
         try:
-            for (i, _, _), row in zip(tasks, pool.map(solve, tasks)):
-                rows[i] = row
+            for solved in pool.map(solve, classes):
+                for i, r in solved:
+                    rows[i] = r
         finally:
             pool.shutdown(cancel_futures=True)
     return rows

@@ -182,6 +182,15 @@ class SmithDecomposition:
         return self.v_inv[:, r:n]
 
 
+def _require_snf_shape(shape: tuple[int, int]) -> None:
+    """Raise :class:`NumericError` if a matrix of this shape has a side
+    longer than ``MAX_SNF_DIM``; callers check before they allocate it."""
+    if max(shape) > MAX_SNF_DIM:
+        raise NumericError(
+            f"Smith normal form: matrix shape {shape} exceeds the configured bound {MAX_SNF_DIM}"
+        )
+
+
 def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form over Z with deterministic pivoting.
 
@@ -200,10 +209,8 @@ def smith_normal_form(A) -> SmithDecomposition:
     unit.  The five dense matrices are filled once at the end.
     """
     A = np.asarray(A)
-    if A.ndim == 2 and max(A.shape) > MAX_SNF_DIM:
-        raise NumericError(
-            f"Smith normal form: matrix shape {A.shape} exceeds the configured bound {MAX_SNF_DIM}"
-        )
+    if A.ndim == 2:
+        _require_snf_shape(A.shape)
     A = _checked(A)
     m, n = A.shape
     rows: list[dict] = [{} for _ in range(m)]
@@ -542,6 +549,7 @@ def homology(complex2: Complex2) -> HomologySummary:
 
     order, parent, cotree = _bfs_forest(complex2)
     k = len(cotree)
+    _require_snf_shape((k, F))  # before X, which holds k * F integers
 
     # X = d2[cotree, :], summed from the steps along cotree edges
     row = np.full(E, -1)

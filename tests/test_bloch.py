@@ -17,6 +17,7 @@ from magbloch import (
     BlochBasis,
     Complex2,
     CoveringData,
+    NotQuantizableError,
     SupercellSpec,
     assemble_fiber,
     assemble_fibers,
@@ -52,13 +53,14 @@ from magbloch.bloch import (
     _as_fraction,
     _character_tables,
     _merge_intervals,
+    _representative,
     _transform,
     _unitarity_defect,
 )
 from magbloch.homology import TWO_PI
 from magbloch.operators import NumericError
 
-from conftest import make_random3, reference_eigh_checked
+from conftest import cell_rank, make_random3, reference_eigh_checked
 
 
 class TestBlochBasis:
@@ -1059,7 +1061,13 @@ SWEEP_FLUXES = [
 
 
 def serial_butterfly(cx, cov, fluxes, grid):
-    """One flux after another, each building its own cell and homology."""
+    """One flux after another, each building its own cell and homology.
+
+    A flux p/q whose cell has no H1 torsion reads the band of its canonical
+    representative r/q, r = min(p mod q, -p mod q), built and solved anew,
+    at the opposite momenta when p mod q > q/2; its own connection
+    is still synthesized first, and a failed representative sends it to
+    its own solve.  Every other flux is solved directly."""
     rows = []
     for raw in fluxes:
         try:
@@ -1071,7 +1079,18 @@ def serial_butterfly(cx, cov, fluxes, grid):
             ms = magnetic_supercell(cx, cov, fr)
             summary = homology(ms.complex2)
             conn = synthesize_connection(ms.complex2, ms.flux, summary)
-            band = spectrum_union(ms.complex2, ms.covering, conn, grid)
+            band = None
+            if not summary.h1_torsion_orders:
+                q = fr.denominator if cx.num_faces else 1
+                p = fr.numerator % q
+                band = representative_band(cx, cov, Fraction(min(p, q - p), q), grid)
+                if band is not None and 2 * p > q:
+                    sizes = band.grid
+                    cells = SupercellSpec(sizes).cells()
+                    opposite = [cell_rank(sizes, -c) for c in cells]
+                    band = dataclasses.replace(band, eigenvalues=band.eigenvalues[opposite])
+            if band is None:
+                band = spectrum_union(ms.complex2, ms.covering, conn, grid)
             rows.append(ButterflyRow(fr.numerator, fr.denominator, band=band))
         except (ValueError, NumericError) as exc:
             try:
@@ -1083,6 +1102,21 @@ def serial_butterfly(cx, cov, fluxes, grid):
     return rows
 
 
+def direct_band(cx, cov, flux, grid):
+    """The band of one flux from its own cell, homology and connection."""
+    ms = magnetic_supercell(cx, cov, flux)
+    conn = synthesize_connection(ms.complex2, ms.flux, homology(ms.complex2))
+    return spectrum_union(ms.complex2, ms.covering, conn, grid)
+
+
+def representative_band(cx, cov, rep, grid):
+    """The direct band of a representative flux, or None when it fails."""
+    try:
+        return direct_band(cx, cov, rep, grid)
+    except (ValueError, NumericError):
+        return None
+
+
 def assert_same_rows(rows, expect):
     assert butterfly_csv(rows) == butterfly_csv(expect)
     assert butterfly_svg(rows) == butterfly_svg(expect)
@@ -1092,6 +1126,137 @@ def assert_same_rows(rows, expect):
         if ref.band is not None:
             assert np.array_equal(row.band.eigenvalues, ref.band.eigenvalues)
             assert row.band.intervals == ref.band.intervals
+
+
+def torsion_base():
+    """One vertex, a loop a with label 1 and a loop b with label 0 bounding
+    the face b b: every magnetic cell of it has H1 torsion Z/2 per copy of b,
+    and fluxes x and 1 - x put opposite-sign cosines on b's copies."""
+    cx = Complex2(1, [(0, 0, 1.0), (0, 0, 0.7)], [(2, 2)], [0.3])
+    return cx, CoveringData(1, [[1], [0]])
+
+
+# the block's canonical connections give it different spectra at k and -k,
+# so it is the model on which a missing k -> -k permutation shows
+MIRROR_MODELS = ["torus", "tri", "magnetic_cell(3)", "block(5,3)"]
+
+
+def seeded_fluxes(seed, count=6, qmax=12):
+    """Reduced fractions p/q with 2 <= q <= qmax and p mod q above q/2 (so
+    each is read at opposite momenta), p drawn from [-q, 2q)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        q = int(rng.integers(2, qmax + 1))
+        p = int(rng.integers(-q, 2 * q))
+        if math.gcd(p, q) == 1 and 2 * (p % q) > q:
+            out.append(Fraction(p, q))
+    return out
+
+
+class TestMirror:
+    @pytest.mark.parametrize("p, q, rep, mirrored", [
+        (0, 1, Fraction(0), False), (1, 1, Fraction(0), False), (1, 2, Fraction(1, 2), False),
+        (1, 4, Fraction(1, 4), False), (3, 4, Fraction(1, 4), True), (5, 4, Fraction(1, 4), False),
+        (-1, 4, Fraction(1, 4), True), (-3, 4, Fraction(1, 4), False), (5, 3, Fraction(1, 3), True),
+    ])
+    def test_representative(self, torus, p, q, rep, mirrored):
+        cx, cov = torus
+        ms = magnetic_supercell(cx, cov, Fraction(p, q))
+        assert _representative(Fraction(p, q), q, homology(ms.complex2)) == (rep, mirrored)
+
+    @pytest.mark.parametrize("grid", [(4, 3), (5, 2)])
+    @pytest.mark.parametrize("model", MIRROR_MODELS)
+    def test_mirrored_rows_match_direct_solves(self, model, grid):
+        cx, cov, _ = verify_model(model)
+        fluxes = seeded_fluxes(MIRROR_MODELS.index(model) + 7 * grid[0])
+        rows = butterfly(cx, cov, fluxes, grid)
+        for flux, row in zip(fluxes, rows):
+            assert row.error is None and Fraction(row.p, row.q) == flux
+            direct = direct_band(cx, cov, flux, grid)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(direct.eigenvalues))))
+            assert np.array_equal(row.band.ks, direct.ks)
+            assert np.max(np.abs(row.band.eigenvalues - direct.eigenvalues)) <= tol
+            assert len(row.band.intervals) == len(direct.intervals)
+            assert np.max(np.abs(np.subtract(row.band.intervals, direct.intervals))) <= tol
+            # and the intervals are the representative's, bit for bit
+            p = flux.numerator % flux.denominator
+            rep = Fraction(flux.denominator - p, flux.denominator)
+            [rep_row] = butterfly(cx, cov, [rep], grid)
+            assert row.band.intervals == rep_row.band.intervals
+
+    @pytest.mark.parametrize("flux, others", [
+        ("3/4", ["1/4"]), ("3/4", ["1/4", "-1/4", "5/4"]), ("1/4", ["3/4"]),
+        ("7/5", ["2/5", "3/5"]), ("1/2", ["3/2", "-1/2"]),
+    ])
+    def test_row_bytes_do_not_depend_on_its_twins(self, torus, flux, others):
+        cx, cov = torus
+        [alone] = butterfly(cx, cov, [flux], (4, 4))
+        together = butterfly(cx, cov, others + [flux] + others, (4, 4))
+        assert_same_rows([together[len(others)]], [alone])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_torsion_cells_are_solved_per_flux(self, monkeypatch, cpus):
+        cx, cov = torsion_base()
+        ms = magnetic_supercell(cx, cov, Fraction(1, 3))
+        assert homology(ms.complex2).h1_torsion_orders == (2, 2, 2)
+        fluxes = ["1/3", "2/3", "4/3", "-1/3", "1/4", "3/4", "1/2", "1/4"]
+        expect = serial_butterfly(cx, cov, fluxes, (6,))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        rows = butterfly(cx, cov, fluxes, (6,))
+        assert_same_rows(rows, expect)
+        # here the mirror would be wrong: 1/3 and 2/3 have different spectra
+        one, two = rows[0].band.eigenvalues, rows[1].band.eigenvalues
+        assert np.max(np.abs(np.sort(one.ravel()) - np.sort(two.ravel()))) > 0.1
+
+    def test_each_representative_is_solved_once(self, torus, monkeypatch):
+        calls = []
+        real = spectrum_union
+
+        def spy(*args):
+            calls.append(args[0].num_vertices)
+            return real(*args)
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", spy)
+        cx, cov = torus
+        fluxes = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+        rows = butterfly(cx, cov, fluxes, (4, 4))
+        assert all(row.error is None for row in rows)
+        # 0 and 1; 1/2; 1/3 and 2/3; 1/4 and 3/4; 1/5 to 4/5 in two pairs; 1/6 and 5/6
+        assert sorted(calls) == [1, 2, 3, 4, 5, 5, 6]
+
+    def test_unquantizable_twin_gets_its_own_error_row(self, torus, monkeypatch):
+        real = synthesize_connection
+
+        def refuse_three_quarters(sc, flux, summary):
+            if np.allclose(flux, TWO_PI * 0.75):
+                raise NotQuantizableError("flux is not quantizable: three quarters")
+            return real(sc, flux, summary)
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "synthesize_connection",
+                            refuse_three_quarters)
+        cx, cov = torus
+        rows = butterfly(cx, cov, ["1/4", "3/4", "-1/4"], (4, 4))
+        assert rows[0].error is None
+        assert rows[1].band is None and rows[1].error == "flux is not quantizable: three quarters"
+        assert rows[2].error is None
+
+    def test_failed_representative_sends_the_flux_to_its_own_solve(self, torus, monkeypatch):
+        cx, cov = torus
+        expect = direct_band(cx, cov, Fraction(3, 4), (4, 4))
+        real = synthesize_connection
+
+        def refuse_one_quarter(sc, flux, summary):
+            if np.allclose(flux, TWO_PI * 0.25):
+                raise NumericError("one quarter misses its flux")
+            return real(sc, flux, summary)
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "synthesize_connection",
+                            refuse_one_quarter)
+        rows = butterfly(cx, cov, ["1/4", "3/4"], (4, 4))
+        assert rows[0].error == "one quarter misses its flux"
+        assert np.array_equal(rows[1].band.eigenvalues, expect.eigenvalues)
+        assert rows[1].band.intervals == expect.intervals
 
 
 class TestEmitters:

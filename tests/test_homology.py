@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -800,6 +801,20 @@ class TestPeriodicBlocks:
         block, _ = build_supercell(*torus, SupercellSpec((n, n)))
         text = json.dumps(homology(block).to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_64x64_block_rejected_before_its_cotree_matrix(self, torus):
+        # the cotree matrix would be 4097 x 4096 integers, 128 MiB
+        block, _ = build_supercell(*torus, SupercellSpec((64, 64)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                NumericError, match=r"shape \(4097, 4096\) exceeds the configured bound 4096"
+            ):
+                homology(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # The per-edge and per-step loops that built d1 and d2, and the per-face
