@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex2, face_arrays, vertex_boundary
+from .complexes import Complex2, vertex_boundary
 from .homology import Character, HomologySummary, TWO_PI, homology
 from .operators import NumericError
 
@@ -72,8 +72,13 @@ def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
         raise ValueError(f"connection must have {complex2.num_edges} angles")
     # step by step over all faces at once: each face sees the same sequence
     # of reductions a loop over its own word would make
-    edge, sign, length = face_arrays(complex2.faces)
+    edge, sign, length = complex2.face_words
     total = np.zeros(complex2.num_faces)
+    if np.all(length == edge.shape[1]):  # no padding: every face takes every step
+        steps = sign * theta[edge]
+        for j in range(edge.shape[1]):
+            total = np.mod(total + steps[:, j], TWO_PI)
+        return wrap_angle(total)
     for j in range(edge.shape[1]):
         rows = length > j
         total[rows] = np.mod(total[rows] + sign[rows, j] * theta[edge[rows, j]], TWO_PI)
@@ -182,12 +187,13 @@ def holonomy(complex2: Complex2, theta: Sequence[float], cycle: Sequence[int]) -
     cyc = np.asarray(cycle)
     if cyc.shape != (complex2.num_edges,):
         raise ValueError(f"1-chain must have length {complex2.num_edges}")
-    ends = [(u, v) for u, v, _ in complex2.edges]
-    if any(vertex_boundary(complex2.num_vertices, ends, cyc.tolist())):
+    on = np.flatnonzero(cyc)
+    steps = cyc[on].tolist()
+    if any(vertex_boundary(complex2.num_vertices, complex2.ends[on].tolist(), steps)):
         raise ValueError("not a cycle: boundary is nonzero")
     total = 0.0
-    for e in np.flatnonzero(cyc):
-        total = np.mod(total + float(cyc[e]) * theta[e], TWO_PI)
+    for c, t in zip(steps, theta[on]):
+        total = np.mod(total + float(c) * t, TWO_PI)
     return wrap_angle(total)
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +48,22 @@ def face_steps(word: Sequence[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def face_arrays(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary words as padded arrays: edge indices and signs, each of shape
-    (F, longest word), and word lengths (F,).  Past its length a row holds
-    edge -1 and sign 0."""
+def _signed_words(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary words as one padded array of signed ids, shape (F, longest
+    word), holding 0 past each word's length, and the word lengths (F,)."""
     lengths = np.array([len(word) for word in faces], dtype=int)
     words = np.zeros((len(faces), lengths.max(initial=0)), dtype=int)
     filled = np.arange(words.shape[1]) < lengths[:, None]
     words[filled] = np.fromiter(itertools.chain.from_iterable(faces), dtype=int, count=lengths.sum())
-    if np.any(words[filled] == 0):
+    return words, lengths
+
+
+def face_arrays(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary words as padded arrays: edge indices and signs, each of shape
+    (F, longest word), and word lengths (F,).  Past its length a row holds
+    edge -1 and sign 0."""
+    words, lengths = _signed_words(faces)
+    if np.any(words[np.arange(words.shape[1]) < lengths[:, None]] == 0):
         raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
     return np.abs(words) - 1, np.sign(words), lengths
 
@@ -83,7 +91,9 @@ class Complex2:
         One real value per vertex; defaults to zero.
 
     Construction is deliberately lenient so that malformed inputs can be
-    diagnosed by :func:`validate` instead of raising here.
+    diagnosed by :func:`validate` instead of raising here.  The array views
+    of the edges and faces (``ends``, ``sources``, ``targets``, ``weights``,
+    ``face_words``) are read-only and built once, on first use.
     """
 
     num_vertices: int
@@ -95,9 +105,7 @@ class Complex2:
         object.__setattr__(
             self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
         )
-        object.__setattr__(
-            self, "faces", tuple(tuple(int(s) for s in word) for word in self.faces)
-        )
+        object.__setattr__(self, "faces", tuple(tuple(map(int, word)) for word in self.faces))
         pot = self.potentials
         if pot is None:
             pot = np.zeros(self.num_vertices)
@@ -111,17 +119,30 @@ class Complex2:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    @property
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """(source, target) of every edge, shape (E, 2); read-only, built once."""
+        return _as_readonly(np.array([(u, v) for u, v, _ in self.edges], dtype=int).reshape(-1, 2))
+
+    @cached_property
     def sources(self) -> np.ndarray:
-        return np.array([e[0] for e in self.edges], dtype=int)
+        return _as_readonly(self.ends[:, 0])
 
-    @property
+    @cached_property
     def targets(self) -> np.ndarray:
-        return np.array([e[1] for e in self.edges], dtype=int)
+        return _as_readonly(self.ends[:, 1])
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([e[2] for e in self.edges], dtype=float)
+        return _as_readonly(np.array([e[2] for e in self.edges], dtype=float))
+
+    @cached_property
+    def face_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`face_arrays` of the faces, read-only and built once."""
+        arrays = face_arrays(self.faces)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
@@ -281,9 +302,9 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
             fail("edge_endpoints", f"edge {e} has endpoint outside 0..{V - 1}", (e,))
 
     checks["edge_weights_positive"] = True
-    for e, (_, _, w) in enumerate(complex2.edges):
-        if not (np.isfinite(w) and w > 0):
-            fail("edge_weights_positive", f"edge {e} has weight {w}", (e,))
+    w = complex2.weights
+    for e in np.flatnonzero(~(np.isfinite(w) & (w > 0))).tolist():
+        fail("edge_weights_positive", f"edge {e} has weight {complex2.edges[e][2]}", (e,))
 
     checks["potentials_finite"] = True
     if len(complex2.potentials) != V:
@@ -292,37 +313,42 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
         bad = tuple(np.flatnonzero(~np.isfinite(complex2.potentials)))
         fail("potentials_finite", "non-finite potential values", bad)
 
+    # every face at once: each face reports the first check it fails (empty
+    # word, zero step, missing edge, open walk), and faces report in order
     checks["face_edge_refs"] = True
     checks["faces_closed"] = True
-    tau = covering.tau if covering is not None and covering.tau.shape[0] == E else None
-    shifts = []  # tau sum along each face word, from its decoded steps
-    for f, word in enumerate(complex2.faces):
-        if len(word) == 0:
+    try:
+        words, lengths = _signed_words(complex2.faces)
+    except OverflowError:  # an id past int64 references a missing edge all the same
+        words, lengths = _signed_words(
+            [[max(-E - 1, min(s, E + 1)) for s in word] for word in complex2.faces]
+        )
+    filled = np.arange(words.shape[1]) < lengths[:, None]
+    edge, sign = np.abs(words) - 1, np.sign(words)
+    zero = (filled & (sign == 0)).any(axis=1)
+    missing = filled & (edge >= E)
+    refs_ok = (lengths > 0) & ~zero & ~missing.any(axis=1)
+    open_at = np.full(len(lengths), -1)
+    if checks["edge_endpoints"] and refs_ok.any():
+        f = np.flatnonzero(refs_ok)
+        e, forward, n = edge[f], sign[f] > 0, lengths[f, None]
+        start = np.where(forward, complex2.sources[e], complex2.targets[e])
+        end = np.where(forward, complex2.targets[e], complex2.sources[e])
+        step = np.arange(words.shape[1])
+        after = np.take_along_axis(start, (step + 1) % n, axis=1)
+        gap = (step < n) & (end != after)
+        open_at[f] = np.where(gap.any(axis=1), (np.argmax(gap, axis=1) + 1) % n[:, 0], -1)
+    for f in np.flatnonzero(~refs_ok | (open_at >= 0)).tolist():
+        if lengths[f] == 0:
             fail("face_edge_refs", f"face {f} has empty boundary word", (f,))
-            continue
-        try:
-            steps = face_steps(word)
-        except ValueError:
+        elif zero[f]:
             fail("face_edge_refs", f"face {f} contains a zero step", (f,))
-            continue
-        if any(not (0 <= e < E) for e, _ in steps):
-            bad = tuple(i for i, (e, _) in enumerate(steps) if not (0 <= e < E))
+        elif not refs_ok[f]:
+            bad = tuple(np.flatnonzero(missing[f]).tolist())
             fail("face_edge_refs", f"face {f} references missing edges", (f,) + bad)
-            continue
-        if tau is not None:
-            edges, signs = np.array(steps).T
-            shifts.append(signs @ tau[edges])
-        if not checks["edge_endpoints"]:
-            continue
-        ends = []
-        for e, sign in steps:
-            u, v, _ = complex2.edges[e]
-            ends.append((u, v) if sign > 0 else (v, u))
-        for i in range(len(ends)):
-            j = (i + 1) % len(ends)
-            if ends[i][1] != ends[j][0]:
-                fail("faces_closed", f"face {f}: not a closed walk at step {j}", (f, j))
-                break
+        else:
+            j = int(open_at[f])
+            fail("faces_closed", f"face {f}: not a closed walk at step {j}", (f, j))
 
     if covering is not None:
         checks["tau_shape"] = True
@@ -331,9 +357,10 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
         else:
             checks["face_tau_zero"] = True
             if checks["face_edge_refs"]:
-                for f, shift in enumerate(shifts):
-                    if np.any(shift != 0):
-                        fail("face_tau_zero", f"face {f} lifts to shift {shift.tolist()}", (f,))
+                # tau summed along each word; the padding has sign 0
+                shifts = np.sum(sign[:, :, None] * covering.tau[edge], axis=1)
+                for f in np.flatnonzero(np.any(shifts != 0, axis=1)).tolist():
+                    fail("face_tau_zero", f"face {f} lifts to shift {shifts[f].tolist()}", (f,))
 
             checks["tau_surjective"] = True
             if checks["edge_endpoints"] and covering.rank > 0:
@@ -365,7 +392,7 @@ def boundary_matrices(complex2: Complex2) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(d1, (complex2.targets, np.arange(E)), 1)
     np.add.at(d1, (complex2.sources, np.arange(E)), -1)
     d2 = np.zeros((E, F), dtype=int)
-    edges, signs, _ = face_arrays(complex2.faces)
+    edges, signs, _ = complex2.face_words
     steps = signs != 0
     np.add.at(d2, (edges[steps], np.nonzero(steps)[0]), signs[steps])
     return d1, d2
@@ -440,7 +467,7 @@ def build_supercell(
     # mod the sizes) was kept only if the walk is still inside the block
     # after the step, so a face is kept iff every copy it uses was kept.
     words = []
-    for e, sign, n in zip(*face_arrays(complex2.faces)):
+    for e, sign, n in zip(*complex2.face_words):
         e, sign = e[:n], sign[:n]
         step = sign[:, None] * tau[e]
         after = np.cumsum(step, axis=0)

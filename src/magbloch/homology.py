@@ -5,8 +5,9 @@ result is ever truncated to a machine word.  Exact integer matrices are
 numpy arrays of dtype=object holding Python ints.  The Smith normal form
 eliminates on sparse rows of Python ints, with a deterministic pivot rule
 (smallest nonzero absolute value, row-major index tie-break, floor
-quotients), so generator bases are reproducible across platforms; only its
-results are dense.
+quotients), so generator bases are reproducible across platforms; its dense
+matrices are filled only when a caller reads them, and homology reads the
+sparse rows.
 
 There is one cycle basis: the fundamental cycles of the cotree edges of a
 deterministic BFS spanning forest (:func:`spanning_forest`).  A 1-cycle's
@@ -14,19 +15,20 @@ coordinates in it are just its cotree entries, so H1 is presented by the
 cotree rows of d2 and needs one Smith form.  The H1 generators computed
 once per complex in that basis are reused by every downstream consumer
 (characters, holonomy pairings, flat twists, connection synthesis) so that
-angle coordinates stay globally consistent.  Connections are read off a
-float copy of that Smith data, made once per complex.
+angle coordinates stay globally consistent.  Connections are read off two
+dense float matrices filled from that Smith data, once per complex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Complex2, CoveringData, face_arrays, vertex_boundary
+from .complexes import Complex2, CoveringData, vertex_boundary
 from .operators import NumericError
 
 __all__ = [
@@ -74,11 +76,6 @@ def _is_integer(x) -> bool:
         return False
 
 
-def _int_rows(A) -> list[list[int]]:
-    """Copy a matrix into nested lists of Python ints; reject non-integers."""
-    return [[int(x) for x in row] for row in _checked(A).tolist()]
-
-
 def _axpy(dst: dict, k: int, src: dict) -> None:
     """dst += k * src on sparse vectors, dropping entries that cancel."""
     for i, x in src.items():
@@ -102,42 +99,20 @@ def _add(rows: list[dict], in_col: list[set], r: int, c: int, x: int) -> None:
         in_col[c].discard(r)
 
 
-def _dense(shape: tuple[int, int], vectors: list[dict], columns: bool = False) -> np.ndarray:
-    """Object array of Python ints whose rows (or columns) are the sparse
-    ``vectors``, in order."""
-    out = np.zeros(shape, dtype=object)
-    entries = [(p, i, x) for p, vec in enumerate(vectors) for i, x in vec.items()]
-    if entries:
-        p, i, x = zip(*entries)
-        out[(list(i), list(p)) if columns else (list(p), list(i))] = np.array(x, dtype=object)
+def _dense(
+    shape: tuple[int, int], vectors: list[dict], columns: bool = False, dtype=object
+) -> np.ndarray:
+    """Array whose rows (or columns) are the sparse ``vectors``, in order:
+    the Python ints themselves, or cast to ``dtype`` as ``astype`` casts an
+    object array."""
+    out = np.zeros(shape, dtype=dtype)
+    counts = [len(vec) for vec in vectors]
+    at = np.repeat(np.arange(len(vectors)), counts)
+    index = np.fromiter(itertools.chain.from_iterable(vectors), dtype=int, count=len(at))
+    values = itertools.chain.from_iterable(vec.values() for vec in vectors)
+    values = np.array(list(values), dtype=object)
+    out[(index, at) if columns else (at, index)] = values.astype(dtype)
     return out
-
-
-def int_det(A) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    M = _int_rows(A)
-    n = len(M)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in M):
-        raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +123,9 @@ class SmithDecomposition:
     divisibility chain d_i | d_{i+1}.  ``u_inv`` and ``v_inv`` are carried
     along so that callers can map back to the original bases without
     re-inverting.
-    All five matrices have dtype=object holding Python ints: dense copies,
-    made once, of the sparse rows and columns :func:`smith_normal_form`
-    eliminates on.
+    All five matrices have dtype=object holding Python ints.
+    :func:`smith_normal_form` keeps the sparse rows and columns it
+    eliminates on and fills each dense matrix from them on first access.
     """
 
     U: np.ndarray
@@ -177,9 +152,7 @@ class SmithDecomposition:
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel of A (a direct summand)."""
-        n = self.D.shape[1]
-        r = self.rank
-        return self.v_inv[:, r:n]
+        return self.v_inv[:, self.rank :]
 
 
 def _require_snf_shape(shape: tuple[int, int]) -> None:
@@ -191,36 +164,95 @@ def _require_snf_shape(shape: tuple[int, int]) -> None:
         )
 
 
+class _SparseSmith(SmithDecomposition):
+    """A :class:`SmithDecomposition` as the elimination leaves it: the
+    invariant factors and, by position, the columns of U and V^-1 and the
+    rows of U^-1 and V, each a ``{original index: int}`` dict.  A dense
+    matrix is filled from them on first access, once."""
+
+    def __init__(self, shape, pivots, u_cols, u_inv_rows, v_rows, v_inv_cols):
+        for name, value in [
+            ("_shape", shape),
+            ("_pivots", pivots),
+            ("_u_cols", u_cols),
+            ("_u_inv_rows", u_inv_rows),
+            ("_v_rows", v_rows),
+            ("_v_inv_cols", v_inv_cols),
+        ]:
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def diagonal(self) -> list[int]:
+        return self._pivots + [0] * (min(self._shape) - len(self._pivots))
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        m = self._shape[0]
+        return _dense((m, m), self._u_cols, columns=True)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _dense(self._shape, [{p: d} for p, d in enumerate(self._pivots)])
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        n = self._shape[1]
+        return _dense((n, n), self._v_rows)
+
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        m = self._shape[0]
+        return _dense((m, m), self._u_inv_rows)
+
+    @cached_property
+    def v_inv(self) -> np.ndarray:
+        n = self._shape[1]
+        return _dense((n, n), self._v_inv_cols, columns=True)
+
+
 def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form over Z with deterministic pivoting.
 
     Returns U, D, V with A = U D V exactly, |det U| = |det V| = 1, and
     diagonal D obeying the divisibility chain.  Pivots are chosen as the
     smallest nonzero absolute value in the working submatrix, ties broken by
-    row-major position, which makes the output reproducible.
-
-    The elimination runs on sparse rows.  D's rows are ``{column: int}``
-    dicts with a column-to-rows index; the rows of U^-1 and the columns of
-    U go with D's rows, the columns of V^-1 and the rows of V with its
-    columns, all as dicts keyed by original index.  A row or column keeps
-    its key through swaps, which only permute positions, so the pivot rule
-    reads positions while every operation reads keys.  The pivot search
-    walks the rows in position order and stops at the first one holding a
-    unit.  The five dense matrices are filled once at the end.
+    row-major position, which makes the output reproducible.  The
+    elimination runs on A's nonzero entries (:func:`_eliminate`); the dense
+    matrices are filled from its sparse rows when first read.
     """
     A = np.asarray(A)
     if A.ndim == 2:
         _require_snf_shape(A.shape)
     A = _checked(A)
-    m, n = A.shape
+    nz_i, nz_j = np.nonzero(A)
+    return _eliminate(A.shape, zip(nz_i.tolist(), nz_j.tolist(), A[nz_i, nz_j].tolist()))
+
+
+def _eliminate(shape: tuple[int, int], entries) -> _SparseSmith:
+    """The Smith elimination of the m x n matrix with the given
+    ``(row, column, value)`` entries, on sparse rows.
+
+    D's rows are ``{column: int}`` dicts with a column-to-rows index; the
+    rows of U^-1 and the columns of U go with D's rows, the columns of V^-1
+    and the rows of V with its columns, all as dicts keyed by original
+    index.  A row or column keeps its key through swaps, which only permute
+    positions, so the pivot rule reads positions while every operation reads
+    keys.  The pivot search walks the rows in position order and stops at
+    the first one holding a unit.
+    """
+    m, n = shape
     rows: list[dict] = [{} for _ in range(m)]
     in_col: list[set] = [set() for _ in range(n)]
-    nz_i, nz_j = np.nonzero(A)
-    for i, j, x in zip(nz_i.tolist(), nz_j.tolist(), A[nz_i, nz_j].tolist()):
+    for i, j, x in entries:
         x = int(x)
         if x:
             rows[i][j] = x
             in_col[j].add(i)
+
     U = [{i: 1} for i in range(m)]  # column of U, by row key
     U_inv = [{i: 1} for i in range(m)]  # row of U^-1, by row key
     V = [{j: 1} for j in range(n)]  # row of V, by column key
@@ -289,12 +321,13 @@ def smith_normal_form(A) -> SmithDecomposition:
         in_col[C].clear()
         s += 1
 
-    return SmithDecomposition(
-        U=_dense((m, m), [U[r] for r in row_at], columns=True),
-        D=_dense((m, n), [{p: d} for p, d in enumerate(pivots)]),
-        V=_dense((n, n), [V[c] for c in col_at]),
-        u_inv=_dense((m, m), [U_inv[r] for r in row_at]),
-        v_inv=_dense((n, n), [V_inv[c] for c in col_at], columns=True),
+    return _SparseSmith(
+        (m, n),
+        pivots,
+        [U[r] for r in row_at],
+        [U_inv[r] for r in row_at],
+        [V[c] for c in col_at],
+        [V_inv[c] for c in col_at],
     )
 
 
@@ -372,10 +405,11 @@ class HomologySummary:
     1-chains (length E); ``h2_cycles`` is a basis of the 2-cycle lattice
     ker d2 (integer F-vectors).  H1 is computed in the basis of fundamental
     cycles of the cotree edges of :func:`spanning_forest`: a 1-cycle's
-    coordinates there are its cotree entries, and the private Smith data of
-    the cotree face matrix turns those into coefficients on the stored
-    generators, exactly.  Its float copy, made once here, gives the flat
-    cocycles and connections.
+    coordinates there are its cotree entries, and the sparse exact rows of
+    U'^-1 kept here (U' from the Smith form of the cotree face matrix) turn
+    those into coefficients on the stored generators.  Two dense float
+    matrices filled from the Smith data give the flat cocycles and
+    connections.
     """
 
     betti: tuple[int, int, int]
@@ -386,9 +420,10 @@ class HomologySummary:
     num_vertices: int
     num_edges: int
     num_faces: int
-    _edge_ends: tuple[tuple[int, int], ...] = field(repr=False)
+    _ends: np.ndarray = field(repr=False)
     _cotree: tuple[int, ...] = field(repr=False)
-    _uprime_inv: np.ndarray = field(repr=False)
+    # rows of U'^-1 at the free, then the torsion slots: {cotree position: int}
+    _coordinate_rows: tuple[dict, ...] = field(repr=False)
     _uprime_inv_float: np.ndarray = field(repr=False)
     _image_coords_float: np.ndarray = field(repr=False)
     _image_factors: tuple[int, ...] = field(repr=False)
@@ -410,7 +445,8 @@ class HomologySummary:
         chain = np.asarray(chain, dtype=object)
         if chain.shape != (self.num_edges,):
             raise ValueError(f"1-chain must have length {self.num_edges}")
-        return not any(vertex_boundary(self.num_vertices, self._edge_ends, chain))
+        on = np.flatnonzero(chain)
+        return not any(vertex_boundary(self.num_vertices, self._ends[on].tolist(), chain[on]))
 
     def cycle_coordinates(self, cycle: Sequence[int]) -> tuple[list[int], list[int]]:
         """Coefficients of a 1-cycle on the stored (free, torsion) generators.
@@ -421,9 +457,9 @@ class HomologySummary:
         """
         if not self.is_cycle(cycle):
             raise ValueError("not a cycle: boundary is nonzero")
-        cyc = np.array([int(v) for v in np.asarray(cycle).tolist()], dtype=object)
-        y = self._uprime_inv @ cyc[list(self._cotree)]
-        return y[list(self._free_slots)].tolist(), y[list(self._torsion_slots)].tolist()
+        cyc = [int(v) for v in np.asarray(cycle)[list(self._cotree)].tolist()]
+        y = [sum(x * cyc[j] for j, x in row.items()) for row in self._coordinate_rows]
+        return y[: self.betti[1]], y[self.betti[1] :]
 
     def flat_values(self, chi: Character) -> np.ndarray:
         """Edge angles of a flat cocycle with holonomy character ``chi``.
@@ -536,8 +572,7 @@ def homology(complex2: Complex2) -> HomologySummary:
     (there are no 3-cells), returned as a lattice basis.
     """
     V, E, F = complex2.num_vertices, complex2.num_edges, complex2.num_faces
-    ends = tuple((u, v) for u, v, _ in complex2.edges)
-    words, signs, _ = face_arrays(complex2.faces)
+    words, signs, _ = complex2.face_words
     f, step = np.nonzero(signs)
     e, c = words[f, step], signs[f, step]
     # d1 d2 = 0 face by face: sum the signed ends of the face steps per
@@ -563,13 +598,15 @@ def homology(complex2: Complex2) -> HomologySummary:
 
     free_slots = tuple(range(rX, k))
     torsion_slots = tuple(i for i in range(rX) if dX[i] > 1)
-    h1_torsion = tuple(dX[i] for i in torsion_slots)
+    ends = complex2.ends.tolist()
 
     def chain_for_slot(i: int) -> np.ndarray:
+        # U's column i on the cotree, completed to a cycle up the forest
+        column = snfX._u_cols[i]
         chain = np.zeros(E, dtype=object)
-        chain[list(cotree)] = snfX.U[:, i]
+        chain[[cotree[p] for p in column]] = np.array(list(column.values()), dtype=object)
+        excess = vertex_boundary(V, [ends[cotree[p]] for p in column], column.values())
         # push each vertex's excess up its forest edge, leaves first
-        excess = vertex_boundary(V, ends, chain)
         for x in reversed(order):
             e = parent[x]
             if e >= 0:
@@ -578,23 +615,25 @@ def homology(complex2: Complex2) -> HomologySummary:
                 excess[u if v == x else v] += excess[x]
         return chain
 
-    Z = snfX.kernel_basis()  # F x b2
+    Z = _dense((F, F - rX), snfX._v_inv_cols[rX:], columns=True)  # ker X, F x b2
+    h2_dual = _dense((F - rX, F), snfX._v_rows[rX:])  # V[rX:, :]
     return HomologySummary(
         betti=(parent.count(-1), len(free_slots), Z.shape[1]),
-        torsion=((), h1_torsion, ()),
+        torsion=((), tuple(dX[i] for i in torsion_slots), ()),
         h1_free_generators=tuple(chain_for_slot(i) for i in free_slots),
         h1_torsion_generators=tuple((chain_for_slot(i), dX[i]) for i in torsion_slots),
         h2_cycles=tuple(z.copy() for z in Z.T),
         num_vertices=V,
         num_edges=E,
         num_faces=F,
-        _edge_ends=ends,
+        _ends=complex2.ends,
         _cotree=cotree,
-        _uprime_inv=snfX.u_inv,
-        _uprime_inv_float=snfX.u_inv.astype(float),
-        _image_coords_float=snfX.v_inv[:, :rX].T.astype(float),
+        _coordinate_rows=tuple(snfX._u_inv_rows[i] for i in free_slots + torsion_slots),
+        _uprime_inv_float=_dense((k, k), snfX._u_inv_rows, dtype=float),
+        # (F, rX) in memory, read as its (rX, F) transpose
+        _image_coords_float=_dense((F, rX), snfX._v_inv_cols[:rX], columns=True, dtype=float).T,
         _image_factors=tuple(dX[:rX]),
-        _h2_dual_rowsum=int(np.max(np.sum(np.abs(snfX.V[rX:, :]), axis=0), initial=0)),
+        _h2_dual_rowsum=int(np.max(np.sum(np.abs(h2_dual), axis=0), initial=0)),
         _free_slots=free_slots,
         _torsion_slots=torsion_slots,
     )

@@ -40,19 +40,27 @@ class Model:
     flux: np.ndarray
 
 
-def _number(value, field: str) -> float:
-    """A JSON number (int or float, not bool) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{field} must be a number, got {value!r}")
+def _number(value, field: str, *args) -> float:
+    """A JSON number (int or float, not bool) as a float; the error names
+    ``field.format(*args)``."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ModelError(f"{field.format(*args)} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ModelError(f"{field} is out of the float range") from None
+        raise ModelError(f"{field.format(*args)} is out of the float range") from None
 
 
 def _is_integer(value) -> bool:
-    """A JSON integer: ``json`` gives int, and bool is an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer: ``json`` makes exact ints, and a bool is not one."""
+    return type(value) is int
+
+
+def _integers(values: list) -> bool:
+    """Whether every entry of a JSON list is an integer."""
+    return {int}.issuperset(map(type, values))
 
 
 def loads_model(text: str) -> Model:
@@ -85,23 +93,23 @@ def loads_model(text: str) -> Model:
         src, dst, w = item
         if not (_is_integer(src) and _is_integer(dst)):
             raise ModelError(f"edge {i}: endpoints must be integers, got {src!r} and {dst!r}")
-        edges.append((src, dst, _number(w, f"edge {i}: weight")))
+        edges.append((src, dst, _number(w, "edge {}: weight", i)))
 
     faces = doc.get("faces", [])
     if not isinstance(faces, list) or any(not isinstance(f, list) for f in faces):
         raise ModelError("'faces' must be a list of lists of signed edge ids")
     face_words = []
     for i, word in enumerate(faces):
-        for s in word:
-            if not _is_integer(s) or s == 0:
-                raise ModelError(f"face {i}: steps must be nonzero signed integers, got {s!r}")
+        if not _integers(word) or 0 in word:
+            s = next(s for s in word if not _is_integer(s) or s == 0)
+            raise ModelError(f"face {i}: steps must be nonzero signed integers, got {s!r}")
         face_words.append(tuple(word))
 
     potential = doc.get("potential")
     if potential is not None:
         if not isinstance(potential, list) or len(potential) != vertices:
             raise ModelError(f"'potential' must list {vertices} values")
-        potential = [_number(x, f"potential[{i}]") for i, x in enumerate(potential)]
+        potential = [_number(x, "potential[{}]", i) for i, x in enumerate(potential)]
 
     try:
         cx = Complex2(vertices, tuple(edges), tuple(face_words), potential)
@@ -119,9 +127,9 @@ def loads_model(text: str) -> Model:
         rank = None
         rows = []
         for i, label in enumerate(tau):
-            if not isinstance(label, list) or not all(_is_integer(x) for x in label):
+            if not isinstance(label, list) or not _integers(label):
                 raise ModelError(f"tau[{i}] must be a list of integers, got {label!r}")
-            if not all(_INT64_MIN <= x <= _INT64_MAX for x in label):
+            if label and not (_INT64_MIN <= min(label) and max(label) <= _INT64_MAX):
                 raise ModelError(f"tau[{i}] entries must fit in a 64-bit integer")
             if rank is None:
                 rank = len(label)
@@ -137,7 +145,7 @@ def loads_model(text: str) -> Model:
     else:
         if not isinstance(flux, list) or len(flux) != len(face_words):
             raise ModelError(f"'flux' must list one value per face ({len(face_words)})")
-        flux = np.array([_number(x, f"flux[{i}]") for i, x in enumerate(flux)])
+        flux = np.array([_number(x, "flux[{}]", i) for i, x in enumerate(flux)])
         bad = np.flatnonzero(~np.isfinite(flux))
         if bad.size:
             raise ModelError(f"flux[{bad[0]}] must be finite, got {flux[bad[0]]}")

@@ -14,6 +14,8 @@ Matrices are dense; ``DENSE_THRESHOLD`` rejects oversized requests.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -142,7 +144,7 @@ def _assemble(complex2: Complex2, phases: np.ndarray) -> np.ndarray:
     """
     n = complex2.num_vertices
     H = np.zeros((phases.shape[0], n, n), dtype=complex)
-    ends = _ends(complex2)
+    ends = complex2.ends
     z = complex2.weights * np.exp(1j * phases)
     hops = np.stack([z, z.conj()], axis=2).reshape(len(H), 2 * len(ends))
     np.subtract.at(H, (slice(None), ends[:, ::-1].ravel(), ends.ravel()), hops)
@@ -151,14 +153,10 @@ def _assemble(complex2: Complex2, phases: np.ndarray) -> np.ndarray:
     return H
 
 
-def _ends(complex2: Complex2) -> np.ndarray:
-    return np.array([(u, v) for u, v, _ in complex2.edges], dtype=int).reshape(-1, 2)
-
-
 def _degree(complex2: Complex2) -> np.ndarray:
     """Weighted degree, summed in edge order (source, then target; loops count twice)."""
     deg = np.zeros(complex2.num_vertices)
-    np.add.at(deg, _ends(complex2).ravel(), np.repeat(complex2.weights, 2))
+    np.add.at(deg, complex2.ends.ravel(), np.repeat(complex2.weights, 2))
     return deg
 
 
@@ -303,7 +301,9 @@ def _eigh_gated(
     Each matrix with no nonzero imaginary entry is solved, and its residual
     computed, in real arithmetic, so its results depend on it alone.  A
     stack of one kind goes to LAPACK whole, as S or its real view, and a
-    mixed one as two copies.  The product S V is one matmul, so BLAS
+    mixed one as two copies, one after the other: the first part's copy,
+    eigenvectors and product are freed before the second part is copied.
+    The product S V is one matmul, so BLAS
     rounds every column as for the whole product; the residual is then
     finished in place and reduced a block of columns at a time.  Returns
     the ascending eigenvalues (K, n) and each matrix's residual
@@ -315,15 +315,7 @@ def _eigh_gated(
     vals, residual = np.zeros((K, n)), np.zeros(K)
     for pick, part in ((real, S.real), (~real, S)):
         if pick.any():
-            sub = part if pick.all() else part[pick]
-            w, vecs = np.linalg.eigh(sub)
-            R = sub @ vecs
-            res = np.zeros(len(sub))
-            for cols in _blocks(n, 16 * len(sub) * n):
-                block = R[:, :, cols]
-                block -= vecs[:, :, cols] * w[:, None, cols]
-                res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
-            vals[pick], residual[pick] = w, res
+            vals[pick], residual[pick] = _eigh_residual(part if pick.all() else part[pick])
     bad = np.flatnonzero(~(residual <= 1e-8 * scale))
     if bad.size:
         i = bad[0]
@@ -331,6 +323,23 @@ def _eigh_gated(
             f"{where(i)}: eigenpair residual {residual[i]:.3e} exceeds 1e-8 * {scale[i]:.3e}"
         )
     return np.sort(vals, axis=1), residual
+
+
+def _eigh_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a (K, n, n) stack of one kind, and each matrix's residual.
+
+    Its eigenvectors and product are freed on return, before a mixed stack's
+    other part is copied and solved.
+    """
+    n = S.shape[1]
+    w, vecs = np.linalg.eigh(S)
+    R = S @ vecs
+    res = np.zeros(len(S))
+    for cols in _blocks(n, 16 * len(S) * n):
+        block = R[:, :, cols]
+        block -= vecs[:, :, cols] * w[:, None, cols]
+        res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
+    return w, res
 
 
 def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
@@ -419,16 +428,15 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
+@functools.cache
 def _openblas_thread_control():
     """OpenBLAS's (get, set) thread-count functions as numpy's linear
-    algebra sees them, or None when it is linked against no OpenBLAS.
+    algebra sees them, or None when it is linked against no OpenBLAS;
+    looked up once per process.
 
     They are looked up through numpy's ``_umath_linalg`` extension, whose
     library dependencies include the BLAS numpy was built with.
     """
-    # imported here: only a butterfly sweep needs ctypes
-    import ctypes
-
     try:
         from numpy.linalg import _umath_linalg
 

@@ -35,9 +35,10 @@ from magbloch import (
     verify_block_diagonalization,
 )
 from magbloch.bloch import BlochBasis
-from magbloch.homology import TWO_PI, int_det
+from magbloch.homology import TWO_PI
 
 from conftest import make_random3
+from test_homology import int_det
 
 
 @contextmanager

@@ -931,6 +931,24 @@ class TestButterfly:
         finally:
             set_(original)
 
+    def test_two_sweeps_look_openblas_up_once(self, torus, monkeypatch):
+        import ctypes
+
+        opened = []
+        cdll = ctypes.CDLL
+
+        def counted(*args, **kwargs):
+            opened.append(args)
+            return cdll(*args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", counted)
+        operators._openblas_thread_control.cache_clear()
+        cx, cov = torus
+        for _ in range(2):
+            rows = butterfly(cx, cov, ["1/2", "1/3"], (4, 4))
+            assert all(row.error is None for row in rows)
+        assert len(opened) == 1
+
     def test_overlapping_sweeps_share_one_pin(self, monkeypatch):
         # a fake OpenBLAS at 2 threads; the second sweep enters while the
         # first holds the pin and leaves after it

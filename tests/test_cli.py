@@ -506,6 +506,17 @@ def test_cli_loads_only_numpy_and_the_standard_library(torus_model, tmp_path):
     assert loaded - set(sys.stdlib_module_names) == {"magbloch", "numpy"}
 
 
+def test_import_loads_no_pool_and_no_logging():
+    # concurrent.futures imports logging; only a butterfly sweep needs them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, magbloch; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    argv = [sys.executable, "-c", probe]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # the flags each command reads besides --model and --out
 ACCEPTED = {
     "validate": {"--json"},

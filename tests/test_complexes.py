@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbloch import (
     Complex2,
@@ -9,7 +10,13 @@ from magbloch import (
     build_supercell,
     validate,
 )
-from magbloch.complexes import SupercellMap, face_arrays, face_steps
+from magbloch.complexes import (
+    SupercellMap,
+    ValidationIssue,
+    ValidationReport,
+    face_arrays,
+    face_steps,
+)
 
 from conftest import cell_rank, make_random3
 
@@ -124,6 +131,168 @@ class TestValidate:
             flips = [e for e in range(cx.num_edges) if rng.integers(2)]
             cx2, cov2 = reorient_edges(cx, flips, cov)
             assert validate(cx2, cov2).ok
+
+
+def test_cached_arrays_are_read_only_and_match_the_cells():
+    cx, _, _ = make_random3(np.random.default_rng(8))
+    for c in [cx, Complex2(0, []), Complex2(2, [(0, 1, 0.5)], [(1, -1), ()])]:
+        ends = np.array([(u, v) for u, v, _ in c.edges], dtype=int).reshape(-1, 2)
+        want = {
+            "ends": ends,
+            "sources": ends[:, 0],
+            "targets": ends[:, 1],
+            "weights": np.array([w for _, _, w in c.edges], dtype=float),
+        }
+        for name, value in want.items():
+            got = getattr(c, name)
+            assert got is getattr(c, name)  # built once
+            assert got.dtype == value.dtype and np.array_equal(got, value)
+            assert not got.flags.writeable
+        assert c.face_words is c.face_words
+        for got, value in zip(c.face_words, face_arrays(c.faces)):
+            assert got.dtype == value.dtype and np.array_equal(got, value)
+            assert not got.flags.writeable
+
+
+def loop_validate(complex2, covering=None):
+    """validate() as it stood with per-edge and per-face loops."""
+    checks, issues = {}, []
+
+    def fail(check, detail, where=()):
+        checks[check] = False
+        issues.append(ValidationIssue(check, detail, where))
+
+    V, E = complex2.num_vertices, complex2.num_edges
+    checks["edge_endpoints"] = True
+    for e, (u, v, _) in enumerate(complex2.edges):
+        if not (0 <= u < V and 0 <= v < V):
+            fail("edge_endpoints", f"edge {e} has endpoint outside 0..{V - 1}", (e,))
+    checks["edge_weights_positive"] = True
+    for e, (_, _, w) in enumerate(complex2.edges):
+        if not (np.isfinite(w) and w > 0):
+            fail("edge_weights_positive", f"edge {e} has weight {w}", (e,))
+    checks["potentials_finite"] = True
+    if len(complex2.potentials) != V:
+        fail("potentials_finite", f"expected {V} potentials, got {len(complex2.potentials)}")
+    elif not np.all(np.isfinite(complex2.potentials)):
+        bad = tuple(np.flatnonzero(~np.isfinite(complex2.potentials)))
+        fail("potentials_finite", "non-finite potential values", bad)
+    checks["face_edge_refs"] = True
+    checks["faces_closed"] = True
+    tau = covering.tau if covering is not None and covering.tau.shape[0] == E else None
+    shifts = []
+    for f, word in enumerate(complex2.faces):
+        if len(word) == 0:
+            fail("face_edge_refs", f"face {f} has empty boundary word", (f,))
+            continue
+        try:
+            steps = face_steps(word)
+        except ValueError:
+            fail("face_edge_refs", f"face {f} contains a zero step", (f,))
+            continue
+        if any(not (0 <= e < E) for e, _ in steps):
+            bad = tuple(i for i, (e, _) in enumerate(steps) if not (0 <= e < E))
+            fail("face_edge_refs", f"face {f} references missing edges", (f,) + bad)
+            continue
+        if tau is not None:
+            edges, signs = np.array(steps).T
+            shifts.append(signs @ tau[edges])
+        if not checks["edge_endpoints"]:
+            continue
+        ends = []
+        for e, sign in steps:
+            u, v, _ = complex2.edges[e]
+            ends.append((u, v) if sign > 0 else (v, u))
+        for i in range(len(ends)):
+            j = (i + 1) % len(ends)
+            if ends[i][1] != ends[j][0]:
+                fail("faces_closed", f"face {f}: not a closed walk at step {j}", (f, j))
+                break
+    if covering is not None:
+        checks["tau_shape"] = True
+        if covering.tau.shape[0] != E:
+            fail("tau_shape", f"expected {E} tau labels, got {covering.tau.shape[0]}")
+        else:
+            checks["face_tau_zero"] = True
+            if checks["face_edge_refs"]:
+                for f, shift in enumerate(shifts):
+                    if np.any(shift != 0):
+                        fail("face_tau_zero", f"face {f} lifts to shift {shift.tolist()}", (f,))
+            checks["tau_surjective"] = True
+            if checks["edge_endpoints"] and covering.rank > 0:
+                from magbloch.homology import cycle_label_invariants
+
+                rank, factors = cycle_label_invariants(complex2, covering)
+                if rank < covering.rank:
+                    fail("tau_surjective", f"cycle labels span rank {rank} < d={covering.rank}")
+                elif any(f != 1 for f in factors):
+                    fail(
+                        "tau_surjective",
+                        f"cycle labels generate a proper sublattice (factors {factors})",
+                    )
+    return ValidationReport(checks, issues)
+
+
+def malformed_complex(rng):
+    """A small complex and covering, each part malformed now and then."""
+    V = int(rng.integers(0, 4))
+    E = int(rng.integers(0, 5))
+    weights = [1.0, 2.5, 0.0, -1.0, np.inf, np.nan]
+    edges = [
+        (int(rng.integers(-1, V + 1)), int(rng.integers(-1, V + 1)),
+         weights[int(rng.choice(6, p=[0.5, 0.3, 0.05, 0.05, 0.05, 0.05]))])
+        for _ in range(E)
+    ]
+    if rng.random() < 0.3 and V:
+        # endpoints in range so that the walks are checked
+        edges = [(int(rng.integers(V)), int(rng.integers(V)), w) for _, _, w in edges]
+    faces = []
+    for _ in range(int(rng.integers(0, 4))):
+        word = [int(rng.integers(-E - 1, E + 2)) for _ in range(int(rng.integers(0, 5)))]
+        if rng.random() < 0.7:
+            word = [s for s in word if s and abs(s) <= E]
+        if rng.random() < 0.05:
+            word.append(10**30)
+        faces.append(tuple(word))
+    if rng.random() < 0.3 and E:
+        # a closed walk: a loop traversed out and back
+        e = int(rng.integers(E)) + 1
+        faces.append((e, -e))
+    potentials = None
+    if rng.random() < 0.2:
+        potentials = rng.choice([0.0, 1.0, np.nan], size=int(rng.integers(0, V + 2)))
+    cx = Complex2(V, edges, faces, potentials)
+    if rng.random() < 0.3:
+        return cx, None
+    rank = int(rng.integers(0, 3))
+    rows = E + int(rng.choice([0, 0, 0, -1, 1])) if E else E
+    return cx, CoveringData(rank, rng.integers(-1, 2, size=(max(rows, 0), rank)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_validate_matches_the_loop_reference(seed):
+    cx, cov = malformed_complex(np.random.default_rng(seed))
+    got, want = validate(cx, cov), loop_validate(cx, cov)
+    assert list(got.checks.items()) == list(want.checks.items())
+    assert got.issues == want.issues
+    assert [[type(x) for x in i.where] for i in got.issues] == [
+        [type(x) for x in i.where] for i in want.issues
+    ]
+
+
+def test_validate_reports_each_face_in_order():
+    # face 0 is open, face 1 references a missing edge, face 2 holds a zero
+    # step and face 3 is empty: one issue each, in face order
+    cx = Complex2(2, [(0, 1, 1.0), (1, 0, 1.0)], [(1,), (1, 3, 2), (1, 0), ()])
+    report = validate(cx)
+    assert [(i.check, i.where) for i in report.issues] == [
+        ("faces_closed", (0, 0)),
+        ("face_edge_refs", (1, 1)),
+        ("face_edge_refs", (2,)),
+        ("face_edge_refs", (3,)),
+    ]
+    assert report.issues == loop_validate(cx).issues
 
 
 class TestBoundaryMatrices:

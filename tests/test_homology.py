@@ -34,13 +34,45 @@ from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
     SmithDecomposition,
-    _int_rows,
+    _bfs_forest,
+    _checked,
     cycle_label_invariants,
-    int_det,
     spanning_forest,
 )
 
 from conftest import make_random3
+
+
+def _int_rows(A) -> list[list[int]]:
+    """Copy a matrix into nested lists of Python ints; reject non-integers."""
+    return [[int(x) for x in row] for row in _checked(A).tolist()]
+
+
+def int_det(A) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    M = _int_rows(A)
+    n = len(M)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in M):
+        raise ValueError("determinant requires a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def verify_decomposition(A, snf):
@@ -778,6 +810,118 @@ class TestFloatSmithData:
             want = np.zeros(cx.num_edges)
             want[cotree] = snf.u_inv[:r].astype(float).T @ y
             assert np.array_equal(s.connection_values(flux), want)
+
+
+# homology() as it stood while HomologySummary kept the five dense Smith
+# matrices of the cotree matrix X, with its formulas for the cycle
+# coordinates, flat cocycles and connections; the summary's sparse rows and
+# the float matrices filled from them must reproduce it exactly.
+
+
+class DenseHomology:
+    def __init__(self, cx):
+        V, E = cx.num_vertices, cx.num_edges
+        ends = tuple((u, v) for u, v, _ in cx.edges)
+        order, parent, cotree = _bfs_forest(cx)
+        snf = smith_normal_form(cotree_matrix(cx))
+        r, d = snf.rank, snf.diagonal
+        free_slots = tuple(range(r, len(cotree)))
+        torsion_slots = tuple(i for i in range(r) if d[i] > 1)
+
+        def chain_for_slot(i):
+            chain = np.zeros(E, dtype=object)
+            chain[list(cotree)] = snf.U[:, i]
+            excess = vertex_boundary(V, ends, chain)
+            for x in reversed(order):
+                e = parent[x]
+                if e >= 0:
+                    u, v = ends[e]
+                    chain[e] = excess[x] if u == x else -excess[x]
+                    excess[u if v == x else v] += excess[x]
+            return chain
+
+        self.num_edges, self.cotree = E, cotree
+        self.free_slots, self.torsion_slots = free_slots, torsion_slots
+        self.torsion_orders = tuple(d[i] for i in torsion_slots)
+        self.h1_free_generators = [chain_for_slot(i) for i in free_slots]
+        self.h1_torsion_generators = [(chain_for_slot(i), d[i]) for i in torsion_slots]
+        self.h2_cycles = [z.copy() for z in snf.kernel_basis().T]
+        self.u_inv = snf.u_inv
+        self.u_inv_float = snf.u_inv.astype(float)
+        self.image_coords_float = snf.v_inv[:, :r].T.astype(float)
+        self.image_factors = tuple(d[:r])
+        self.h2_dual_rowsum = int(np.max(np.sum(np.abs(snf.V[r:, :]), axis=0), initial=0))
+
+    def cycle_coordinates(self, cycle):
+        cyc = np.array([int(v) for v in np.asarray(cycle).tolist()], dtype=object)
+        y = self.u_inv @ cyc[list(self.cotree)]
+        return y[list(self.free_slots)].tolist(), y[list(self.torsion_slots)].tolist()
+
+    def flat_values(self, chi):
+        w = np.zeros(len(self.cotree))
+        w[list(self.free_slots)] = chi.angles
+        for slot, k_i, m_i in zip(self.torsion_slots, chi.torsion_indices, self.torsion_orders):
+            w[slot] = TWO_PI * (k_i % m_i) / m_i
+        values = np.zeros(self.num_edges)
+        values[list(self.cotree)] = self.u_inv_float.T @ w
+        return values
+
+    def connection_values(self, flux):
+        s = np.divide(self.image_coords_float @ flux, self.image_factors)
+        values = np.zeros(self.num_edges)
+        values[list(self.cotree)] = self.u_inv_float[: len(s)].T @ s
+        return values
+
+
+def assert_equals_dense_reference(cx, rng):
+    s, ref = homology(cx), DenseHomology(cx)
+
+    def same_chains(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == object and g.shape == w.shape
+            assert g.tolist() == w.tolist()
+            assert all(type(x) is int for x in g.tolist())
+
+    same_chains(s.h1_free_generators, ref.h1_free_generators)
+    same_chains([g for g, _ in s.h1_torsion_generators], [g for g, _ in ref.h1_torsion_generators])
+    assert [m for _, m in s.h1_torsion_generators] == [m for _, m in ref.h1_torsion_generators]
+    same_chains(s.h2_cycles, ref.h2_cycles)
+    assert s.connection_defect_bound(1e-9) == TWO_PI * 1e-9 * ref.h2_dual_rowsum
+
+    _, d2 = boundary_matrices(cx)
+    gens = ref.h1_free_generators + [g for g, _ in ref.h1_torsion_generators]
+    for _ in range(4):
+        cycle = np.zeros(cx.num_edges, dtype=object)
+        for g in gens:
+            cycle += int(rng.integers(-3, 4)) * g
+        if cx.num_faces:
+            cycle += (d2 @ rng.integers(-2, 3, size=cx.num_faces)).astype(object)
+        assert s.cycle_coordinates(cycle) == ref.cycle_coordinates(cycle)
+
+    chi = character_group(s).sample(rng)
+    assert np.array_equal(s.flat_values(chi), ref.flat_values(chi))
+    flux = rng.uniform(-TWO_PI, TWO_PI, size=cx.num_faces)
+    assert np.array_equal(s.connection_values(flux), ref.connection_values(flux))
+
+
+class TestSparseSummaryAgainstDenseReference:
+    def test_oracle_complexes(self):
+        rng = np.random.default_rng(21)
+        for cx, _ in oracle_complexes():
+            assert_equals_dense_reference(cx, rng)
+
+    def test_periodic_block_and_magnetic_cells(self, torus):
+        rng = np.random.default_rng(22)
+        assert_equals_dense_reference(build_supercell(*torus, SupercellSpec((6, 5)))[0], rng)
+        for flux in ["1/3", "2/7", "5/12"]:
+            assert_equals_dense_reference(magnetic_supercell(*torus, flux).complex2, rng)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_complexes(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_equals_dense_reference(random_complex(rng)[0], rng)
 
 
 class TestPeriodicBlocks:

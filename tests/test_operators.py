@@ -696,6 +696,38 @@ class TestPerMatrixRule:
             assert np.array_equal(residual[i], ref_residual[0])
 
 
+def test_mixed_stack_frees_its_first_part_before_the_second(monkeypatch):
+    # 4 real and 4 complex 64 x 64 matrices: the real part's copy,
+    # eigenvectors and product (3 x 128 KiB) are gone when the complex
+    # part's solve starts, which holds its own copy (256 KiB) and little else
+    import tracemalloc
+
+    K, n = 8, 64
+    rng = np.random.default_rng(53)
+    A = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+    A[:4] = A[:4].real
+    S = 0.5 * (A + A.conj().transpose(0, 2, 1))
+    held = []
+    eigh = np.linalg.eigh
+
+    def probed(sub):
+        held.append((sub.dtype, tracemalloc.get_traced_memory()[0]))
+        return eigh(sub)
+
+    monkeypatch.setattr(np.linalg, "eigh", probed)
+    tracemalloc.start()
+    try:
+        vals, residual = operators._eigh_gated(S, np.full(K, 1e3), str)
+    finally:
+        tracemalloc.stop()
+    assert [dtype for dtype, _ in held] == [float, complex]
+    complex_copy = 16 * 4 * n * n
+    assert held[1][1] <= complex_copy + 16 * 1024
+    for i in range(K):
+        alone = operators._eigh_gated(S[i : i + 1], np.full(1, 1e3), str)
+        assert np.array_equal(vals[i], alone[0][0]) and residual[i] == alone[1][0]
+
+
 class TestBlockedGates:
     """The gates walk a large stack in row and column blocks; every result
     equals the whole-stack reference bit for bit."""
