@@ -71,17 +71,14 @@ def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
     if theta.shape != (complex2.num_edges,):
         raise ValueError(f"connection must have {complex2.num_edges} angles")
     # step by step over all faces at once: each face sees the same sequence
-    # of reductions a loop over its own word would make
-    edge, sign, length = complex2.face_words
+    # of reductions a loop over its own word would make.  Padding reads edge
+    # -1, the appended exact 0, so a finished face's total in [0, 2pi) passes
+    # through np.mod unchanged (2pi becomes 0, which wrap_angle also maps to 0)
+    edge, sign, _ = complex2.face_words
+    steps = sign * np.append(theta, 0.0)[edge]
     total = np.zeros(complex2.num_faces)
-    if np.all(length == edge.shape[1]):  # no padding: every face takes every step
-        steps = sign * theta[edge]
-        for j in range(edge.shape[1]):
-            total = np.mod(total + steps[:, j], TWO_PI)
-        return wrap_angle(total)
     for j in range(edge.shape[1]):
-        rows = length > j
-        total[rows] = np.mod(total[rows] + sign[rows, j] * theta[edge[rows, j]], TWO_PI)
+        total = np.mod(total + steps[:, j], TWO_PI)
     return wrap_angle(total)
 
 

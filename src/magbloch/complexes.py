@@ -126,11 +126,11 @@ class Complex2:
 
     @cached_property
     def sources(self) -> np.ndarray:
-        return _as_readonly(self.ends[:, 0])
+        return self.ends[:, 0]  # a view of read-only ends is read-only
 
     @cached_property
     def targets(self) -> np.ndarray:
-        return _as_readonly(self.ends[:, 1])
+        return self.ends[:, 1]
 
     @cached_property
     def weights(self) -> np.ndarray:

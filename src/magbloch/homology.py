@@ -220,34 +220,27 @@ def smith_normal_form(A) -> SmithDecomposition:
     Returns U, D, V with A = U D V exactly, |det U| = |det V| = 1, and
     diagonal D obeying the divisibility chain.  Pivots are chosen as the
     smallest nonzero absolute value in the working submatrix, ties broken by
-    row-major position, which makes the output reproducible.  The
-    elimination runs on A's nonzero entries (:func:`_eliminate`); the dense
-    matrices are filled from its sparse rows when first read.
+    row-major position, which makes the output reproducible.
+
+    The elimination runs on sparse rows: D's rows are ``{column: int}``
+    dicts with a column-to-rows index; the rows of U^-1 and the columns of U
+    go with D's rows, the columns of V^-1 and the rows of V with its
+    columns, all as dicts keyed by original index.  A row or column keeps
+    its key through swaps, which only permute positions, so the pivot rule
+    reads positions while every operation reads keys.  The pivot search
+    walks the rows in position order and stops at the first one holding a
+    unit.  The dense matrices are filled from the sparse rows when first
+    read.
     """
     A = np.asarray(A)
     if A.ndim == 2:
         _require_snf_shape(A.shape)
     A = _checked(A)
-    nz_i, nz_j = np.nonzero(A)
-    return _eliminate(A.shape, zip(nz_i.tolist(), nz_j.tolist(), A[nz_i, nz_j].tolist()))
-
-
-def _eliminate(shape: tuple[int, int], entries) -> _SparseSmith:
-    """The Smith elimination of the m x n matrix with the given
-    ``(row, column, value)`` entries, on sparse rows.
-
-    D's rows are ``{column: int}`` dicts with a column-to-rows index; the
-    rows of U^-1 and the columns of U go with D's rows, the columns of V^-1
-    and the rows of V with its columns, all as dicts keyed by original
-    index.  A row or column keeps its key through swaps, which only permute
-    positions, so the pivot rule reads positions while every operation reads
-    keys.  The pivot search walks the rows in position order and stops at
-    the first one holding a unit.
-    """
-    m, n = shape
+    m, n = A.shape
     rows: list[dict] = [{} for _ in range(m)]
     in_col: list[set] = [set() for _ in range(n)]
-    for i, j, x in entries:
+    nz_i, nz_j = np.nonzero(A)
+    for i, j, x in zip(nz_i.tolist(), nz_j.tolist(), A[nz_i, nz_j].tolist()):
         x = int(x)
         if x:
             rows[i][j] = x
