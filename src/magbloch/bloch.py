@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -522,11 +522,10 @@ def _magnetic_cell(
         raise ValueError("magnetic supercells need a covering of rank >= 1")
     spec = SupercellSpec((q,) + (1,) * (covering.rank - 1))
     _require_cell_count(spec, f"magnetic supercell(q={q})")
-    sc, sc_map = build_supercell(complex2, covering, spec)
-
-    r, e = np.array(sc_map.edge_origin, dtype=int).reshape(-1, 2).T
-    new_tau = (spec.cells()[r] + covering.tau[e]) // np.array(spec.sizes)
-    return sc, CoveringData(covering.rank, new_tau)
+    sc, _ = build_supercell(complex2, covering, spec)
+    # edge copy (cell, e) carries (cell + tau[e]) // sizes, in cell-major order
+    carry = (spec.cells()[:, None, :] + covering.tau) // np.array(spec.sizes)
+    return sc, CoveringData(covering.rank, carry.reshape(-1, covering.rank))
 
 
 def _face_flux(sc: Complex2, fr: Fraction) -> np.ndarray:
@@ -569,15 +568,6 @@ def _representative(fr: Fraction, size: int, summary: HomologySummary) -> tuple[
         return fr, False
     p = fr.numerator % size
     return Fraction(min(p, size - p), size), 2 * p > size
-
-
-def _at_opposite_momenta(band: BandData) -> BandData:
-    """The band data with each momentum's eigenvalues taken from its
-    opposite: row i reads the row of the cell -m_i mod N, the momentum
-    -k_i mod 2 pi.  The intervals, merged from the same values, are kept."""
-    spec = SupercellSpec(band.grid)
-    opposite = np.ravel_multi_index(tuple((-spec.cells() % spec.sizes).T), spec.sizes)
-    return BandData(band.ks, band.eigenvalues[opposite], band.intervals, band.grid)
 
 
 def butterfly(
@@ -642,6 +632,13 @@ def butterfly(
             rep, mirrored = _representative(fr, size, cells[size][2])
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
+    # a mirrored flux's row i is row opposite[i] of its representative's band:
+    # the cell -m_i mod N, at -k_i mod 2 pi; the merged intervals stay
+    try:
+        spec = SupercellSpec(grid)
+        opposite = spec.rank(-spec.cells())
+    except ValueError:  # then every band sweep fails on the grid, and no row reads it
+        opposite = None
 
     def solve(key) -> list[tuple[int, ButterflyRow]]:
         size, rep = key
@@ -654,8 +651,10 @@ def butterfly(
                 conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
                 if shared is None:
                     band = spectrum_union(sc, cov, conn, grid)
+                elif mirrored:
+                    band = replace(shared, eigenvalues=shared.eigenvalues[opposite])
                 else:
-                    band = _at_opposite_momenta(shared) if mirrored else shared
+                    band = shared
             except (ValueError, NumericError) as exc:  # per-entry errors are data
                 return ButterflyRow(fr.numerator, fr.denominator, error=str(exc))
             return ButterflyRow(fr.numerator, fr.denominator, band=band)

@@ -65,20 +65,30 @@ def wrap_angle(x: np.ndarray | float):
     return y
 
 
-def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
-    """Face holonomies of a connection, one angle in (-pi, pi] per face."""
+def _connection(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (complex2.num_edges,):
         raise ValueError(f"connection must have {complex2.num_edges} angles")
+    return theta
+
+
+def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
+    """Face holonomies of a connection, one angle in (-pi, pi] per face."""
+    return _curvatures(complex2, _connection(complex2, theta))
+
+
+def _curvatures(complex2: Complex2, thetas: np.ndarray) -> np.ndarray:
+    """:func:`curvature` of a stack of connections, shape (..., E) -> (..., F)."""
     # step by step over all faces at once: each face sees the same sequence
     # of reductions a loop over its own word would make.  Padding reads edge
     # -1, the appended exact 0, so a finished face's total in [0, 2pi) passes
     # through np.mod unchanged (2pi becomes 0, which wrap_angle also maps to 0)
     edge, sign, _ = complex2.face_words
-    steps = sign * np.append(theta, 0.0)[edge]
-    total = np.zeros(complex2.num_faces)
+    padded = np.concatenate([thetas, np.zeros(thetas.shape[:-1] + (1,))], axis=-1)
+    steps = sign * padded[..., edge]
+    total = np.zeros(steps.shape[:-1])
     for j in range(edge.shape[1]):
-        total = np.mod(total + steps[:, j], TWO_PI)
+        total = np.mod(total + steps[..., j], TWO_PI)
     return wrap_angle(total)
 
 
@@ -208,9 +218,9 @@ def difference_class(
     Free generators contribute angles; torsion generators contribute the
     nearest root-of-unity index (exact for genuinely flat differences).
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    mismatch = np.abs(wrap_angle(curvature(complex2, theta2) - curvature(complex2, theta1)))
+    theta1, theta2 = _connection(complex2, theta1), _connection(complex2, theta2)
+    curv1, curv2 = _curvatures(complex2, np.stack([theta1, theta2]))
+    mismatch = np.abs(wrap_angle(curv2 - curv1))
     if complex2.num_faces and np.max(mismatch) > CURVATURE_TOL:
         raise ValueError(
             f"curvature mismatch: max face deviation {np.max(mismatch):.3e} exceeds {CURVATURE_TOL}"

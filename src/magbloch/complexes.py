@@ -93,7 +93,8 @@ class Complex2:
     Construction is deliberately lenient so that malformed inputs can be
     diagnosed by :func:`validate` instead of raising here.  The array views
     of the edges and faces (``ends``, ``sources``, ``targets``, ``weights``,
-    ``face_words``) are read-only and built once, on first use.
+    ``face_words``) and the spanning ``forest`` are read-only and built
+    once, on first use.
     """
 
     num_vertices: int
@@ -144,6 +145,37 @@ class Complex2:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def forest(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """BFS spanning forest: the vertices in visiting order, each vertex's
+        forest edge (-1 at a root, the smallest vertex of its component) and
+        the cotree edges.  Vertices and edges are scanned in index order."""
+        V = self.num_vertices
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
+        for e, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        parent = [-1] * V
+        seen = [False] * V
+        order: list[int] = []
+        i = 0
+        for root in range(V):
+            if seen[root]:
+                continue
+            seen[root] = True
+            order.append(root)
+            while i < len(order):
+                u = order[i]
+                i += 1
+                for v, e in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v] = e
+                        order.append(v)
+        tree = set(parent)
+        cotree = tuple(e for e in range(self.num_edges) if e not in tree)
+        return tuple(order), tuple(parent), cotree
+
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
@@ -190,23 +222,18 @@ def _as_size(n) -> int:
 
 @dataclass(frozen=True)
 class SupercellSpec:
-    """Finite block of the cover: sizes per covering direction plus boundary.
+    """Sizes of a finite cover: the quotient of the Z^d cover by ``N Z^d``.
 
-    ``periodic`` identifies opposite sides (quotient by the sublattice
-    ``N Z^d``); ``dirichlet`` keeps the block open and drops whatever leaves.
-    The sizes index the deck group Z/N_1 x ... x Z/N_d: its elements are the
-    cells, and its characters the sampled Bloch momenta.
+    Its deck group Z/N_1 x ... x Z/N_d acts by translations: its elements
+    are the cells, and its characters the sampled Bloch momenta.
     """
 
     sizes: tuple[int, ...]
-    boundary: str = "periodic"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(map(_as_size, self.sizes)))
         if any(n < 1 for n in self.sizes):
             raise ValueError(f"sizes must be >= 1, got {self.sizes}")
-        if self.boundary not in ("periodic", "dirichlet"):
-            raise ValueError(f"boundary must be 'periodic' or 'dirichlet', got {self.boundary!r}")
 
     @property
     def num_cells(self) -> int:
@@ -219,6 +246,11 @@ class SupercellSpec:
         grids = np.meshgrid(*[np.arange(n) for n in self.sizes], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
+    def rank(self, points: np.ndarray) -> np.ndarray:
+        """Ranks in :meth:`cells` of points (..., d), reduced mod the sizes."""
+        strides = [math.prod(self.sizes[j + 1 :]) for j in range(len(self.sizes))]
+        return (points % np.array(self.sizes, dtype=int)) @ np.array(strides, dtype=int)
+
 
 @dataclass(frozen=True, eq=False)
 class SupercellMap:
@@ -227,14 +259,14 @@ class SupercellMap:
     Cells are ordered lexicographically (:meth:`SupercellSpec.cells`), and a
     cell's rank is its position in that order; the flat index is
     ``rank * base_vertices + v`` (cell-major blocks, which is the block
-    structure used by deck translations and the Bloch transform).
-    ``edge_origin[j]`` records ``(rank, base_edge)`` for supercell edge
-    ``j``; for dirichlet blocks some copies are missing.
+    structure used by deck translations and the Bloch transform).  Edges
+    are numbered the same way: supercell edge ``rank * base_edges + e`` is
+    the copy of base edge ``e`` based in that cell.
     """
 
     spec: SupercellSpec
     base_vertices: int
-    edge_origin: tuple[tuple[int, int], ...]
+    base_edges: int
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -247,6 +279,13 @@ class SupercellMap:
     @property
     def num_vertices(self) -> int:
         return self.num_cells * self.base_vertices
+
+    @property
+    def edge_origin(self) -> np.ndarray:
+        """``(rank, base_edge) = divmod(j, base_edges)`` of every supercell
+        edge ``j``, shape (num_cells * base_edges, 2); read-only."""
+        j = np.arange(self.num_cells * self.base_edges)
+        return _as_readonly(np.stack(np.divmod(j, self.base_edges), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -421,14 +460,13 @@ def vertex_boundary(num_vertices: int, ends, chain) -> list[int]:
 def build_supercell(
     complex2: Complex2, covering: CoveringData, spec: SupercellSpec
 ) -> tuple[Complex2, SupercellMap]:
-    """Realize a finite block of the cover as a complex of its own.
+    """Realize the finite cover of ``spec`` as a complex of its own.
 
     Vertices are copies ``(cell, v)``; the copy of edge ``e`` based in
-    ``cell`` runs to ``cell + tau[e]``.  With periodic boundary the cell
-    coordinates are reduced mod the sizes (deck-group quotient); with
-    dirichlet boundary, edges leaving the block are dropped, along with any
-    face that would use a dropped copy.  Weights and potentials are copied
-    periodically.
+    ``cell`` runs to ``cell + tau[e]``, with cell coordinates reduced mod the
+    sizes (the quotient by the deck group).  Every edge and face has one copy
+    per cell, numbered cell-major.  Weights and potentials are copied to
+    every cell.
     """
     if covering.rank != len(spec.sizes):
         raise ValueError(
@@ -438,46 +476,27 @@ def build_supercell(
         raise ValueError("covering labels do not match the number of edges")
 
     V, E = complex2.num_vertices, complex2.num_edges
-    sizes = np.array(spec.sizes, dtype=int)
-    periodic = spec.boundary == "periodic"
     cells = spec.cells()
     tau = covering.tau
 
-    def rank(points: np.ndarray) -> np.ndarray:
-        """Cell ranks of points (..., d), coordinates reduced mod the sizes."""
-        if not spec.sizes:
-            return np.zeros(points.shape[:-1], dtype=int)
-        return np.ravel_multi_index(np.moveaxis(points, -1, 0), spec.sizes, mode="wrap")
-
-    # copy (cell, e) runs from cell to cell + tau[e]; copies are numbered
-    # cell-major, and position[cell, e] is the copy's index (-1 if dropped)
-    ends = cells[:, None, :] + tau[None, :, :]
-    keep = periodic | np.all((ends >= 0) & (ends < sizes), axis=-1)
-    r_src, e_src = np.nonzero(keep)
-    position = np.full((len(cells), E), -1)
-    position[r_src, e_src] = np.arange(len(r_src))
+    # copy (cell, e) runs from cell to cell + tau[e] and is edge rank * E + e
+    cell = np.arange(len(cells))[:, None]
     edges = zip(
-        (r_src * V + complex2.sources[e_src]).tolist(),
-        (rank(ends[r_src, e_src]) * V + complex2.targets[e_src]).tolist(),
-        complex2.weights[e_src].tolist(),
+        (cell * V + complex2.sources).ravel().tolist(),
+        (spec.rank(cells[:, None, :] + tau[None, :, :]) * V + complex2.targets).ravel().tolist(),
+        np.tile(complex2.weights, len(cells)).tolist(),
     )
 
-    # each word is walked from every cell at once: step j uses the copy based
-    # at cell + based[j].  In a dirichlet block that copy (its base reduced
-    # mod the sizes) was kept only if the walk is still inside the block
-    # after the step, so a face is kept iff every copy it uses was kept.
-    words = []
-    for e, sign, n in zip(*complex2.face_words):
-        e, sign = e[:n], sign[:n]
-        step = sign[:, None] * tau[e]
-        after = np.cumsum(step, axis=0)
-        based = np.where(sign[:, None] > 0, after - step, after)
-        pos = position[rank(cells[:, None, :] + based), e]
-        words.append((np.all(pos >= 0, axis=1).tolist(), (sign * (pos + 1)).tolist()))
-    faces = [tuple(ids[r]) for r in range(len(cells)) for ok, ids in words if ok[r]]
+    # every word is walked from every cell at once: step j uses the copy
+    # based at cell + based[j]; past a word's end the sign is 0
+    edge, sign, lengths = complex2.face_words
+    step = sign[..., None] * tau[edge]
+    after = np.cumsum(step, axis=1)
+    based = np.where(sign[..., None] > 0, after - step, after)
+    ids = sign * (spec.rank(cells[:, None, None, :] + based) * E + edge + 1)
+    words = ids.reshape(len(cells) * len(lengths), edge.shape[1]).tolist()
+    faces = [tuple(w[:n]) for w, n in zip(words, np.tile(lengths, len(cells)).tolist())]
 
     potentials = np.tile(complex2.potentials, len(cells))
     sc = Complex2(len(cells) * V, tuple(edges), tuple(faces), potentials)
-    sc_map = SupercellMap(spec, V, tuple(zip(r_src.tolist(), e_src.tolist())))
-    return sc, sc_map
-
+    return sc, SupercellMap(spec, V, E)

@@ -514,44 +514,11 @@ class HomologySummary:
         }
 
 
-def _bfs_forest(complex2: Complex2) -> tuple[list[int], list[int], tuple[int, ...]]:
-    """BFS visiting order of the vertices, each vertex's forest edge, and the
-    cotree edges in index order.
-
-    Roots are the smallest vertex of each component and have edge -1.
-    Vertices are visited in index order and edges scanned in index order.
-    """
-    V = complex2.num_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    for e, (u, v, _) in enumerate(complex2.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    parent = [-1] * V
-    seen = [False] * V
-    order: list[int] = []
-    i = 0
-    for root in range(V):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        while i < len(order):
-            u = order[i]
-            i += 1
-            for v, e in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = e
-                    order.append(v)
-    tree = set(parent)
-    return order, parent, tuple(e for e in range(complex2.num_edges) if e not in tree)
-
-
 def spanning_forest(complex2: Complex2) -> list[int]:
     """Edges of a BFS spanning forest, rooted at the smallest vertex of each
     component.  Deterministic: vertices are visited in index order and edges
     scanned in index order, so the gauge it induces is reproducible."""
-    return sorted(e for e in _bfs_forest(complex2)[1] if e >= 0)
+    return sorted(e for e in complex2.forest[1] if e >= 0)
 
 
 def homology(complex2: Complex2) -> HomologySummary:
@@ -575,7 +542,7 @@ def homology(complex2: Complex2) -> HomologySummary:
     if np.any(np.bincount(which, weights=np.concatenate([c, -c]))):
         raise AssertionError("face boundary is not a 1-cycle; complex is invalid")
 
-    order, parent, cotree = _bfs_forest(complex2)
+    order, parent, cotree = complex2.forest
     k = len(cotree)
     _require_snf_shape((k, F))  # before X, which holds k * F integers
 
@@ -694,7 +661,7 @@ def cycle_label_invariants(
     forest potential p(x) sums tau along the forest path from the root to x.
     The Smith form runs on the distinct nonzero labels, sorted.
     """
-    order, parent, cotree = _bfs_forest(complex2)
+    order, parent, cotree = complex2.forest
     tau = covering.tau.tolist()
     p = [[0] * covering.rank for _ in range(complex2.num_vertices)]
     for x in order:

@@ -84,7 +84,7 @@ class MagneticOperator:
     """Dense Hermitian matrix with a provenance tag.
 
     ``provenance`` records how the operator was assembled: "quotient",
-    "fiber(k=...)", or "supercell(N=..., boundary)".
+    "fiber(k=...)", or "supercell(N=..., periodic)".
     """
 
     matrix: np.ndarray
@@ -220,15 +220,13 @@ def assemble_supercell(
     theta: Sequence[float] | None,
     spec: SupercellSpec,
 ) -> MagneticOperator:
-    """Periodic copies of the quotient operator on a finite block of the cover.
+    """Copies of the quotient operator on the finite cover of ``spec``.
 
-    With periodic boundary the hopping wraps around without extra twist and
-    the result equals the quotient assembly of :func:`build_supercell`'s
-    complex.  With dirichlet boundary the operator is the compression of the
-    periodic one onto the block: diagonal entries keep every incident cover
-    edge while hoppings that leave the block are dropped.  A block whose
-    dimension or cell count exceeds ``DENSE_THRESHOLD`` raises
-    :class:`NumericError` before anything is built.
+    The hopping wraps around without extra twist, and the result equals the
+    quotient assembly of :func:`build_supercell`'s complex with the
+    connection copied to every cell.  A supercell whose dimension or cell
+    count exceeds ``DENSE_THRESHOLD`` raises :class:`NumericError` before
+    anything is built.
     """
     H, tag = _supercell_stack(complex2, covering, theta, spec)
     return MagneticOperator(H[0], tag)
@@ -242,15 +240,11 @@ def _supercell_stack(
 ) -> tuple[np.ndarray, str]:
     """The matrix of :func:`assemble_supercell` as a writable (1, n, n)
     stack, with its provenance tag."""
-    tag = f"supercell(N={spec.sizes}, {spec.boundary})"
+    tag = f"supercell(N={spec.sizes}, periodic)"
     require_dense_size(complex2.num_vertices * spec.num_cells, tag)
     _require_cell_count(spec, tag)
-    sc, sc_map = build_supercell(complex2, covering, spec)
-    phases = _edge_phases(complex2, theta)[[e for _, e in sc_map.edge_origin]]
-    if spec.boundary == "dirichlet":
-        # the weight of cover edges leaving the block acts as a potential
-        full = np.tile(_degree(complex2), sc_map.num_cells)
-        sc = Complex2(sc.num_vertices, sc.edges, sc.faces, sc.potentials + full - _degree(sc))
+    sc, _ = build_supercell(complex2, covering, spec)
+    phases = np.tile(_edge_phases(complex2, theta), spec.num_cells)
     return _assemble(sc, phases[None]), tag
 
 
@@ -331,14 +325,23 @@ def _eigh_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Its eigenvectors and product are freed on return, before a mixed stack's
     other part is copied and solved.
     """
-    n = S.shape[1]
+    K, n = S.shape[0], S.shape[1]
     w, vecs = np.linalg.eigh(S)
     R = S @ vecs
-    res = np.zeros(len(S))
-    for cols in _blocks(n, 16 * len(S) * n):
+    res = np.zeros(K)
+    buf = None
+    for cols in _blocks(n, 16 * K * n):
         block = R[:, :, cols]
-        block -= vecs[:, :, cols] * w[:, None, cols]
-        res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
+        if buf is None:  # the first block is the widest
+            buf = np.empty(block.size, dtype=block.dtype)
+        sq = buf[: block.size].reshape(block.shape)
+        # block -= vecs * w, then np.linalg.norm(block, axis=1) by the same
+        # ufuncs, with their block-sized temporaries in one reused buffer
+        np.multiply(vecs[:, :, cols], w[:, None, cols], out=sq)
+        block -= sq
+        np.conjugate(block, out=sq)
+        np.multiply(sq, block, out=sq)
+        res = np.maximum(res, np.max(np.sqrt(np.add.reduce(sq.real, axis=1)), axis=1))
     return w, res
 
 
@@ -402,11 +405,9 @@ def translate(
 ) -> np.ndarray:
     """Deck translation on supercell vectors: (T_gamma s)(cell, v) = s(cell - gamma, v).
 
-    Requires a periodic supercell; the map permutes cell blocks, is unitary,
-    and satisfies T_gamma T_delta = T_{gamma+delta}.
+    The map permutes cell blocks, is unitary, and satisfies
+    T_gamma T_delta = T_{gamma+delta}.
     """
-    if sc_map.spec.boundary != "periodic":
-        raise ValueError("deck translations require a periodic supercell")
     s = np.asarray(s)
     if s.shape[0] != sc_map.num_vertices:
         raise ValueError(f"vector must have length {sc_map.num_vertices}")

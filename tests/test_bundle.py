@@ -19,7 +19,7 @@ from magbloch import (
     synthesize_connection,
     twist,
 )
-from magbloch.bundle import wrap_angle
+from magbloch.bundle import _curvatures, wrap_angle
 from magbloch.complexes import face_steps
 from magbloch.homology import TWO_PI, spanning_forest
 
@@ -67,6 +67,10 @@ class TestCurvature:
             for scale in (1e-9, 1.0, 1e3):
                 theta = scale * rng.uniform(-20, 20, size=cx.num_edges)
                 assert curvature(cx, theta).tobytes() == reference(cx, theta).tobytes()
+            # a stack of connections (difference_class's pair) row by row
+            thetas = rng.uniform(-20, 20, size=(2, cx.num_edges))
+            stacked = [row.tobytes() for row in _curvatures(cx, thetas)]
+            assert stacked == [reference(cx, theta).tobytes() for theta in thetas]
         with pytest.raises(ValueError, match="0 is not a valid step"):
             curvature(Complex2(1, [(0, 0, 1.0)], [(1, 0)]), [0.5])
 

@@ -8,6 +8,7 @@ from magbloch import (
     SupercellSpec,
     boundary_matrices,
     build_supercell,
+    homology,
     validate,
 )
 from magbloch.complexes import (
@@ -336,27 +337,39 @@ class TestBuildSupercell:
         assert (sc.num_vertices, sc.num_edges, sc.num_faces) == (4, 8, 4)
         assert validate(sc).ok
 
-    def test_chain_three_dirichlet_is_path(self, chain):
-        cx, cov = chain
-        sc, _ = build_supercell(cx, cov, SupercellSpec((3,), "dirichlet"))
-        assert sc.num_vertices == 3
-        assert sc.num_edges == 2
-        assert sorted((u, v) for u, v, _ in sc.edges) == [(0, 1), (1, 2)]
-
-    def test_periodic_euler_scaling(self, torus):
-        cx, cov = torus
-        for sizes in [(1, 1), (2, 3), (3, 3)]:
-            sc, _ = build_supercell(cx, cov, SupercellSpec(sizes))
-            cells = int(np.prod(sizes))
-            assert sc.euler_characteristic() == cells * cx.euler_characteristic()
-            assert validate(sc).ok
-
-    def test_random3_supercell_valid(self):
-        rng = np.random.default_rng(11)
-        cx, cov, _ = make_random3(rng)
-        sc, _ = build_supercell(cx, cov, SupercellSpec((2, 2)))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_periodic_euler_scaling(self, seed):
+        # every face and edge has one copy per cell: chi(M_N) = |G| chi(M)
+        cx, cov, sizes = random_cover(np.random.default_rng(seed))
+        sc, sc_map = build_supercell(cx, cov, SupercellSpec(sizes))
+        cells = int(np.prod(sizes))
+        assert (sc.num_vertices, sc.num_edges, sc.num_faces) == (
+            cells * cx.num_vertices, cells * cx.num_edges, cells * cx.num_faces
+        )
+        assert sc.euler_characteristic() == cells * cx.euler_characteristic()
         assert validate(sc).ok
-        assert sc.euler_characteristic() == 4 * cx.euler_characteristic()
+        # edge j is the copy of base edge j mod E in the cell of rank j // E
+        cell_major = [(r, e) for r in range(cells) for e in range(cx.num_edges)]
+        assert sc_map.edge_origin.tolist() == [list(o) for o in cell_major]
+        assert not sc_map.edge_origin.flags.writeable
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random3_supercell_valid(self, seed):
+        # the supercell is a quotient of the same cover: with the carry
+        # labels it validates, and it is connected, whenever the base does
+        rng = np.random.default_rng(seed)
+        bases = [random_cover(rng), make_random3(rng)[:2] + ((2, 2),)]
+        for cx, cov, sizes in bases:
+            spec = SupercellSpec(sizes)
+            sc, sc_map = build_supercell(cx, cov, spec)
+            r, e = sc_map.edge_origin.T
+            carry = CoveringData(cov.rank, (spec.cells()[r] + cov.tau[e]) // np.array(sizes))
+            assert sc.euler_characteristic() == spec.num_cells * cx.euler_characteristic()
+            if validate(cx, cov).ok:
+                assert validate(sc, carry).ok
+                assert homology(sc).betti[0] == 1
 
     def test_weights_and_potentials_copied(self, chain):
         cx, cov = chain
@@ -389,35 +402,55 @@ class TestBuildSupercell:
 def reference_build_supercell(complex2, covering, spec):
     """The per-cell, per-edge, per-face-step loop that build_supercell replaces."""
     V = complex2.num_vertices
-    sizes = np.array(spec.sizes, dtype=int)
-    periodic = spec.boundary == "periodic"
     cells = spec.cells()
-    edges, edge_origin, edge_index = [], [], {}
+    edges, edge_index = [], {}
     for r in range(len(cells)):
         for e, (u, v, w) in enumerate(complex2.edges):
-            cell2 = cells[r] + covering.tau[e]
-            if not periodic and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
-                continue
             edge_index[(r, e)] = len(edges)
-            edges.append((r * V + u, cell_rank(spec.sizes, cell2) * V + v, w))
-            edge_origin.append((r, e))
+            edges.append((r * V + u, cell_rank(spec.sizes, cells[r] + covering.tau[e]) * V + v, w))
     faces = []
     for r in range(len(cells)):
         for word in complex2.faces:
-            new_word, cur, ok = [], cells[r].copy(), True
+            new_word, cur = [], cells[r].copy()
             for e, sign in face_steps(word):
                 based = cur if sign > 0 else cur - covering.tau[e]
-                nxt = cur + covering.tau[e] if sign > 0 else based
-                idx = edge_index.get((cell_rank(spec.sizes, based), e))
-                if idx is None or (not periodic and (np.any(nxt < 0) or np.any(nxt >= sizes))):
-                    ok = False
-                    break
-                new_word.append(sign * (idx + 1))
-                cur = nxt
-            if ok:
-                faces.append(tuple(new_word))
+                new_word.append(sign * (edge_index[(cell_rank(spec.sizes, based), e)] + 1))
+                cur = cur + sign * covering.tau[e]
+            faces.append(tuple(new_word))
     sc = Complex2(len(cells) * V, edges, faces, np.tile(complex2.potentials, len(cells)))
-    return sc, SupercellMap(spec, V, tuple(edge_origin))
+    return sc, SupercellMap(spec, V, complex2.num_edges)
+
+
+def random_cover(rng):
+    """A random connected base with Z^d labels whose faces lift to closed loops.
+
+    A random spanning tree plus extra edges (loops and parallel edges
+    allowed), labels in -2..2, and faces that are commutators of closed
+    walks at vertex 0, so every face word closes and its labels sum to 0.
+    The labels need not span Z^d, so the cover may be disconnected.  Returns
+    the complex, its covering and supercell sizes of 1..3 per axis.
+    """
+    V, d = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    ends = [(int(rng.integers(v)), v)[:: int(rng.choice([-1, 1]))] for v in range(1, V)]
+    ends += [tuple(int(x) for x in rng.integers(V, size=2)) for _ in range(int(rng.integers(1, 5)))]
+    order, parent, cotree = Complex2(V, [(u, v, 1.0) for u, v in ends]).forest
+    path = {0: []}  # signed edge ids of the forest path from vertex 0
+    for x in order[1:]:
+        u, v = ends[parent[x]]
+        path[x] = path[u] + [parent[x] + 1] if v == x else path[v] + [-(parent[x] + 1)]
+
+    def inverse(walk):
+        return [-s for s in reversed(walk)]
+
+    loops = [path[ends[c][0]] + [c + 1] + inverse(path[ends[c][1]]) for c in cotree]
+    faces = []
+    for _ in range(int(rng.integers(0, 3))):
+        a, b = (loops[i] for i in rng.integers(len(loops), size=2))
+        faces.append(a + b + inverse(a) + inverse(b))
+    edges = [(u, v, float(w)) for (u, v), w in zip(ends, rng.uniform(0.5, 2.0, size=len(ends)))]
+    cx = Complex2(V, edges, faces, rng.uniform(-1.0, 1.0, size=V))
+    cov = CoveringData(d, rng.integers(-2, 3, size=(len(ends), d)))
+    return cx, cov, tuple(int(n) for n in rng.integers(1, 4, size=d))
 
 
 def random_labelled_complex(rng, rank):
@@ -441,11 +474,11 @@ class TestBuildSupercellReference:
         assert sc.edges == ref.edges
         assert sc.faces == ref.faces
         assert np.array_equal(sc.potentials, ref.potentials)
-        assert sc_map.edge_origin == ref_map.edge_origin
-        assert (sc_map.spec, sc_map.base_vertices) == (ref_map.spec, ref_map.base_vertices)
+        assert (sc_map.spec, sc_map.base_vertices, sc_map.base_edges) == (
+            ref_map.spec, ref_map.base_vertices, ref_map.base_edges
+        )
 
-    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    def test_fixed_models(self, boundary, torus, chain):
+    def test_fixed_models(self, torus, chain):
         rng = np.random.default_rng(12)
         random3 = make_random3(rng)[:2]
         for (cx, cov), sizes_list in [
@@ -454,16 +487,15 @@ class TestBuildSupercellReference:
             (chain, [(1,), (2,), (5,)]),
         ]:
             for sizes in sizes_list:
-                self.check(cx, cov, SupercellSpec(sizes, boundary))
+                self.check(cx, cov, SupercellSpec(sizes))
 
-    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    def test_random_labels_loops_and_parallels(self, boundary):
+    def test_random_labels_loops_and_parallels(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
             rank = int(rng.integers(1, 3))
             cx, cov = random_labelled_complex(rng, rank)
             sizes = tuple(int(n) for n in rng.integers(1, 4, size=rank))
-            self.check(cx, cov, SupercellSpec(sizes, boundary))
+            self.check(cx, cov, SupercellSpec(sizes))
 
     def test_rank_zero(self, torus):
         cx, _ = torus

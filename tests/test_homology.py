@@ -34,7 +34,6 @@ from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
     SmithDecomposition,
-    _bfs_forest,
     _checked,
     cycle_label_invariants,
     spanning_forest,
@@ -636,8 +635,8 @@ def oracle_complexes():
     rng = np.random.default_rng(20260917)
     out = [random_complex(rng) for _ in range(150)]
     cx, cov, _ = make_random3(rng)
-    for sizes, boundary in [((2, 2), "periodic"), ((3, 2), "periodic"), ((3, 3), "dirichlet")]:
-        sc, _ = build_supercell(cx, cov, SupercellSpec(sizes, boundary))
+    for sizes in [(2, 2), (3, 2), (3, 3)]:
+        sc, _ = build_supercell(cx, cov, SupercellSpec(sizes))
         out.append((sc, CoveringData(2, rng.integers(-2, 3, size=(sc.num_edges, 2)))))
     return out
 
@@ -739,6 +738,22 @@ def test_homology_and_synthesis_run_one_smith_form(torsion_cx, torus, monkeypatc
         assert len(calls) == 1
 
 
+def test_validate_and_homology_share_one_forest(torus, monkeypatch):
+    built = []
+    real = Complex2.forest.func
+    monkeypatch.setattr(Complex2.forest, "func", lambda cx: built.append(cx) or real(cx))
+    block, sc_map = build_supercell(*torus, SupercellSpec((4, 4)))
+    cells = sc_map.spec.cells()
+    tau = CoveringData(2, [(cells[r] + torus[1].tau[e]) // 4 for r, e in sc_map.edge_origin])
+    assert validate(block, tau).ok
+    homology(block)
+    spanning_forest(block)
+    assert built == [block]
+    order, parent, cotree = block.forest
+    assert all(type(part) is tuple for part in block.forest)
+    assert sorted(order) == list(range(16)) and parent.count(-1) == 1 and len(cotree) == 17
+
+
 def test_face_boundary_not_a_cycle_is_rejected():
     cx = Complex2(2, [(0, 1, 1.0)], [(1,)])
     with pytest.raises(AssertionError, match="not a 1-cycle"):
@@ -822,7 +837,7 @@ class DenseHomology:
     def __init__(self, cx):
         V, E = cx.num_vertices, cx.num_edges
         ends = tuple((u, v) for u, v, _ in cx.edges)
-        order, parent, cotree = _bfs_forest(cx)
+        order, parent, cotree = cx.forest
         snf = smith_normal_form(cotree_matrix(cx))
         r, d = snf.rank, snf.diagonal
         free_slots = tuple(range(r, len(cotree)))

@@ -134,11 +134,6 @@ class TestAssembleSupercell:
         assert np.array_equal(op.matrix.real, [[2, -2], [-2, 2]])
         assert spectrum(op).eigenvalues == pytest.approx([0.0, 4.0])
 
-    def test_chain_three_dirichlet_tridiagonal(self, chain):
-        cx, cov = chain
-        op = assemble_supercell(cx, cov, None, SupercellSpec((3,), "dirichlet"))
-        assert np.array_equal(op.matrix.real, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-
     def test_torus_2x2_spectrum(self, torus):
         cx, cov = torus
         op = assemble_supercell(cx, cov, None, SupercellSpec((2, 2)))
@@ -170,15 +165,14 @@ class TestAssembleSupercell:
         assert hermiticity_defect(op) <= 1e-12
 
     @pytest.mark.parametrize("sizes, n", [((400, 400), 160000), ((2**32, 2**32), 2**64)])
-    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    def test_oversized_rejected_before_building(self, torus, sizes, n, boundary):
+    def test_oversized_rejected_before_building(self, torus, sizes, n):
         cx, cov = torus
         start = time.perf_counter()
         with pytest.raises(NumericError) as err:
-            assemble_supercell(cx, cov, None, SupercellSpec(sizes, boundary))
+            assemble_supercell(cx, cov, None, SupercellSpec(sizes))
         assert time.perf_counter() - start < 1.0
         assert str(err.value).startswith(
-            f"supercell(N={sizes}, {boundary}): matrix dimension {n} exceeds"
+            f"supercell(N={sizes}, periodic): matrix dimension {n} exceeds"
         )
 
 
@@ -268,12 +262,6 @@ class TestTranslate:
             gamma = rng.integers(0, 3, size=2)
             T = translation_matrix(sc_map, gamma)
             assert np.max(np.abs(T @ H - H @ T)) <= 1e-12
-
-    def test_requires_periodic(self, chain):
-        cx, cov = chain
-        _, sc_map = build_supercell(cx, cov, SupercellSpec((2,), "dirichlet"))
-        with pytest.raises(ValueError):
-            translate(np.zeros(2), [1], sc_map)
 
 
 def reference_assemble(complex2, phases):
@@ -476,11 +464,9 @@ class TestTranslateReference:
 
 
 def reference_supercell(complex2, covering, theta, spec):
-    """The cell-by-cell supercell loop that assemble_supercell replaces: every
-    incident cover edge adds to the diagonal, hoppings leaving a dirichlet
-    block are dropped."""
+    """The cell-by-cell supercell loop that assemble_supercell replaces."""
     V = complex2.num_vertices
-    cells, sizes = spec.cells(), np.array(spec.sizes)
+    cells = spec.cells()
     n = len(cells) * V
     H = np.zeros((n, n), dtype=complex)
     diag = np.zeros(n)
@@ -488,10 +474,7 @@ def reference_supercell(complex2, covering, theta, spec):
         for e, (u, v, w) in enumerate(complex2.edges):
             diag[r * V + u] += w
             diag[r * V + v] += w
-            cell2 = cell + covering.tau[e]
-            if spec.boundary == "dirichlet" and (np.any(cell2 < 0) or np.any(cell2 >= sizes)):
-                continue
-            i, j = r * V + u, cell_rank(spec.sizes, cell2) * V + v
+            i, j = r * V + u, cell_rank(spec.sizes, cell + covering.tau[e]) * V + v
             z = w * np.exp(1j * theta[e])
             H[j, i] -= z
             H[i, j] -= z.conjugate()
@@ -506,14 +489,13 @@ class TestSupercellReference:
         rng = np.random.default_rng(44)
         cx, cov, _ = make_random3(rng)
         theta = rng.uniform(0, 2 * np.pi, size=4)
-        for boundary in ("periodic", "dirichlet"):
-            for sizes in [(3, 2), (1, 4), (2, 2)]:
-                spec = SupercellSpec(sizes, boundary)
-                ref = reference_supercell(cx, cov, theta, spec)
-                H = assemble_supercell(cx, cov, theta, spec).matrix
-                tol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
-                assert np.max(np.abs(H - ref)) <= tol
-                assert np.array_equal(H - np.diag(H.diagonal()), ref - np.diag(ref.diagonal()))
+        for sizes in [(3, 2), (1, 4), (2, 2)]:
+            spec = SupercellSpec(sizes)
+            ref = reference_supercell(cx, cov, theta, spec)
+            H = assemble_supercell(cx, cov, theta, spec).matrix
+            tol = 8 * np.finfo(float).eps * np.max(np.abs(ref))
+            assert np.max(np.abs(H - ref)) <= tol
+            assert np.array_equal(H - np.diag(H.diagonal()), ref - np.diag(ref.diagonal()))
 
 
 def spy_eigh_dtypes(monkeypatch, corrupt=False):
@@ -551,10 +533,9 @@ def zero_flux_models():
 
 
 class TestRealPath:
-    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
-    def test_zero_flux_supercells(self, monkeypatch, boundary):
+    def test_zero_flux_supercells(self, monkeypatch):
         for cx, cov, theta in zero_flux_models():
-            op = assemble_supercell(cx, cov, theta, SupercellSpec((4, 3), boundary))
+            op = assemble_supercell(cx, cov, theta, SupercellSpec((4, 3)))
             ref = complex_eigvalsh(op.matrix)
             seen = spy_eigh_dtypes(monkeypatch)
             sp = spectrum(op)
