@@ -603,6 +603,7 @@ def butterfly(
     # imported here: concurrent.futures imports logging, which every
     # `import magbloch` would otherwise pay for
     from concurrent.futures import ThreadPoolExecutor
+    from threading import Lock
 
     rows: list[ButterflyRow | None] = []
     cells: dict[int, tuple | Exception] = {}  # by cell size, built in order
@@ -633,12 +634,17 @@ def butterfly(
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
     # a mirrored flux's row i is row opposite[i] of its representative's band:
-    # the cell -m_i mod N, at -k_i mod 2 pi; the merged intervals stay
-    try:
-        spec = SupercellSpec(grid)
-        opposite = spec.rank(-spec.cells())
-    except ValueError:  # then every band sweep fails on the grid, and no row reads it
-        opposite = None
+    # the cell -m_i mod N, at -k_i mod 2 pi; the merged intervals stay.  The
+    # first mirrored row builds the permutation, on a grid a sweep accepted
+    opposite: list[np.ndarray] = []
+    opposite_lock = Lock()
+
+    def at_opposite_momenta(band: BandData) -> BandData:
+        with opposite_lock:
+            if not opposite:
+                spec = SupercellSpec(band.grid)
+                opposite.append(spec.rank(-spec.cells()))
+        return replace(band, eigenvalues=band.eigenvalues[opposite[0]])
 
     def solve(key) -> list[tuple[int, ButterflyRow]]:
         size, rep = key
@@ -652,7 +658,7 @@ def butterfly(
                 if shared is None:
                     band = spectrum_union(sc, cov, conn, grid)
                 elif mirrored:
-                    band = replace(shared, eigenvalues=shared.eigenvalues[opposite])
+                    band = at_opposite_momenta(shared)
                 else:
                     band = shared
             except (ValueError, NumericError) as exc:  # per-entry errors are data

@@ -325,23 +325,14 @@ def _eigh_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Its eigenvectors and product are freed on return, before a mixed stack's
     other part is copied and solved.
     """
-    K, n = S.shape[0], S.shape[1]
+    n = S.shape[1]
     w, vecs = np.linalg.eigh(S)
     R = S @ vecs
-    res = np.zeros(K)
-    buf = None
-    for cols in _blocks(n, 16 * K * n):
+    res = np.zeros(len(S))
+    for cols in _blocks(n, 16 * len(S) * n):
         block = R[:, :, cols]
-        if buf is None:  # the first block is the widest
-            buf = np.empty(block.size, dtype=block.dtype)
-        sq = buf[: block.size].reshape(block.shape)
-        # block -= vecs * w, then np.linalg.norm(block, axis=1) by the same
-        # ufuncs, with their block-sized temporaries in one reused buffer
-        np.multiply(vecs[:, :, cols], w[:, None, cols], out=sq)
-        block -= sq
-        np.conjugate(block, out=sq)
-        np.multiply(sq, block, out=sq)
-        res = np.maximum(res, np.max(np.sqrt(np.add.reduce(sq.real, axis=1)), axis=1))
+        block -= vecs[:, :, cols] * w[:, None, cols]
+        res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
     return w, res
 
 

@@ -1227,6 +1227,34 @@ class TestMirror:
         one, two = rows[0].band.eigenvalues, rows[1].band.eigenvalues
         assert np.max(np.abs(np.sort(one.ravel()) - np.sort(two.ravel()))) > 0.1
 
+    def test_oversized_grid_gives_error_rows_before_building_cells(self, torus):
+        # 2/3 is read at the opposite momenta of 1/3, whose sweep is refused
+        cx, cov = torus
+        start = time.perf_counter()
+        rows = butterfly(cx, cov, ["1/3", "2/3"], (100000, 100000))
+        assert time.perf_counter() - start < 1.0
+        assert [row.band for row in rows] == [None, None]
+        for row in rows:
+            assert row.error.startswith("band sweep of 30000000000 eigenvalues (grid 100000x100000")
+            assert row.error.endswith("; reduce the grid")
+
+    def test_opposite_momenta_built_once_per_call(self, torus, monkeypatch):
+        calls = []
+        real = SupercellSpec.rank
+
+        def spy(spec, points):
+            calls.append(spec.sizes)
+            return real(spec, points)
+
+        monkeypatch.setattr(SupercellSpec, "rank", spy)
+        cx, cov = torus
+        butterfly(cx, cov, ["1/4", "1/3", "1/2"], (4, 3))
+        assert (4, 3) not in calls  # no flux is mirrored
+        calls.clear()
+        rows = butterfly(cx, cov, ["1/4", "3/4", "1/3", "2/3", "-1/4", "5/3"], (4, 3))
+        assert all(row.error is None for row in rows)
+        assert calls.count((4, 3)) == 1
+
     def test_each_representative_is_solved_once(self, torus, monkeypatch):
         calls = []
         real = spectrum_union
