@@ -570,6 +570,16 @@ def _representative(fr: Fraction, size: int, summary: HomologySummary) -> tuple[
     return Fraction(min(p, size - p), size), 2 * p > size
 
 
+def _at_opposite_momenta(band: BandData) -> BandData:
+    """A band read at -k: row m holds the eigenvalues of the cell -m mod N,
+    and the merged intervals stay.  Per axis, -m mod N is a flip followed
+    by a shift of one, so this only indexes a band a sweep has accepted."""
+    axes = tuple(range(len(band.grid)))
+    e = band.eigenvalues.reshape(band.grid + (band.num_bands,))
+    e = np.roll(np.flip(e, axes), 1, axes)
+    return replace(band, eigenvalues=e.reshape(band.eigenvalues.shape))
+
+
 def butterfly(
     complex2: Complex2,
     covering: CoveringData,
@@ -603,7 +613,6 @@ def butterfly(
     # imported here: concurrent.futures imports logging, which every
     # `import magbloch` would otherwise pay for
     from concurrent.futures import ThreadPoolExecutor
-    from threading import Lock
 
     rows: list[ButterflyRow | None] = []
     cells: dict[int, tuple | Exception] = {}  # by cell size, built in order
@@ -633,19 +642,6 @@ def butterfly(
             rep, mirrored = _representative(fr, size, cells[size][2])
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
-    # a mirrored flux's row i is row opposite[i] of its representative's band:
-    # the cell -m_i mod N, at -k_i mod 2 pi; the merged intervals stay.  The
-    # first mirrored row builds the permutation, on a grid a sweep accepted
-    opposite: list[np.ndarray] = []
-    opposite_lock = Lock()
-
-    def at_opposite_momenta(band: BandData) -> BandData:
-        with opposite_lock:
-            if not opposite:
-                spec = SupercellSpec(band.grid)
-                opposite.append(spec.rank(-spec.cells()))
-        return replace(band, eigenvalues=band.eigenvalues[opposite[0]])
-
     def solve(key) -> list[tuple[int, ButterflyRow]]:
         size, rep = key
         sc, cov, summary = cells[size]
@@ -658,7 +654,7 @@ def butterfly(
                 if shared is None:
                     band = spectrum_union(sc, cov, conn, grid)
                 elif mirrored:
-                    band = at_opposite_momenta(shared)
+                    band = _at_opposite_momenta(shared)
                 else:
                     band = shared
             except (ValueError, NumericError) as exc:  # per-entry errors are data

@@ -180,7 +180,7 @@ def gauge_transform(
     theta'(e) = theta(e) + g(target) - g(source); curvature and all cycle
     holonomies are unchanged.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _connection(complex2, theta)
     g = np.asarray(g, dtype=float)
     if g.shape != (complex2.num_vertices,):
         raise ValueError(f"gauge function must have {complex2.num_vertices} values")
@@ -190,7 +190,7 @@ def gauge_transform(
 
 def holonomy(complex2: Complex2, theta: Sequence[float], cycle: Sequence[int]) -> float:
     """Signed angle sum of a connection along an integer 1-cycle, in (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _connection(complex2, theta)
     cyc = np.asarray(cycle)
     if cyc.shape != (complex2.num_edges,):
         raise ValueError(f"1-chain must have length {complex2.num_edges}")
@@ -253,4 +253,4 @@ def twist(
     recovers ``chi``; this realizes tensoring the quantization with the flat
     bundle of the character.
     """
-    return reduce_angles(np.asarray(theta, dtype=float) + summary.flat_values(chi))
+    return reduce_angles(_connection(complex2, theta) + summary.flat_values(chi))

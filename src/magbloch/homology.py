@@ -15,8 +15,9 @@ coordinates in it are just its cotree entries, so H1 is presented by the
 cotree rows of d2 and needs one Smith form.  The H1 generators computed
 once per complex in that basis are reused by every downstream consumer
 (characters, holonomy pairings, flat twists, connection synthesis) so that
-angle coordinates stay globally consistent.  Connections are read off two
-dense float matrices filled from that Smith data, once per complex.
+angle coordinates stay globally consistent.  The summary keeps that Smith
+record itself; the float views that flat cocycles and connections multiply
+are filled from it on first use, once per summary.
 """
 
 from __future__ import annotations
@@ -117,42 +118,66 @@ def _dense(
 
 @dataclass(frozen=True, eq=False)
 class SmithDecomposition:
-    """Exact decomposition A = U @ D @ V with unimodular U, V.
+    """Exact decomposition A = U @ D @ V with unimodular U, V, as the
+    elimination of :func:`smith_normal_form` leaves it.
 
-    D is (rectangular) diagonal with nonnegative entries satisfying the
-    divisibility chain d_i | d_{i+1}.  ``u_inv`` and ``v_inv`` are carried
-    along so that callers can map back to the original bases without
-    re-inverting.
-    All five matrices have dtype=object holding Python ints.
-    :func:`smith_normal_form` keeps the sparse rows and columns it
-    eliminates on and fills each dense matrix from them on first access.
+    D is (rectangular) diagonal: ``pivots``, the positive invariant factors
+    satisfying d_i | d_{i+1}, then zeros.  The transforms are kept as sparse
+    vectors, by position: the columns of U (``u_cols``) and of V^-1
+    (``v_inv_cols``) and the rows of U^-1 (``u_inv_rows``) and of V
+    (``v_rows``), each a ``{original index: int}`` dict, so callers can map
+    back to the original bases without re-inverting.  The dense matrices
+    ``U``, ``D``, ``V``, ``u_inv`` and ``v_inv`` (dtype=object, Python ints)
+    are filled from them on first access, once.
     """
 
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-    u_inv: np.ndarray
-    v_inv: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.D.shape
+    shape: tuple[int, int]
+    pivots: tuple[int, ...]
+    u_cols: tuple[dict, ...]
+    u_inv_rows: tuple[dict, ...]
+    v_rows: tuple[dict, ...]
+    v_inv_cols: tuple[dict, ...]
 
     @property
     def diagonal(self) -> list[int]:
-        m, n = self.D.shape
-        return [int(self.D[i, i]) for i in range(min(m, n))]
+        return list(self.pivots) + [0] * (min(self.shape) - self.rank)
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
+        return len(self.pivots)
 
     def invariant_factors(self) -> list[int]:
-        return [d for d in self.diagonal if d != 0]
+        return list(self.pivots)
 
     def kernel_basis(self) -> np.ndarray:
-        """Columns form a basis of the integer kernel of A (a direct summand)."""
-        return self.v_inv[:, self.rank :]
+        """Columns form a basis of the integer kernel of A (a direct summand):
+        the columns of V^-1 past the rank."""
+        n = self.shape[1]
+        return _dense((n, n - self.rank), self.v_inv_cols[self.rank :], columns=True)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        m = self.shape[0]
+        return _dense((m, m), self.u_cols, columns=True)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _dense(self.shape, [{p: d} for p, d in enumerate(self.pivots)])
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        n = self.shape[1]
+        return _dense((n, n), self.v_rows)
+
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        m = self.shape[0]
+        return _dense((m, m), self.u_inv_rows)
+
+    @cached_property
+    def v_inv(self) -> np.ndarray:
+        n = self.shape[1]
+        return _dense((n, n), self.v_inv_cols, columns=True)
 
 
 def _require_snf_shape(shape: tuple[int, int]) -> None:
@@ -164,63 +189,14 @@ def _require_snf_shape(shape: tuple[int, int]) -> None:
         )
 
 
-class _SparseSmith(SmithDecomposition):
-    """A :class:`SmithDecomposition` as the elimination leaves it: the
-    invariant factors and, by position, the columns of U and V^-1 and the
-    rows of U^-1 and V, each a ``{original index: int}`` dict.  A dense
-    matrix is filled from them on first access, once."""
-
-    def __init__(self, shape, pivots, u_cols, u_inv_rows, v_rows, v_inv_cols):
-        for name, value in [
-            ("_shape", shape),
-            ("_pivots", pivots),
-            ("_u_cols", u_cols),
-            ("_u_inv_rows", u_inv_rows),
-            ("_v_rows", v_rows),
-            ("_v_inv_cols", v_inv_cols),
-        ]:
-            object.__setattr__(self, name, value)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def diagonal(self) -> list[int]:
-        return self._pivots + [0] * (min(self._shape) - len(self._pivots))
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        m = self._shape[0]
-        return _dense((m, m), self._u_cols, columns=True)
-
-    @cached_property
-    def D(self) -> np.ndarray:
-        return _dense(self._shape, [{p: d} for p, d in enumerate(self._pivots)])
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        n = self._shape[1]
-        return _dense((n, n), self._v_rows)
-
-    @cached_property
-    def u_inv(self) -> np.ndarray:
-        m = self._shape[0]
-        return _dense((m, m), self._u_inv_rows)
-
-    @cached_property
-    def v_inv(self) -> np.ndarray:
-        n = self._shape[1]
-        return _dense((n, n), self._v_inv_cols, columns=True)
-
-
 def smith_normal_form(A) -> SmithDecomposition:
     """Smith normal form over Z with deterministic pivoting.
 
-    Returns U, D, V with A = U D V exactly, |det U| = |det V| = 1, and
-    diagonal D obeying the divisibility chain.  Pivots are chosen as the
-    smallest nonzero absolute value in the working submatrix, ties broken by
-    row-major position, which makes the output reproducible.
+    Returns the :class:`SmithDecomposition` A = U D V exactly, with
+    |det U| = |det V| = 1 and diagonal D obeying the divisibility chain.
+    Pivots are chosen as the smallest nonzero absolute value in the working
+    submatrix, ties broken by row-major position, which makes the output
+    reproducible.
 
     The elimination runs on sparse rows: D's rows are ``{column: int}``
     dicts with a column-to-rows index; the rows of U^-1 and the columns of U
@@ -229,8 +205,8 @@ def smith_normal_form(A) -> SmithDecomposition:
     its key through swaps, which only permute positions, so the pivot rule
     reads positions while every operation reads keys.  The pivot search
     walks the rows in position order and stops at the first one holding a
-    unit.  The dense matrices are filled from the sparse rows when first
-    read.
+    unit.  The record keeps these sparse vectors; its dense matrices are
+    filled from them when first read.
     """
     A = np.asarray(A)
     if A.ndim == 2:
@@ -314,13 +290,13 @@ def smith_normal_form(A) -> SmithDecomposition:
         in_col[C].clear()
         s += 1
 
-    return _SparseSmith(
+    return SmithDecomposition(
         (m, n),
-        pivots,
-        [U[r] for r in row_at],
-        [U_inv[r] for r in row_at],
-        [V[c] for c in col_at],
-        [V_inv[c] for c in col_at],
+        tuple(pivots),
+        tuple(U[r] for r in row_at),
+        tuple(U_inv[r] for r in row_at),
+        tuple(V[c] for c in col_at),
+        tuple(V_inv[c] for c in col_at),
     )
 
 
@@ -398,11 +374,12 @@ class HomologySummary:
     1-chains (length E); ``h2_cycles`` is a basis of the 2-cycle lattice
     ker d2 (integer F-vectors).  H1 is computed in the basis of fundamental
     cycles of the cotree edges of :func:`spanning_forest`: a 1-cycle's
-    coordinates there are its cotree entries, and the sparse exact rows of
-    U'^-1 kept here (U' from the Smith form of the cotree face matrix) turn
-    those into coefficients on the stored generators.  Two dense float
-    matrices filled from the Smith data give the flat cocycles and
-    connections.
+    coordinates there are its cotree entries.  The summary keeps the
+    :class:`SmithDecomposition` of the cotree face matrix X = U' D V'
+    itself: its exact rows of U'^-1 turn cotree entries into coefficients
+    on the stored generators, and the float views of U'^-1 and V'^-1 that
+    the flat cocycles and connections multiply are filled from it on first
+    use, once per summary.
     """
 
     betti: tuple[int, int, int]
@@ -415,14 +392,32 @@ class HomologySummary:
     num_faces: int
     _ends: np.ndarray = field(repr=False)
     _cotree: tuple[int, ...] = field(repr=False)
-    # rows of U'^-1 at the free, then the torsion slots: {cotree position: int}
-    _coordinate_rows: tuple[dict, ...] = field(repr=False)
-    _uprime_inv_float: np.ndarray = field(repr=False)
-    _image_coords_float: np.ndarray = field(repr=False)
-    _image_factors: tuple[int, ...] = field(repr=False)
-    _h2_dual_rowsum: int = field(repr=False)
-    _free_slots: tuple[int, ...] = field(repr=False)
-    _torsion_slots: tuple[int, ...] = field(repr=False)
+    _smith: SmithDecomposition = field(repr=False)  # of X = d2[cotree, :]
+
+    @property
+    def _free_slots(self) -> range:
+        return range(self._smith.rank, len(self._cotree))
+
+    @property
+    def _torsion_slots(self) -> list[int]:
+        return [i for i, d in enumerate(self._smith.pivots) if d > 1]
+
+    @cached_property
+    def _uprime_inv_float(self) -> np.ndarray:
+        k = len(self._cotree)
+        return _dense((k, k), self._smith.u_inv_rows, dtype=float)
+
+    @cached_property
+    def _image_coords_float(self) -> np.ndarray:
+        # (F, rank) in memory, read as its (rank, F) transpose
+        r, F = self._smith.rank, self.num_faces
+        return _dense((F, r), self._smith.v_inv_cols[:r], columns=True, dtype=float).T
+
+    @cached_property
+    def _h2_dual_rowsum(self) -> int:
+        r, F = self._smith.rank, self.num_faces
+        h2_dual = _dense((F - r, F), self._smith.v_rows[r:])  # V'[rank:, :]
+        return int(np.max(np.sum(np.abs(h2_dual), axis=0), initial=0))
 
     @property
     def h1_torsion_orders(self) -> tuple[int, ...]:
@@ -451,7 +446,11 @@ class HomologySummary:
         if not self.is_cycle(cycle):
             raise ValueError("not a cycle: boundary is nonzero")
         cyc = [int(v) for v in np.asarray(cycle)[list(self._cotree)].tolist()]
-        y = [sum(x * cyc[j] for j, x in row.items()) for row in self._coordinate_rows]
+        rows = self._smith.u_inv_rows
+        y = [
+            sum(x * cyc[j] for j, x in rows[i].items())
+            for i in [*self._free_slots, *self._torsion_slots]
+        ]
         return y[: self.betti[1]], y[self.betti[1] :]
 
     def flat_values(self, chi: Character) -> np.ndarray:
@@ -486,7 +485,7 @@ class HomologySummary:
         the pairings p, so a face misses flux by 2 pi V[rank:, :]^T (p - round p)
         mod 2 pi: see :meth:`connection_defect_bound`.
         """
-        s = np.divide(self._image_coords_float @ flux, self._image_factors)
+        s = np.divide(self._image_coords_float @ flux, self._smith.pivots)
         values = np.zeros(self.num_edges)
         values[list(self._cotree)] = self._uprime_inv_float[: len(s)].T @ s
         return values
@@ -553,16 +552,13 @@ def homology(complex2: Complex2) -> HomologySummary:
     X = np.zeros((k, F), dtype=int)
     np.add.at(X, (row[e[on]], f[on]), c[on])
     snfX = smith_normal_form(X)
-    rX = snfX.rank
-    dX = snfX.diagonal
-
-    free_slots = tuple(range(rX, k))
-    torsion_slots = tuple(i for i in range(rX) if dX[i] > 1)
+    rX, dX = snfX.rank, snfX.pivots
+    torsion_slots = [i for i, d in enumerate(dX) if d > 1]
     ends = complex2.ends.tolist()
 
     def chain_for_slot(i: int) -> np.ndarray:
         # U's column i on the cotree, completed to a cycle up the forest
-        column = snfX._u_cols[i]
+        column = snfX.u_cols[i]
         chain = np.zeros(E, dtype=object)
         chain[[cotree[p] for p in column]] = np.array(list(column.values()), dtype=object)
         excess = vertex_boundary(V, [ends[cotree[p]] for p in column], column.values())
@@ -575,12 +571,11 @@ def homology(complex2: Complex2) -> HomologySummary:
                 excess[u if v == x else v] += excess[x]
         return chain
 
-    Z = _dense((F, F - rX), snfX._v_inv_cols[rX:], columns=True)  # ker X, F x b2
-    h2_dual = _dense((F - rX, F), snfX._v_rows[rX:])  # V[rX:, :]
+    Z = snfX.kernel_basis()  # ker X, F x b2
     return HomologySummary(
-        betti=(parent.count(-1), len(free_slots), Z.shape[1]),
+        betti=(parent.count(-1), k - rX, Z.shape[1]),
         torsion=((), tuple(dX[i] for i in torsion_slots), ()),
-        h1_free_generators=tuple(chain_for_slot(i) for i in free_slots),
+        h1_free_generators=tuple(chain_for_slot(i) for i in range(rX, k)),
         h1_torsion_generators=tuple((chain_for_slot(i), dX[i]) for i in torsion_slots),
         h2_cycles=tuple(z.copy() for z in Z.T),
         num_vertices=V,
@@ -588,14 +583,7 @@ def homology(complex2: Complex2) -> HomologySummary:
         num_faces=F,
         _ends=complex2.ends,
         _cotree=cotree,
-        _coordinate_rows=tuple(snfX._u_inv_rows[i] for i in free_slots + torsion_slots),
-        _uprime_inv_float=_dense((k, k), snfX._u_inv_rows, dtype=float),
-        # (F, rX) in memory, read as its (rX, F) transpose
-        _image_coords_float=_dense((F, rX), snfX._v_inv_cols[:rX], columns=True, dtype=float).T,
-        _image_factors=tuple(dX[:rX]),
-        _h2_dual_rowsum=int(np.max(np.sum(np.abs(h2_dual), axis=0), initial=0)),
-        _free_slots=free_slots,
-        _torsion_slots=torsion_slots,
+        _smith=snfX,
     )
 
 

@@ -1034,18 +1034,22 @@ class TestButterfly:
         if snf_bound is not None:
             monkeypatch.setattr(sys.modules["magbloch.homology"], "MAX_SNF_DIM", snf_bound)
         cx, cov = torus
-        expect = serial_butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        # switch threads as often as possible, so a race on shared state shows
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = butterfly(cx, cov, SWEEP_FLUXES, (4, 4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_rows(rows, expect)
-        failed = {row.q for row in expect if row.error and "Smith normal form" in row.error}
-        assert failed == (set() if snf_bound is None else {4, 6})
+        # unequal axes check the mirrored rows' flip against the reference's
+        # permutation of cell ranks
+        for grid in [(4, 4), (4, 3)]:
+            expect = serial_butterfly(cx, cov, SWEEP_FLUXES, grid)
+            # switch threads as often as possible, so a race on shared state
+            # (the summaries' float views, filled on first use) shows
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                rows = butterfly(cx, cov, SWEEP_FLUXES, grid)
+            finally:
+                sys.setswitchinterval(interval)
+            assert_same_rows(rows, expect)
+            failed = {row.q for row in expect if row.error and "Smith normal form" in row.error}
+            assert failed == (set() if snf_bound is None else {4, 6})
 
     def test_sweep_without_affinity_masks(self, torus, monkeypatch):
         cx, cov = torus
@@ -1237,23 +1241,6 @@ class TestMirror:
         for row in rows:
             assert row.error.startswith("band sweep of 30000000000 eigenvalues (grid 100000x100000")
             assert row.error.endswith("; reduce the grid")
-
-    def test_opposite_momenta_built_once_per_call(self, torus, monkeypatch):
-        calls = []
-        real = SupercellSpec.rank
-
-        def spy(spec, points):
-            calls.append(spec.sizes)
-            return real(spec, points)
-
-        monkeypatch.setattr(SupercellSpec, "rank", spy)
-        cx, cov = torus
-        butterfly(cx, cov, ["1/4", "1/3", "1/2"], (4, 3))
-        assert (4, 3) not in calls  # no flux is mirrored
-        calls.clear()
-        rows = butterfly(cx, cov, ["1/4", "3/4", "1/3", "2/3", "-1/4", "5/3"], (4, 3))
-        assert all(row.error is None for row in rows)
-        assert calls.count((4, 3)) == 1
 
     def test_each_representative_is_solved_once(self, torus, monkeypatch):
         calls = []

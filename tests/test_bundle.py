@@ -332,6 +332,23 @@ class TestFlatCocycleAndTwist:
         assert np.all((0 <= new) & (new < TWO_PI))
 
 
+@pytest.mark.parametrize("length", ["E-1", "E+1", "1"])
+@pytest.mark.parametrize("func", ["holonomy", "gauge_transform", "twist"])
+def test_connection_of_wrong_length_is_rejected(torus, func, length):
+    # a connection is never broadcast or truncated to the edges
+    cx, _ = build_supercell(*torus, SupercellSpec((2, 3)))
+    E = cx.num_edges
+    theta = np.full({"E-1": E - 1, "E+1": E + 1, "1": 1}[length], 0.5)
+    s = homology(cx)
+    call = {
+        "holonomy": lambda: holonomy(cx, theta, s.h1_free_generators[0]),
+        "gauge_transform": lambda: gauge_transform(cx, theta, np.zeros(cx.num_vertices)),
+        "twist": lambda: twist(cx, s, theta, Character.trivial(2)),
+    }[func]
+    with pytest.raises(ValueError, match=f"^connection must have {E} angles$"):
+        call()
+
+
 def test_wrap_angle_range():
     xs = np.array([-np.pi, np.pi, 3 * np.pi, -0.5, 7.0])
     ys = wrap_angle(xs)

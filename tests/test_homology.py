@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from magbloch.complexes import face_steps, vertex_boundary
 from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
-    SmithDecomposition,
     _checked,
     cycle_label_invariants,
     spanning_forest,
@@ -233,7 +233,7 @@ def _pivot(M: list[list[int]], s: int) -> tuple[int, int] | None:
     return best
 
 
-def reference_smith_normal_form(A) -> SmithDecomposition:
+def reference_smith_normal_form(A) -> SimpleNamespace:
     """Smith normal form over Z with deterministic pivoting, on nested lists
     of Python ints: the entry-by-entry routine the ndarray one replaced,
     kept as its bit-for-bit reference.
@@ -340,7 +340,7 @@ def reference_smith_normal_form(A) -> SmithDecomposition:
             row_negate(s)
         s += 1
 
-    return SmithDecomposition(
+    return SimpleNamespace(
         U=_obj_array(U, (m, m)),
         D=_obj_array(D, (m, n)),
         V=_obj_array(V, (n, n)),
@@ -974,6 +974,34 @@ class TestPeriodicBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_32x32_homology_builds_no_float_view(self, torus):
+        # the summary keeps the Smith record; the dense float views of U'^-1
+        # (a 1025 x 1025 float matrix, 8 MiB) and V'^-1 wait for a connection
+        block, _ = build_supercell(*torus, SupercellSpec((32, 32)))
+        tracemalloc.start()
+        try:
+            homology(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (12, "a40ebbf078ff067701860d196c754fc62bde5100e19740dffe7a5b8571c71e38"),
+            (32, "7ca251dcc67078477ca6807bb39c909ea0a51d04918f90a98cb4f97497c4d7bf"),
+        ],
+    )
+    def test_connection_bytes_are_pinned(self, torus, n, digest):
+        # digests of the connections of the summary that filled its float
+        # views eagerly, inside homology()
+        block, _ = build_supercell(*torus, SupercellSpec((n, n)))
+        flux = np.random.default_rng(n).uniform(-TWO_PI, TWO_PI, size=block.num_faces)
+        flux[-1] -= flux.sum() - 3 * TWO_PI
+        theta = synthesize_connection(block, flux, homology(block))
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
 
 
 # The per-edge and per-step loops that built d1 and d2, and the per-face
