@@ -65,16 +65,9 @@ def wrap_angle(x: np.ndarray | float):
     return y
 
 
-def _connection(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (complex2.num_edges,):
-        raise ValueError(f"connection must have {complex2.num_edges} angles")
-    return theta
-
-
 def curvature(complex2: Complex2, theta: Sequence[float]) -> np.ndarray:
     """Face holonomies of a connection, one angle in (-pi, pi] per face."""
-    return _curvatures(complex2, _connection(complex2, theta))
+    return _curvatures(complex2, complex2.edge_angles(theta))
 
 
 def _curvatures(complex2: Complex2, thetas: np.ndarray) -> np.ndarray:
@@ -180,7 +173,7 @@ def gauge_transform(
     theta'(e) = theta(e) + g(target) - g(source); curvature and all cycle
     holonomies are unchanged.
     """
-    theta = _connection(complex2, theta)
+    theta = complex2.edge_angles(theta)
     g = np.asarray(g, dtype=float)
     if g.shape != (complex2.num_vertices,):
         raise ValueError(f"gauge function must have {complex2.num_vertices} values")
@@ -190,7 +183,7 @@ def gauge_transform(
 
 def holonomy(complex2: Complex2, theta: Sequence[float], cycle: Sequence[int]) -> float:
     """Signed angle sum of a connection along an integer 1-cycle, in (-pi, pi]."""
-    theta = _connection(complex2, theta)
+    theta = complex2.edge_angles(theta)
     cyc = np.asarray(cycle)
     if cyc.shape != (complex2.num_edges,):
         raise ValueError(f"1-chain must have length {complex2.num_edges}")
@@ -218,7 +211,7 @@ def difference_class(
     Free generators contribute angles; torsion generators contribute the
     nearest root-of-unity index (exact for genuinely flat differences).
     """
-    theta1, theta2 = _connection(complex2, theta1), _connection(complex2, theta2)
+    theta1, theta2 = complex2.edge_angles(theta1), complex2.edge_angles(theta2)
     curv1, curv2 = _curvatures(complex2, np.stack([theta1, theta2]))
     mismatch = np.abs(wrap_angle(curv2 - curv1))
     if complex2.num_faces and np.max(mismatch) > CURVATURE_TOL:
@@ -253,4 +246,4 @@ def twist(
     recovers ``chi``; this realizes tensoring the quantization with the flat
     bundle of the character.
     """
-    return reduce_angles(_connection(complex2, theta) + summary.flat_values(chi))
+    return reduce_angles(complex2.edge_angles(theta) + summary.flat_values(chi))

@@ -137,6 +137,14 @@ class Complex2:
     def weights(self) -> np.ndarray:
         return _as_readonly(np.array([e[2] for e in self.edges], dtype=float))
 
+    def edge_angles(self, theta: Sequence[float]) -> np.ndarray:
+        """A connection on this complex as a float array, one angle per edge;
+        any other shape raises ``ValueError``."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.num_edges,):
+            raise ValueError(f"connection must have {self.num_edges} angles")
+        return theta
+
     @cached_property
     def face_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`face_arrays` of the faces, read-only and built once."""

@@ -44,14 +44,18 @@ DENSE_THRESHOLD = 2048
 HERMITICITY_TOL = 1e-10
 
 # Byte budget of one fiber stack: batches of K fibers keep each (K, V, V)
-# complex temporary near this size.  It bounds memory, never a result.  The
-# momenta and eigenvalues of a sweep still grow with the number of momenta.
-STACK_BYTES = 1 << 17
+# complex stack near this size.  It bounds memory, never a result.  A stack
+# is solved holding about two and a half copies of itself: the stack H
+# until its symmetrized part S is written, then S, the eigenvectors and one
+# block of their product with S.  1 MiB puts every flux p/q <= 32 of an 8x8
+# butterfly sweep on a one-vertex quotient in one stack.  The momenta and
+# eigenvalues of a sweep still grow with the number of momenta.
+STACK_BYTES = 1 << 20
 
-# Byte budget of one block of rows or columns: the gates below walk a large
-# matrix a block at a time, so their temporaries stay near this size.  Fiber
-# stacks fit in one block.
-_BLOCK_BYTES = 1 << 20
+# Byte budget of one block of whole matrices, or of rows of one matrix: the
+# gates below walk a stack a block at a time, so their temporaries stay
+# near this size.
+_BLOCK_BYTES = 1 << 18
 
 
 class NumericError(RuntimeError):
@@ -120,18 +124,24 @@ def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
     """Consecutive slices of ``range(count)`` of about ``_BLOCK_BYTES`` each,
     for items of ``item_bytes`` bytes; at least one item per slice."""
     step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
-    return (slice(start, start + step) for start in range(0, count, step))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _tiles(K: int, n: int, item_bytes: int) -> Iterator[tuple[slice, slice]]:
+    """(matrices, rows) slices that cover a (K, n, n) stack in blocks of
+    about ``_BLOCK_BYTES``: runs of whole matrices when a matrix fits in a
+    block, so each block is contiguous, else blocks of rows of one matrix."""
+    if not n:
+        return iter(())
+    if item_bytes * n * n <= _BLOCK_BYTES:
+        return ((mats, slice(None)) for mats in _blocks(K, item_bytes * n * n))
+    return ((slice(k, k + 1), rows) for k in range(K) for rows in _blocks(n, item_bytes * n))
 
 
 def _edge_phases(
     complex2: Complex2, theta: Sequence[float] | None
 ) -> np.ndarray:
-    if theta is None:
-        return np.zeros(complex2.num_edges)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (complex2.num_edges,):
-        raise ValueError(f"connection must have {complex2.num_edges} angles")
-    return theta
+    return np.zeros(complex2.num_edges) if theta is None else complex2.edge_angles(theta)
 
 
 def _assemble(complex2: Complex2, phases: np.ndarray) -> np.ndarray:
@@ -142,14 +152,18 @@ def _assemble(complex2: Complex2, phases: np.ndarray) -> np.ndarray:
     order, so every entry is accumulated exactly as a loop over the edges
     would.  The degree-plus-potential diagonal is added last.
     """
-    n = complex2.num_vertices
-    H = np.zeros((phases.shape[0], n, n), dtype=complex)
-    ends = complex2.ends
-    z = complex2.weights * np.exp(1j * phases)
-    hops = np.stack([z, z.conj()], axis=2).reshape(len(H), 2 * len(ends))
-    np.subtract.at(H, (slice(None), ends[:, ::-1].ravel(), ends.ravel()), hops)
-    idx = np.arange(n)
-    H[:, idx, idx] += _degree(complex2) + complex2.potentials
+    K, n, ends = len(phases), complex2.num_vertices, complex2.ends
+    hops = np.empty((K, len(ends), 2), dtype=complex)
+    z = hops[:, :, 0]
+    np.multiply(complex2.weights, np.exp(np.multiply(1j, phases, out=z), out=z), out=z)
+    np.conjugate(z, out=hops[:, :, 1])
+    H = np.zeros((K, n, n), dtype=complex)
+    flat = H.reshape(K, n * n)
+    entries = ends[:, ::-1].ravel() * n + ends.ravel()
+    np.subtract.at(flat, (slice(None), entries), hops.reshape(K, 2 * len(ends)))
+    del hops, z
+    diagonal = flat[:, :: n + 1]  # in place: an augmented item assignment copies
+    diagonal += _degree(complex2) + complex2.potentials
     return H
 
 
@@ -253,29 +267,34 @@ def _hermitian_part(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gate 1 of the eigensolve: the dense threshold and the Hermiticity gate.
 
-    One pass over blocks of rows of the (K, n, n) stack computes each
-    matrix's Hermiticity defect max |H - H^dagger| and row-sum norm, and
-    writes the symmetrized S = (H + H^dagger) / 2, with the same arithmetic
-    on every entry as the whole-matrix expressions; the other n x n
-    temporaries of those expressions are never made.  When H has no
-    imaginary entry neither has S, which is then written as its real part.
-    Returns S and each matrix's residual scale, its row-sum norm and at
-    least 1.  A failure raises :class:`NumericError` naming ``where(i)`` of
-    the first failing matrix.
+    One pass over the blocks of :func:`_tiles` computes each matrix's
+    Hermiticity defect max |H - H^dagger| and row-sum norm, and writes the
+    symmetrized S = (H + H^dagger) / 2, with the same arithmetic on every
+    entry as the whole-matrix expressions.  Each block of S first holds
+    H^dagger, then H - H^dagger, then the half sum, so besides S only the
+    block's moduli are allocated.  When H has no imaginary entry neither has
+    S, and both are computed from H's real part in real arithmetic, which
+    gives the real parts of the complex expressions bit for bit.  Returns S
+    and each matrix's residual scale, its row-sum norm and at least 1.  A
+    failure raises :class:`NumericError` naming ``where(i)`` of the first
+    failing matrix.
     """
     K, n = H.shape[0], H.shape[1]
-    if K:
+    if K and n > DENSE_THRESHOLD:  # where() is formatted only to fail
         require_dense_size(n, where(0))
-    real = not H.imag.any()
-    S = np.empty(H.shape, dtype=float if real else complex)
+    if not H.imag.any():
+        H = H.real
+    S = np.empty(H.shape, dtype=H.dtype)
     defect, rowsum = np.zeros(K), np.zeros(K)
-    for rows in _blocks(n, 16 * K * n):
-        block = H[:, rows, :]
-        adjoint = H[:, :, rows].conj().transpose(0, 2, 1)
-        defect = np.maximum(defect, np.max(np.abs(block - adjoint), axis=(1, 2)))
-        rowsum = np.maximum(rowsum, np.max(np.sum(np.abs(block), axis=2), axis=1))
-        half_sum = 0.5 * (block + adjoint)
-        S[:, rows, :] = half_sum.real if real else half_sum
+    for mats, rows in _tiles(K, n, H.itemsize):
+        block, out = H[mats, rows, :], S[mats, rows, :]
+        adjoint = H[mats, :, rows].transpose(0, 2, 1)
+        np.subtract(block, np.conjugate(adjoint, out=out), out=out)
+        tile_defect, tile_rowsum = defect[mats], rowsum[mats]
+        np.maximum(tile_defect, np.max(np.abs(out), axis=(1, 2)), out=tile_defect)
+        np.maximum(tile_rowsum, np.max(np.sum(np.abs(block), axis=2), axis=1), out=tile_rowsum)
+        np.add(block, np.conjugate(adjoint, out=out), out=out)
+        np.multiply(out, 0.5, out=out)
     # gates read "not (value <= bound)", so a NaN fails them
     bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
     if bad.size:
@@ -291,55 +310,71 @@ def _eigh_gated(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gate 2 of the eigensolve: ``eigh`` of the symmetrized (K, n, n) stack
     S and the eigenpair residual gate, 1e-8 times ``scale`` per matrix.
+    S is overwritten.
 
     Each matrix with no nonzero imaginary entry is solved, and its residual
     computed, in real arithmetic, so its results depend on it alone.  A
-    stack of one kind goes to LAPACK whole, as S or its real view, and a
-    mixed one as two copies, one after the other: the first part's copy,
-    eigenvectors and product are freed before the second part is copied.
-    The product S V is one matmul, so BLAS
-    rounds every column as for the whole product; the residual is then
-    finished in place and reduced a block of columns at a time.  Returns
-    the ascending eigenvalues (K, n) and each matrix's residual
-    max_i ||S v_i - lam_i v_i||_2; a failure raises :class:`NumericError`
-    naming ``where(i)`` of the first failing matrix.
+    stack of one kind goes to LAPACK whole, as S or its real view.  A mixed
+    one copies out its real matrices' real parts and solves them first, then
+    moves its complex matrices to the front of S, a block at a time, and
+    solves them there, so S is never held next to a copy of its complex
+    part.  Returns the ascending eigenvalues (K, n) and each matrix's
+    residual max_i ||S v_i - lam_i v_i||_2; a failure raises
+    :class:`NumericError` naming ``where(i)`` of the first failing matrix.
     """
-    K, n = S.shape[0], S.shape[1]
-    real = np.ones(K, dtype=bool) if S.dtype == float else ~S.imag.any(axis=(1, 2))
-    vals, residual = np.zeros((K, n)), np.zeros(K)
-    for pick, part in ((real, S.real), (~real, S)):
-        if pick.any():
-            vals[pick], residual[pick] = _eigh_residual(part if pick.all() else part[pick])
+    real = np.ones(len(S), dtype=bool) if S.dtype == float else ~S.imag.any(axis=(1, 2))
+    if real.all():
+        vals, residual = _eigh_residual(S.real)
+    elif not real.any():
+        vals, residual = _eigh_residual(S)
+    else:
+        vals, residual = np.empty(S.shape[:2]), np.empty(len(S))
+        reals, complexes = np.flatnonzero(real), np.flatnonzero(~real)
+        vals[reals], residual[reals] = _eigh_residual(S.real[reals])
+        # complexes[j] >= j, so a block never overwrites a later block's source
+        for moved in _blocks(len(complexes), S[0].nbytes):
+            S[moved] = S[complexes[moved]]
+        vals[complexes], residual[complexes] = _eigh_residual(S[: len(complexes)])
     bad = np.flatnonzero(~(residual <= 1e-8 * scale))
     if bad.size:
         i = bad[0]
         raise NumericError(
             f"{where(i)}: eigenpair residual {residual[i]:.3e} exceeds 1e-8 * {scale[i]:.3e}"
         )
-    return np.sort(vals, axis=1), residual
+    return vals, residual
 
 
 def _eigh_residual(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a (K, n, n) stack of one kind, and each matrix's residual.
+    """``eigh`` of a (K, n, n) stack of one kind, and each matrix's residual
+    max_i ||S v_i - lam_i v_i||_2.  S is overwritten.
 
-    Its eigenvectors and product are freed on return, before a mixed stack's
-    other part is copied and solved.
+    The residual is computed a block of whole matrices at a time: the
+    block's product S V, one matmul that BLAS computes matrix by matrix,
+    then the terms of ``np.linalg.norm`` of S V - V diag(lam) in the
+    block's part of S.  So besides S and V the solve holds one block.
+    The eigenvalues come from LAPACK in ascending order.
     """
-    n = S.shape[1]
+    K, n = S.shape[0], S.shape[1]
     w, vecs = np.linalg.eigh(S)
-    R = S @ vecs
-    res = np.zeros(len(S))
-    for cols in _blocks(n, 16 * len(S) * n):
-        block = R[:, :, cols]
-        block -= vecs[:, :, cols] * w[:, None, cols]
-        res = np.maximum(res, np.max(np.linalg.norm(block, axis=1), axis=1))
-    return w, res
+    squared = np.empty(K)
+    for mats in _blocks(K, S.itemsize * n * n):
+        part, v = S[mats], vecs[mats]
+        R = part @ v
+        # w is written into the block first: cast inside the multiply, the
+        # float operand would go through a 128 KiB buffer
+        part[...] = w[mats, None, :]
+        R -= np.multiply(v, part, out=part)
+        np.multiply(np.conjugate(R, out=part), R, out=part)
+        np.max(np.add.reduce(part.real, axis=1), axis=1, initial=0.0, out=squared[mats])
+        del R  # before the next block's product is allocated
+    return w, np.sqrt(squared)
 
 
 def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """Gated Hermitian eigensolve of a (K, n, n) stack: gate 1
     (:func:`_hermitian_part`) on H, then gate 2 (:func:`_eigh_gated`) on its
-    symmetrized part.
+    symmetrized part.  H is released between the two, so a stack passed as
+    a temporary, as :func:`fiber_spectra` does, is freed before ``eigh``.
 
     Applies to each matrix the dense threshold, the Hermiticity gate, the
     symmetrized ``eigh`` and the eigenpair residual gate (1e-8 times that
@@ -348,6 +383,7 @@ def _eigh_checked(H: np.ndarray, where: Callable[[int], str]) -> tuple[np.ndarra
     :class:`NumericError` naming ``where(i)`` of the first failing matrix.
     """
     S, scale = _hermitian_part(H, where)
+    del H
     return _eigh_gated(S, scale, where)
 
 
@@ -384,8 +420,11 @@ def fiber_spectra(
     worst = 0.0
     for start in range(0, len(ks), batch):
         chunk = ks[start : start + batch]
-        H = _assemble(complex2, phases + chunk @ tau_t)
-        vals, residual = _eigh_checked(H, lambda i: f"fiber at k=[{_format_k(chunk[i])}]")
+        # the stack is a temporary, so the solver frees it before eigh
+        vals, residual = _eigh_checked(
+            _assemble(complex2, phases + chunk @ tau_t),
+            lambda i: f"fiber at k=[{_format_k(chunk[i])}]",
+        )
         eigs[start : start + len(chunk)] = vals
         worst = max(worst, float(residual.max()))
     return Spectrum(eigs, worst)

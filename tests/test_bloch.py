@@ -1176,6 +1176,18 @@ def seeded_fluxes(seed, count=6, qmax=12):
     return out
 
 
+@pytest.mark.parametrize("model", ["torus", "tri"])
+def test_butterfly_rows_do_not_depend_on_the_stack_size(monkeypatch, model):
+    # one matrix per stack against the default stacks, which hold a whole
+    # 4 x 4 grid: the CSV bytes are the same
+    cx, cov, _ = verify_model(model)
+    fluxes = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+    default = butterfly_csv(butterfly(cx, cov, fluxes, (4, 4)))
+    monkeypatch.setattr(operators, "STACK_BYTES", 1)
+    assert butterfly_csv(butterfly(cx, cov, fluxes, (4, 4))) == default
+    assert default.count("\n") > len(fluxes)
+
+
 class TestMirror:
     @pytest.mark.parametrize("p, q, rep, mirrored", [
         (0, 1, Fraction(0), False), (1, 1, Fraction(0), False), (1, 2, Fraction(1, 2), False),

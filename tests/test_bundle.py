@@ -8,6 +8,7 @@ from magbloch import (
     NotQuantizableError,
     NumericError,
     SupercellSpec,
+    assemble_quotient,
     build_supercell,
     character_group,
     curvature,
@@ -333,9 +334,12 @@ class TestFlatCocycleAndTwist:
 
 
 @pytest.mark.parametrize("length", ["E-1", "E+1", "1"])
-@pytest.mark.parametrize("func", ["holonomy", "gauge_transform", "twist"])
+@pytest.mark.parametrize(
+    "func", ["holonomy", "gauge_transform", "twist", "curvature", "assemble_quotient"]
+)
 def test_connection_of_wrong_length_is_rejected(torus, func, length):
-    # a connection is never broadcast or truncated to the edges
+    # a connection is never broadcast or truncated to the edges; the bundle
+    # and operator layers share one check and one message
     cx, _ = build_supercell(*torus, SupercellSpec((2, 3)))
     E = cx.num_edges
     theta = np.full({"E-1": E - 1, "E+1": E + 1, "1": 1}[length], 0.5)
@@ -344,6 +348,8 @@ def test_connection_of_wrong_length_is_rejected(torus, func, length):
         "holonomy": lambda: holonomy(cx, theta, s.h1_free_generators[0]),
         "gauge_transform": lambda: gauge_transform(cx, theta, np.zeros(cx.num_vertices)),
         "twist": lambda: twist(cx, s, theta, Character.trivial(2)),
+        "curvature": lambda: curvature(cx, theta),
+        "assemble_quotient": lambda: assemble_quotient(cx, theta),
     }[func]
     with pytest.raises(ValueError, match=f"^connection must have {E} angles$"):
         call()

@@ -316,7 +316,9 @@ class TestFiberStack:
     def check_against_loop(self, cx, cov, theta, ks):
         mats, eigs = reference_fibers(cx, cov, theta, ks)
         stack = assemble_fibers(cx, cov, theta, ks)
-        assert stack.shape == mats.shape and np.array_equal(stack, mats)
+        # bit for bit, signed zeros included
+        assert stack.shape == mats.shape
+        assert np.array_equal(stack.view(np.int64), mats.view(np.int64))
         sp = fiber_spectra(cx, cov, theta, ks)
         assert sp.eigenvalues.shape == eigs.shape
         if eigs.size:
@@ -679,8 +681,9 @@ class TestPerMatrixRule:
 
 def test_mixed_stack_frees_its_first_part_before_the_second(monkeypatch):
     # 4 real and 4 complex 64 x 64 matrices: the real part's copy,
-    # eigenvectors and product (3 x 128 KiB) are gone when the complex
-    # part's solve starts, which holds its own copy (256 KiB) and little else
+    # eigenvectors and residual are gone when the complex part's solve
+    # starts, and the complex part is moved to the front of S and solved
+    # there, so no copy of it is held next to S
     import tracemalloc
 
     K, n = 8, 64
@@ -688,6 +691,7 @@ def test_mixed_stack_frees_its_first_part_before_the_second(monkeypatch):
     A = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
     A[:4] = A[:4].real
     S = 0.5 * (A + A.conj().transpose(0, 2, 1))
+    work = S.copy()  # _eigh_gated overwrites its S
     held = []
     eigh = np.linalg.eigh
 
@@ -698,15 +702,52 @@ def test_mixed_stack_frees_its_first_part_before_the_second(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", probed)
     tracemalloc.start()
     try:
-        vals, residual = operators._eigh_gated(S, np.full(K, 1e3), str)
+        vals, residual = operators._eigh_gated(work, np.full(K, 1e3), str)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [dtype for dtype, _ in held] == [float, complex]
-    complex_copy = 16 * 4 * n * n
-    assert held[1][1] <= complex_copy + 16 * 1024
+    assert held[1][1] <= 16 * 1024
+    # the complex part's eigenvectors and the block S V, besides S itself
+    complex_part = 16 * 4 * n * n
+    assert peak <= 2 * complex_part + 16 * 1024
     for i in range(K):
-        alone = operators._eigh_gated(S[i : i + 1], np.full(1, 1e3), str)
+        alone = operators._eigh_gated(S[i : i + 1].copy(), np.full(1, 1e3), str)
         assert np.array_equal(vals[i], alone[0][0]) and residual[i] == alone[1][0]
+
+
+def test_fiber_stack_peaks_below_three_and_a_half_copies(monkeypatch):
+    # one full mixed stack of the flux-1/3 cell (a quarter of its fibers
+    # real): H is released before the eigensolve, which then holds S, the
+    # eigenvectors and one block S V.  With 3 vertices the per-momentum
+    # arrays (momenta, eigenvalues, edge phases) are a fair part of that;
+    # 64 KiB covers the Python objects of the call
+    import tracemalloc
+
+    cx, cov, theta, ks = flux_third_cell()
+    V = cx.num_vertices
+    count = batch_size(V)
+    ks = np.resize(ks, (count, 2))  # every fourth momentum still has k1 = 0
+    stack_bytes = 16 * V * V * count
+    solves = []
+    solve = operators._eigh_checked
+
+    def counted(H, where):
+        solves.append(len(H))
+        return solve(H, where)
+
+    fiber_spectra(cx, cov, theta, ks[:4])
+    tracemalloc.start()
+    try:
+        fiber_spectra(cx, cov, theta, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack_bytes + 64 * 1024
+    # the spy holds H through the solve, so it counts only after the peak
+    monkeypatch.setattr(operators, "_eigh_checked", counted)
+    fiber_spectra(cx, cov, theta, ks)
+    assert solves == [count]
 
 
 class TestBlockedGates:
