@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import synthesize_connection
+from .bundle import difference_class, synthesize_connection
 from .complexes import (
     Complex2,
     CoveringData,
@@ -36,7 +36,14 @@ from .complexes import (
     SupercellSpec,
     build_supercell,
 )
-from .homology import TWO_PI, Character, HomologySummary, homology
+from .homology import (
+    TWO_PI,
+    Character,
+    HomologySummary,
+    SmithDecomposition,
+    homology,
+    smith_normal_form,
+)
 from .operators import (
     NumericError,
     _eigh_checked,
@@ -91,6 +98,11 @@ MAX_BAND_EIGENVALUES = 1 << 22
 # momenta times the cube of the vertex count): one unit takes about 1.7e-9 s
 # of dense eigensolve on a 2-vCPU machine, so the bound is about 2 minutes
 MAX_BAND_WORK = 1 << 36
+
+# distance from the nearest multiple of 1/q turns within which a class of
+# a q-fold magnetic cell is read as that multiple: its true turns are
+# multiples of 1/q, so a float class off the lattice by more is not taken
+CLASS_TOL = 1e-9
 
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
@@ -430,6 +442,39 @@ def require_sweep_size(num_momenta: int, num_vertices: int, where: str, remedy: 
         )
 
 
+def _sweep_grid(complex2: Complex2, covering: CoveringData, grid: Sequence[int]) -> SupercellSpec:
+    """The momentum grid of a band sweep on ``complex2``, once its guards
+    pass: the grid's rank is the covering's, and the whole grid is within
+    ``MAX_BAND_EIGENVALUES`` and ``MAX_BAND_WORK`` (:class:`NumericError`
+    otherwise), checked before any array of the grid's size is built."""
+    spec = SupercellSpec(grid)
+    grid = spec.sizes
+    if len(grid) != covering.rank:
+        raise ValueError(f"grid must have length {covering.rank}")
+    V = complex2.num_vertices
+    where = f"(grid {'x'.join(map(str, grid))}, V={V})"
+    require_sweep_size(spec.num_cells, V, where, "reduce the grid")
+    return spec
+
+
+def _band(
+    complex2: Complex2,
+    covering: CoveringData,
+    theta: Sequence[float] | None,
+    basis: BlochBasis,
+    owner: np.ndarray | None = None,
+) -> BandData:
+    """The one band sweep over an accepted grid: the fibers at the momenta
+    that own their orbit are solved, and row m is read from the row of
+    ``owner[m]``; no ``owner`` is the identity, every momentum solved."""
+    ks = basis.ks
+    solved, fill = (slice(None),) * 2 if owner is None else np.unique(owner, return_inverse=True)
+    eigs = fiber_spectra(complex2, covering, theta, ks[solved]).eigenvalues[fill]
+    step = max((TWO_PI / n for n in basis.sizes), default=0.0)
+    join_tol = 2.0 * lipschitz_bound(complex2, covering) * step
+    return BandData(ks, eigs, _merge_intervals(eigs, join_tol), basis.sizes)
+
+
 def spectrum_union(
     complex2: Complex2,
     covering: CoveringData,
@@ -444,21 +489,13 @@ def spectrum_union(
     eigenvalues, or of more than ``MAX_BAND_WORK`` units K * V^3 of fiber
     solves, raises :class:`NumericError` before any grid is built.
     """
-    spec = SupercellSpec(grid)
-    grid = spec.sizes
-    if len(grid) != covering.rank:
-        raise ValueError(f"grid must have length {covering.rank}")
-    V = complex2.num_vertices
-    where = f"(grid {'x'.join(map(str, grid))}, V={V})"
-    require_sweep_size(spec.num_cells, V, where, "reduce the grid")
-    ks = BlochBasis.from_sizes(grid).ks
-    eigs = fiber_spectra(complex2, covering, theta, ks).eigenvalues
-    step = max((TWO_PI / n for n in grid), default=0.0)
-    join_tol = 2.0 * lipschitz_bound(complex2, covering) * step
-    return BandData(ks, eigs, _merge_intervals(eigs, join_tol), grid)
+    spec = _sweep_grid(complex2, covering, grid)
+    return _band(complex2, covering, theta, BlochBasis.from_sizes(spec.sizes))
 
 
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, (bool, np.bool_)):  # Fraction and float take bools as 1 and 0
+        raise ValueError(f"flux must be a number, got {x!r}")
     if isinstance(x, (Fraction, int, str)):
         try:
             frac = Fraction(x)
@@ -561,8 +598,11 @@ def _representative(fr: Fraction, size: int, summary: HomologySummary) -> tuple[
     combination of the face fluxes, and fluxes x and m +- x give connections
     equal or opposite mod 2 pi.  Weights and potentials are real, so
     H_{m - x}(k) = conj(H_x(-k)) has the spectrum of H_x at -k, and the grid
-    is closed under k -> -k.  On a cell with torsion a flux is its own
-    representative.
+    is closed under k -> -k.  The representative's own sweep solves one
+    momentum per orbit of its magnetic translation
+    (:func:`_translation_step`), so a mirrored row reads, at -k, the first
+    momentum of the orbit of -k.  On a cell with torsion a flux is its own
+    representative, swept over the whole grid.
     """
     if summary.h1_torsion_orders:
         return fr, False
@@ -578,6 +618,90 @@ def _at_opposite_momenta(band: BandData) -> BandData:
     e = band.eigenvalues.reshape(band.grid + (band.num_bands,))
     e = np.roll(np.flip(e, axes), 1, axes)
     return replace(band, eigenvalues=e.reshape(band.eigenvalues.shape))
+
+
+def _label_smith(covering: CoveringData, summary: HomologySummary) -> SmithDecomposition | None:
+    """Smith form of a cell's label map on its free H1 generators (rows
+    tau^T g), which turns a character into a momentum; None on a cell with
+    H1 torsion, whose classes a momentum does not cover."""
+    if summary.h1_torsion_orders:
+        return None
+    tau_t = covering.tau.T.astype(object)
+    labels = [tau_t @ g for g in summary.h1_free_generators]
+    return smith_normal_form(np.array(labels, dtype=object).reshape(len(labels), covering.rank))
+
+
+def _translation_step(
+    sc: Complex2,
+    summary: HomologySummary,
+    labels: SmithDecomposition | None,
+    theta: np.ndarray,
+    size: int,
+    sizes: tuple[int, ...],
+) -> list[int] | None:
+    """The grid step of the magnetic translation of a ``size``-fold cell
+    with connection ``theta``, or None when its orbits are single momenta.
+
+    T0 moves the cell by one base copy, the edge permutation e -> e + E/q
+    mod E.  It is a symmetry of the complex, so H_theta(k) is unitarily
+    equivalent to H_{theta o T0}(k) (the labels' carries change by a
+    coboundary).  A momentum delta with chi(g) = delta . tau^T g on every
+    free generator g, chi the class of theta o T0 - theta, makes theta o T0
+    gauge equivalent to theta + delta . tau, so the fiber spectra at k and
+    k + delta agree.  On a cell without H1 torsion the canonical connection
+    is an integer combination of the face fluxes p/q, so the turns of chi
+    are multiples of 1/q exactly; q times a turn is read as the nearest
+    integer when it lies within ``CLASS_TOL`` of it, and everything after is
+    integer arithmetic.  delta solves A delta = chi mod 1 through the Smith
+    form A = U D V of the labels, and the step is j delta N for the
+    smallest j that makes it an integer vector.  None when ``labels`` is
+    None (H1 torsion), when the class is off the 1/q lattice or has no
+    momentum solution, and when the step is 0 mod N, which is known before
+    the class is read when q d is prime to every grid size.
+    """
+    if labels is None:
+        return None
+    # delta lies in (1 / (q d)) Z^d, d the largest invariant factor of the
+    # labels, so the multiples of delta on the grid form a cyclic group whose
+    # order divides gcd(q d, lcm N): when that is 1, no class is needed
+    if math.gcd(size * max(labels.pivots, default=1), math.lcm(*sizes)) == 1:
+        return None
+    try:
+        chi = difference_class(sc, summary, theta, np.roll(theta, -(sc.num_edges // size)))
+    except ValueError:  # curvatures apart by more than difference_class accepts
+        return None
+    turns = chi.angles * (size / TWO_PI)
+    near = np.rint(turns)
+    if np.any(np.abs(turns - near) > CLASS_TOL):
+        return None
+    t = [int(x) for x in near]
+    # D (V delta) = U^-1 t / q mod 1: row i solves y_i = b_i / (q d_i), and
+    # a zero row of D needs b_i = 0 mod q
+    b = [sum(x * t[k] for k, x in row.items()) for row in labels.u_inv_rows]
+    if any(bi % size for bi in b[labels.rank :]):
+        return None
+    delta = [Fraction(0)] * len(sizes)
+    for bi, d, col in zip(b, labels.pivots, labels.v_inv_cols):
+        for a, x in col.items():
+            delta[a] += Fraction(x * bi, size * d)
+    shift = [dj * n for dj, n in zip(delta, sizes)]
+    j = math.lcm(*(sj.denominator for sj in shift))
+    step = [int(j * sj) % n for sj, n in zip(shift, sizes)]
+    return step if any(step) else None
+
+
+def _orbit_owners(sizes: tuple[int, ...], step: Sequence[int]) -> np.ndarray:
+    """owner[m]: the first cell, in rank order, of the orbit of cell m under
+    m -> m + step mod the sizes.  Rolling the rank array by -step puts the
+    rank of m + step at m, so the orbit closes when rank 0 comes back."""
+    ranks = np.arange(math.prod(sizes)).reshape(sizes)
+    owner = shifted = ranks
+    back, axes = tuple(-s for s in step), tuple(range(len(sizes)))
+    while True:
+        shifted = np.roll(shifted, back, axes)
+        if shifted.flat[0] == 0:
+            return owner.ravel()
+        owner = np.minimum(owner, shifted)
 
 
 def butterfly(
@@ -598,7 +722,22 @@ def butterfly(
     representative, whether or not it is in the list; each flux still
     synthesizes its own connection, whose certificate and curvature gate
     decide its error, and a flux whose representative fails is solved on
-    its own.  So a row depends only on its flux.  The representatives run
+    its own.  So a row depends only on its flux.
+
+    Each band sweep solves one momentum per orbit of the grid under the
+    cell's magnetic translation and fills the rest of the orbit by index:
+    shifting the q-fold cell by one base copy is a symmetry of the
+    pushed-down operator that moves the momentum by a fixed delta (Zak's
+    magnetic translation), so every momentum of an orbit has the same
+    spectrum.  The representative's own task reads delta off the class of
+    its connection under that shift, exactly, and steps the grid by the
+    first multiple of delta on it (see :func:`_translation_step`); the
+    first momentum of each orbit, in rank order, is solved, so that row is
+    the whole-grid solve's bit for bit.  The sweep solves the whole grid on
+    a cell with H1 torsion, when the class has no momentum, and when no
+    multiple of delta but 0 lands on the grid.  The grid's size guards run
+    on the whole grid before any orbit is formed, and its momenta are built
+    once per call.  The representatives run
     concurrently on a thread pool as large as the number of CPUs the
     process may use, with OpenBLAS held to one thread until the pool is
     joined, and the rows come back in input order.  Every flux goes through
@@ -633,7 +772,8 @@ def butterfly(
         if size not in cells:
             try:
                 sc, cov = _magnetic_cell(complex2, covering, size)
-                cells[size] = (sc, cov, homology(sc))
+                summary = homology(sc)
+                cells[size] = (sc, cov, summary, _label_smith(cov, summary))
             except (ValueError, NumericError) as exc:
                 cells[size] = exc
         if isinstance(cells[size], Exception):
@@ -642,17 +782,32 @@ def butterfly(
             rep, mirrored = _representative(fr, size, cells[size][2])
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
+
+    # the momenta, built once if some cell's sweep passes the guards, which
+    # every solve below runs again before it reads them
+    basis = None
+    for cell in cells.values():
+        if basis is None and not isinstance(cell, Exception):
+            try:
+                basis = BlochBasis.from_sizes(_sweep_grid(cell[0], cell[1], grid).sizes)
+            except (ValueError, NumericError):
+                pass
+
     def solve(key) -> list[tuple[int, ButterflyRow]]:
         size, rep = key
-        sc, cov, summary = cells[size]
+        sc, cov, summary, labels = cells[size]
 
         # one flux's row: its own connection and gates, then its own band
-        # sweep, or the representative's band when that one succeeded
+        # sweep over one momentum per orbit, or the representative's band
+        # when that one succeeded
         def row(fr: Fraction, shared: BandData | None = None, mirrored: bool = False):
             try:
                 conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
                 if shared is None:
-                    band = spectrum_union(sc, cov, conn, grid)
+                    _sweep_grid(sc, cov, grid)
+                    step = _translation_step(sc, summary, labels, conn, size, basis.sizes)
+                    owner = None if step is None else _orbit_owners(basis.sizes, step)
+                    band = _band(sc, cov, conn, basis, owner)
                 elif mirrored:
                     band = _at_opposite_momenta(shared)
                 else:

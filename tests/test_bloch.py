@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from magbloch import (
+    BandData,
     BlochBasis,
     Complex2,
     CoveringData,
@@ -31,6 +32,8 @@ from magbloch import (
     butterfly_csv,
     butterfly_svg,
     character_relations_check,
+    curvature,
+    difference_class,
     fiber_spectra,
     homology,
     is_quantizable,
@@ -52,10 +55,13 @@ from magbloch.bloch import (
     ButterflyRow,
     _as_fraction,
     _character_tables,
+    _label_smith,
     _merge_intervals,
     _representative,
     _transform,
+    _translation_step,
     _unitarity_defect,
+    lipschitz_bound,
 )
 from magbloch.homology import TWO_PI
 from magbloch.operators import NumericError
@@ -878,18 +884,31 @@ class TestButterfly:
         assert rows[0].error is None
         assert (rows[1].p, rows[1].q) == (0, 0) and "overflows a float" in rows[1].error
 
+    @pytest.mark.parametrize("flux", [True, False, np.True_, np.False_])
+    def test_bool_flux_is_an_error_row(self, torus, flux):
+        # Fraction and float read a bool as 1 or 0; a flux must be a number
+        cx, cov = torus
+        with pytest.raises(ValueError, match="flux must be a number"):
+            _as_fraction(flux)
+        rows = butterfly(cx, cov, ["1/2", flux], (2, 2))
+        assert rows[0].error is None
+        assert (rows[1].p, rows[1].q, rows[1].band) == (0, 0, None)
+        assert rows[1].error == f"flux must be a number, got {flux!r}"
+
     def test_programming_errors_propagate(self, torus, monkeypatch):
         import magbloch.bloch
 
         def broken(*args, **kwargs):
-            raise TypeError("broken spectrum_union")
+            raise TypeError("broken fiber_spectra")
 
-        monkeypatch.setattr(magbloch.bloch, "spectrum_union", broken)
+        # every band sweep, one momentum per orbit or the whole grid, solves
+        # through fiber_spectra
+        monkeypatch.setattr(magbloch.bloch, "fiber_spectra", broken)
         cx, cov = torus
         threads = threading.active_count()
-        with pytest.raises(TypeError, match="broken spectrum_union"):
+        with pytest.raises(TypeError, match="broken fiber_spectra"):
             butterfly(cx, cov, ["1/2"], (4, 4))
-        with pytest.raises(TypeError, match="broken spectrum_union"):
+        with pytest.raises(TypeError, match="broken fiber_spectra"):
             butterfly(cx, cov, [Fraction(p, 7) for p in range(7)], (4, 4))
         # the pool is shut down and joined before the exception leaves
         assert threading.active_count() == threads
@@ -908,24 +927,24 @@ class TestButterfly:
         get, set_ = control
         cx, cov = torus
         seen = []
-        real = spectrum_union
+        real = fiber_spectra
 
         def spy(*args):
             seen.append(get())
             return real(*args)
 
         def broken(*args):
-            raise TypeError("broken spectrum_union")
+            raise TypeError("broken fiber_spectra")
 
         original = get()
         set_(2)
         expect = get()
         try:
-            monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", spy)
+            monkeypatch.setattr(sys.modules["magbloch.bloch"], "fiber_spectra", spy)
             butterfly(cx, cov, ["1/2", "1/3", "1/4"], (4, 4))
             assert seen == [1, 1, 1] and get() == expect
-            monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", broken)
-            with pytest.raises(TypeError, match="broken spectrum_union"):
+            monkeypatch.setattr(sys.modules["magbloch.bloch"], "fiber_spectra", broken)
+            with pytest.raises(TypeError, match="broken fiber_spectra"):
                 butterfly(cx, cov, ["1/2", "1/3"], (4, 4))
             assert get() == expect
         finally:
@@ -1086,10 +1105,11 @@ def serial_butterfly(cx, cov, fluxes, grid):
     """One flux after another, each building its own cell and homology.
 
     A flux p/q whose cell has no H1 torsion reads the band of its canonical
-    representative r/q, r = min(p mod q, -p mod q), built and solved anew,
-    at the opposite momenta when p mod q > q/2; its own connection
-    is still synthesized first, and a failed representative sends it to
-    its own solve.  Every other flux is solved directly."""
+    representative r/q, r = min(p mod q, -p mod q), built and solved anew
+    at one momentum per translation orbit (:func:`orbit_band`), at the
+    opposite momenta when p mod q > q/2; its own connection is still
+    synthesized first, and a failed representative sends it to its own
+    orbit solve.  Every other flux is solved directly on the whole grid."""
     rows = []
     for raw in fluxes:
         try:
@@ -1112,7 +1132,7 @@ def serial_butterfly(cx, cov, fluxes, grid):
                     opposite = [cell_rank(sizes, -c) for c in cells]
                     band = dataclasses.replace(band, eigenvalues=band.eigenvalues[opposite])
             if band is None:
-                band = spectrum_union(ms.complex2, ms.covering, conn, grid)
+                band = orbit_band(cx, cov, fr, grid)
             rows.append(ButterflyRow(fr.numerator, fr.denominator, band=band))
         except (ValueError, NumericError) as exc:
             try:
@@ -1132,11 +1152,52 @@ def direct_band(cx, cov, flux, grid):
 
 
 def representative_band(cx, cov, rep, grid):
-    """The direct band of a representative flux, or None when it fails."""
+    """The orbit band of a representative flux, or None when it fails."""
     try:
-        return direct_band(cx, cov, rep, grid)
+        return orbit_band(cx, cov, rep, grid)
     except (ValueError, NumericError):
         return None
+
+
+def orbit_owners(cx, ms, summary, theta, grid):
+    """owner[m]: the first grid momentum, in rank order, whose momentum
+    character differs from that of momentum m by a power of the class of
+    theta o T0 - theta, T0 the shift of the q-fold cell by one base copy.
+
+    The grid momenta are compared pairwise through momentum_character, with
+    no shift solved for, so this checks the sweep's Smith-form solve and its
+    integer steps.  On these models the label map of the cell is
+    unimodular, so two momenta have the same character only if they are
+    equal mod 2 pi."""
+    E = cx.num_edges
+    q = ms.complex2.num_edges // E
+    chi = difference_class(ms.complex2, summary, theta, np.roll(theta, -E))
+    ks = BlochBasis.from_sizes(grid).ks
+    chars = np.array([momentum_character(summary, ms.covering, k).angles for k in ks])
+    powers = np.outer(np.arange(q), chi.angles)
+    gap = chars[None, :, None, :] - chars[:, None, None, :] - powers
+    same = np.all(np.abs(np.mod(gap + np.pi, TWO_PI) - np.pi) < 1e-9, axis=-1).any(axis=-1)
+    return np.argmax(same, axis=1)
+
+
+def orbit_band(cx, cov, flux, grid):
+    """The band of one flux from its own cell, homology and connection,
+    solved at the first momentum of each translation orbit and read there
+    for the others; a cell with H1 torsion solves the whole grid."""
+    ms = magnetic_supercell(cx, cov, flux)
+    summary = homology(ms.complex2)
+    theta = synthesize_connection(ms.complex2, ms.flux, summary)
+    if summary.h1_torsion_orders:
+        return spectrum_union(ms.complex2, ms.covering, theta, grid)
+    sizes = SupercellSpec(grid).sizes
+    ks = BlochBasis.from_sizes(sizes).ks
+    owner = orbit_owners(cx, ms, summary, theta, sizes)
+    eigs = np.empty((len(ks), ms.complex2.num_vertices))
+    solved = np.unique(owner)
+    eigs[solved] = fiber_spectra(ms.complex2, ms.covering, theta, ks[solved]).eigenvalues
+    eigs = eigs[owner]
+    join = 2.0 * lipschitz_bound(ms.complex2, ms.covering) * max(TWO_PI / n for n in sizes)
+    return BandData(ks, eigs, _merge_intervals(eigs, join), sizes)
 
 
 def assert_same_rows(rows, expect):
@@ -1256,19 +1317,20 @@ class TestMirror:
 
     def test_each_representative_is_solved_once(self, torus, monkeypatch):
         calls = []
-        real = spectrum_union
+        real = fiber_spectra
 
         def spy(*args):
-            calls.append(args[0].num_vertices)
+            calls.append((args[0].num_vertices, len(args[3])))
             return real(*args)
 
-        monkeypatch.setattr(sys.modules["magbloch.bloch"], "spectrum_union", spy)
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "fiber_spectra", spy)
         cx, cov = torus
         fluxes = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
         rows = butterfly(cx, cov, fluxes, (4, 4))
         assert all(row.error is None for row in rows)
-        # 0 and 1; 1/2; 1/3 and 2/3; 1/4 and 3/4; 1/5 to 4/5 in two pairs; 1/6 and 5/6
-        assert sorted(calls) == [1, 2, 3, 4, 5, 5, 6]
+        # 0 and 1; 1/2; 1/3 and 2/3; 1/4 and 3/4; 1/5 to 4/5 in two pairs; 1/6 and 5/6,
+        # each at one momentum per orbit of size gcd(q, 4) of the 4 x 4 grid
+        assert sorted(calls) == [(1, 16), (2, 8), (3, 16), (4, 4), (5, 16), (5, 16), (6, 8)]
 
     def test_unquantizable_twin_gets_its_own_error_row(self, torus, monkeypatch):
         real = synthesize_connection
@@ -1287,8 +1349,11 @@ class TestMirror:
         assert rows[2].error is None
 
     def test_failed_representative_sends_the_flux_to_its_own_solve(self, torus, monkeypatch):
+        # its own solve is one momentum per orbit too, read off its own class
         cx, cov = torus
-        expect = direct_band(cx, cov, Fraction(3, 4), (4, 4))
+        expect = orbit_band(cx, cov, Fraction(3, 4), (4, 4))
+        direct = direct_band(cx, cov, Fraction(3, 4), (4, 4))
+        assert np.max(np.abs(expect.eigenvalues - direct.eigenvalues)) <= 1e-12
         real = synthesize_connection
 
         def refuse_one_quarter(sc, flux, summary):
@@ -1302,6 +1367,187 @@ class TestMirror:
         assert rows[0].error == "one quarter misses its flux"
         assert np.array_equal(rows[1].band.eigenvalues, expect.eigenvalues)
         assert rows[1].band.intervals == expect.intervals
+
+
+def farey(qmax):
+    return sorted({Fraction(p, q) for q in range(1, qmax + 1) for p in range(q + 1)})
+
+
+def full_grid_bands(cx, cov, fluxes, grid):
+    """Each flux's band from every grid momentum of its own cell, one cell
+    and homology per denominator."""
+    cells, out = {}, []
+    for fr in fluxes:
+        if fr.denominator not in cells:
+            ms = magnetic_supercell(cx, cov, fr)
+            cells[fr.denominator] = (ms.complex2, ms.covering, homology(ms.complex2))
+        sc, cov_q, summary = cells[fr.denominator]
+        theta = synthesize_connection(sc, np.full(sc.num_faces, TWO_PI * float(fr)), summary)
+        out.append(spectrum_union(sc, cov_q, theta, grid))
+    return out
+
+
+def worst_deviation(rows, bands):
+    """Largest |row eigenvalue - full-grid eigenvalue| / max(1, |lambda|)."""
+    return max(
+        float(np.max(np.abs(row.band.eigenvalues - band.eigenvalues)))
+        / max(1.0, float(np.max(np.abs(band.eigenvalues))))
+        for row, band in zip(rows, bands)
+    )
+
+
+ORBIT_GRIDS = [(8, 8), (4, 6), (6, 4), (5, 12)]
+
+# the q-fold cells of the periodic 5x3 block have 15q vertices, so its
+# sweep stops at a smaller denominator
+ORBIT_QMAX = {"torus": 12, "tri": 12, "magnetic_cell(3)": 12, "block(5,3)": 4}
+
+
+def count_fibers(monkeypatch):
+    """Install a spy on the sweep's fiber_spectra; the list it returns
+    receives the number of momenta of each call."""
+    counts = []
+    real = fiber_spectra
+
+    def spy(*args):
+        counts.append(len(args[3]))
+        return real(*args)
+
+    monkeypatch.setattr(sys.modules["magbloch.bloch"], "fiber_spectra", spy)
+    return counts
+
+
+class TestTranslationOrbits:
+    @pytest.mark.parametrize("grid", ORBIT_GRIDS)
+    @pytest.mark.parametrize("model", MIRROR_MODELS)
+    def test_rows_match_full_grid_solves(self, model, grid):
+        cx, cov, _ = verify_model(model)
+        fluxes = farey(ORBIT_QMAX[model])
+        rows = butterfly(cx, cov, fluxes, grid)
+        bands = full_grid_bands(cx, cov, fluxes, grid)
+        assert all(row.error is None for row in rows)
+        assert all(np.array_equal(row.band.ks, band.ks) for row, band in zip(rows, bands))
+        assert worst_deviation(rows, bands) <= 1e-12
+        assert [len(row.band.intervals) for row in rows] == [len(b.intervals) for b in bands]
+
+    @pytest.mark.parametrize("flux, momenta", [
+        ("1/8", 8), ("3/8", 8), ("5/8", 8), ("1/4", 16), ("3/4", 16), ("1/2", 32),
+        ("1/6", 32), ("1/3", 64), ("2/5", 64), ("3/7", 64), ("0", 64), ("2", 64),
+    ])
+    def test_one_momentum_per_orbit_on_the_torus(self, torus, monkeypatch, flux, momenta):
+        # the orbit of a flux p/q on the N x N grid has gcd(q, N) momenta
+        counts = count_fibers(monkeypatch)
+        cx, cov = torus
+        [row] = butterfly(cx, cov, [flux], (8, 8))
+        assert row.error is None and counts == [momenta]
+
+    def test_no_class_is_read_when_q_is_prime_to_the_grid(self, torus, monkeypatch):
+        # the orbits of 1/3 and 2/5 on the 8 x 8 grid are single momenta
+        # whatever their class, so only 1/2 reads one
+        read = []
+        real = difference_class
+
+        def spy(*args):
+            read.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "difference_class", spy)
+        counts = count_fibers(monkeypatch)
+        cx, cov = torus
+        butterfly(cx, cov, ["1/3", "2/5", "1/2"], (8, 8))
+        assert len(read) == 1 and sorted(counts) == [32, 64, 64]
+
+    @pytest.mark.parametrize("grid", [(4, 6), (5, 12)])
+    @pytest.mark.parametrize("model", ["torus", "tri", "magnetic_cell(3)"])
+    def test_fiber_count_is_the_orbit_count(self, model, grid, monkeypatch):
+        # the reference orbits compare momentum characters pairwise
+        cx, cov, _ = verify_model(model)
+        fluxes = [f for f in farey(8) if 2 * (f.numerator % f.denominator) <= f.denominator]
+        expect = []
+        for fr in fluxes:
+            ms = magnetic_supercell(cx, cov, fr)
+            summary = homology(ms.complex2)
+            theta = synthesize_connection(ms.complex2, ms.flux, summary)
+            expect.append(len(np.unique(orbit_owners(cx, ms, summary, theta, grid))))
+        counts = count_fibers(monkeypatch)
+        # one representative per flux here: 0 and 1 share the band of 0
+        butterfly(cx, cov, fluxes[:-1], grid)
+        assert sorted(counts) == sorted(expect[:-1])
+
+    def test_the_bench_sweep_solves_4448_fibers(self, torus, monkeypatch):
+        # the 181 Farey fluxes with q <= 24 on the 8 x 8 grid: 91 mirror
+        # classes, which solved 64 momenta each (5824 fibers) on the whole grid
+        counts = count_fibers(monkeypatch)
+        cx, cov = torus
+        rows = butterfly(cx, cov, farey(24), (8, 8))
+        assert len(rows) == 181 and all(row.error is None for row in rows)
+        assert (len(counts), sum(counts)) == (91, 4448)
+
+    @pytest.mark.parametrize("flux, grid, step", [
+        ("1/8", (8, 8), [0, 1]), ("3/8", (8, 8), [0, 3]), ("1/4", (8, 8), [0, 2]),
+        ("1/6", (8, 8), [0, 4]), ("1/6", (4, 6), [0, 1]), ("5/12", (5, 12), [0, 5]),
+        ("1/3", (8, 8), None), ("1/1", (8, 8), None),
+    ])
+    def test_torus_step_is_the_flux_per_cell(self, torus, flux, grid, step):
+        # Zak: one base copy moves the momentum by 2 pi p/q along axis 1,
+        # and the step is the first multiple of that on the grid
+        cx, cov = torus
+        fr = Fraction(flux)
+        ms = magnetic_supercell(cx, cov, fr)
+        summary = homology(ms.complex2)
+        theta = synthesize_connection(ms.complex2, ms.flux, summary)
+        labels = _label_smith(ms.covering, summary)
+        assert _translation_step(ms.complex2, summary, labels, theta, fr.denominator, grid) == step
+
+    def test_shift_off_by_one_is_caught(self, torus, monkeypatch):
+        cx, cov = torus
+        fluxes = farey(8)
+        bands = full_grid_bands(cx, cov, fluxes, (8, 8))
+        assert worst_deviation(butterfly(cx, cov, fluxes, (8, 8)), bands) <= 1e-12
+        real = _translation_step
+
+        def off_by_one(sc, summary, labels, theta, size, sizes):
+            step = real(sc, summary, labels, theta, size, sizes) or [0] * len(sizes)
+            step[-1] = (step[-1] + 1) % sizes[-1]
+            return step if any(step) else None
+
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "_translation_step", off_by_one)
+        assert worst_deviation(butterfly(cx, cov, fluxes, (8, 8)), bands) > 1e-3
+
+    @pytest.mark.parametrize("model, caught", [("torus", False), ("magnetic_cell(3)", True)])
+    def test_shift_by_the_flux_per_face_is_caught(self, monkeypatch, model, caught):
+        # the flux per face p/q is the flux per base cell only on a base with
+        # one face; magnetic_cell(3) has three, so its shift is 3p/q.  With
+        # equal weights its cover is the square lattice, where p/q is a true
+        # shift too, so the weights and potentials are drawn at random
+        def per_face(sc, summary, labels, theta, size, sizes):
+            p = round(float(curvature(sc, theta)[0]) * size / TWO_PI) % size
+            shift = Fraction(p * sizes[-1], size)
+            step = [0] * (len(sizes) - 1) + [shift.denominator * shift % sizes[-1]]
+            return [int(x) for x in step] if any(step) else None
+
+        cx, cov, _ = verify_model(model)
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(0.5, 2.0, size=cx.num_edges)
+        edges = [(s, t, float(w)) for (s, t, _), w in zip(cx.edges, weights)]
+        cx = Complex2(cx.num_vertices, edges, cx.faces, rng.uniform(-1.0, 1.0, cx.num_vertices))
+        fluxes = farey(6)
+        bands = full_grid_bands(cx, cov, fluxes, (4, 6))
+        assert worst_deviation(butterfly(cx, cov, fluxes, (4, 6)), bands) <= 1e-12
+        monkeypatch.setattr(sys.modules["magbloch.bloch"], "_translation_step", per_face)
+        deviation = worst_deviation(butterfly(cx, cov, fluxes, (4, 6)), bands)
+        assert (deviation > 1e-3) if caught else (deviation <= 1e-12)
+
+    def test_torsion_base_is_the_full_grid_solve(self, monkeypatch):
+        cx, cov = torsion_base()
+        fluxes = ["1/3", "2/3", "1/4", "3/4", "1/2", "1/6"]
+        counts = count_fibers(monkeypatch)
+        rows = butterfly(cx, cov, fluxes, (6,))
+        assert counts == [6] * len(fluxes)
+        for flux, row in zip(fluxes, rows):
+            direct = direct_band(cx, cov, Fraction(flux), (6,))
+            assert np.array_equal(row.band.eigenvalues, direct.eigenvalues)
+            assert row.band.intervals == direct.intervals
 
 
 class TestEmitters:

@@ -451,13 +451,13 @@ def test_fibers_work_bound_exit_4_before_any_solve(tri_model, monkeypatch, capsy
 def test_butterfly_programming_error_is_internal_exit_5(torus_model, monkeypatch, capsys):
     # a bug raised on a pool thread reaches the CLI as an internal error
     def broken(*args, **kwargs):
-        raise TypeError("broken spectrum_union")
+        raise TypeError("broken fiber_spectra")
 
-    monkeypatch.setattr(importlib.import_module("magbloch.bloch"), "spectrum_union", broken)
+    monkeypatch.setattr(importlib.import_module("magbloch.bloch"), "fiber_spectra", broken)
     argv = ["butterfly", "--model", torus_model(0.0), "--flux", "1/2,1/3,2/3", "--grid", "2,2"]
     assert run(argv) == EXIT_INTERNAL
     err = capsys.readouterr().err
-    assert "Traceback" in err and "TypeError: broken spectrum_union" in err
+    assert "Traceback" in err and "TypeError: broken fiber_spectra" in err
 
 
 def test_python_dash_m(chain_model):
