@@ -656,15 +656,9 @@ def _translation_step(
     form A = U D V of the labels, and the step is j delta N for the
     smallest j that makes it an integer vector.  None when ``labels`` is
     None (H1 torsion), when the class is off the 1/q lattice or has no
-    momentum solution, and when the step is 0 mod N, which is known before
-    the class is read when q d is prime to every grid size.
+    momentum solution, and when the step is 0 mod N.
     """
     if labels is None:
-        return None
-    # delta lies in (1 / (q d)) Z^d, d the largest invariant factor of the
-    # labels, so the multiples of delta on the grid form a cyclic group whose
-    # order divides gcd(q d, lcm N): when that is 1, no class is needed
-    if math.gcd(size * max(labels.pivots, default=1), math.lcm(*sizes)) == 1:
         return None
     try:
         chi = difference_class(sc, summary, theta, np.roll(theta, -(sc.num_edges // size)))
@@ -783,13 +777,14 @@ def butterfly(
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
 
-    # the momenta, built once if some cell's sweep passes the guards, which
+    # the momenta, built once when the first cell passes the guards, which
     # every solve below runs again before it reads them
     basis = None
     for cell in cells.values():
-        if basis is None and not isinstance(cell, Exception):
+        if not isinstance(cell, Exception):
             try:
                 basis = BlochBasis.from_sizes(_sweep_grid(cell[0], cell[1], grid).sizes)
+                break
             except (ValueError, NumericError):
                 pass
 

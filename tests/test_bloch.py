@@ -1441,22 +1441,6 @@ class TestTranslationOrbits:
         [row] = butterfly(cx, cov, [flux], (8, 8))
         assert row.error is None and counts == [momenta]
 
-    def test_no_class_is_read_when_q_is_prime_to_the_grid(self, torus, monkeypatch):
-        # the orbits of 1/3 and 2/5 on the 8 x 8 grid are single momenta
-        # whatever their class, so only 1/2 reads one
-        read = []
-        real = difference_class
-
-        def spy(*args):
-            read.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sys.modules["magbloch.bloch"], "difference_class", spy)
-        counts = count_fibers(monkeypatch)
-        cx, cov = torus
-        butterfly(cx, cov, ["1/3", "2/5", "1/2"], (8, 8))
-        assert len(read) == 1 and sorted(counts) == [32, 64, 64]
-
     @pytest.mark.parametrize("grid", [(4, 6), (5, 12)])
     @pytest.mark.parametrize("model", ["torus", "tri", "magnetic_cell(3)"])
     def test_fiber_count_is_the_orbit_count(self, model, grid, monkeypatch):
