@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -34,7 +34,6 @@ __all__ = [
     "vertex_boundary",
     "build_supercell",
     "face_steps",
-    "face_arrays",
 ]
 
 
@@ -48,33 +47,13 @@ def face_steps(word: Sequence[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def _signed_words(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary words as one padded array of signed ids, shape (F, longest
-    word), holding 0 past each word's length, and the word lengths (F,)."""
-    lengths = np.array([len(word) for word in faces], dtype=int)
-    words = np.zeros((len(faces), lengths.max(initial=0)), dtype=int)
-    filled = np.arange(words.shape[1]) < lengths[:, None]
-    words[filled] = np.fromiter(itertools.chain.from_iterable(faces), dtype=int, count=lengths.sum())
-    return words, lengths
-
-
-def face_arrays(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary words as padded arrays: edge indices and signs, each of shape
-    (F, longest word), and word lengths (F,).  Past its length a row holds
-    edge -1 and sign 0."""
-    words, lengths = _signed_words(faces)
-    if np.any(words[np.arange(words.shape[1]) < lengths[:, None]] == 0):
-        raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
-    return np.abs(words) - 1, np.sign(words), lengths
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Complex2:
     """Finite 2-cell complex with positive edge weights and vertex potentials.
 
@@ -90,40 +69,68 @@ class Complex2:
     potentials : sequence of float, optional
         One real value per vertex; defaults to zero.
 
-    Construction is deliberately lenient so that malformed inputs can be
-    diagnosed by :func:`validate` instead of raising here.  The array views
-    of the edges and faces (``ends``, ``sources``, ``targets``, ``weights``,
-    ``face_words``) and the spanning ``forest`` are read-only and built
-    once, on first use.
+    The arrays are the storage, all read-only: ``ends`` (E, 2), ``weights``,
+    the boundary words padded with 0 into ``words`` (F, longest word) with
+    their ``lengths``, and ``potentials``; ``edges`` and ``faces`` are tuple
+    views built on first read.  Construction is deliberately lenient so that
+    malformed inputs can be diagnosed by :func:`validate` instead of raising
+    here: an endpoint out of range, even past int64, is stored as -1, and an
+    edge id out of range clamped to just past the valid range (-E-1 or E+1).
     """
 
     num_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
-    faces: tuple[tuple[int, ...], ...] = ()
-    potentials: np.ndarray = field(default=None)  # type: ignore[assignment]
+    ends: np.ndarray
+    weights: np.ndarray
+    words: np.ndarray
+    lengths: np.ndarray
+    potentials: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
-        )
-        object.__setattr__(self, "faces", tuple(tuple(map(int, word)) for word in self.faces))
-        pot = self.potentials
-        if pot is None:
-            pot = np.zeros(self.num_vertices)
-        object.__setattr__(self, "potentials", _as_readonly(np.asarray(pot, dtype=float)))
+    def __init__(self, num_vertices: int, edges, faces=(), potentials=None):
+        # the potentials first: one per vertex is the only allocation that
+        # can fail on a huge vertex count
+        pot = np.zeros(num_vertices) if potentials is None else np.array(potentials, dtype=float)
+        cells = np.array(list(edges), dtype=object).reshape(-1, 3)
+        ends = cells[:, :2]
+        ends = np.where((ends >= 0) & (ends < num_vertices), ends, -1).astype(int)
+        faces = tuple(faces)
+        lengths = np.array([len(word) for word in faces], dtype=int)
+        words = np.zeros((len(faces), lengths.max(initial=0)), dtype=int)
+        ids = np.array(list(itertools.chain.from_iterable(faces)), dtype=object)
+        filled = np.arange(words.shape[1]) < lengths[:, None]
+        words[filled] = np.clip(ids, -len(ends) - 1, len(ends) + 1)
+        self._store(num_vertices, ends, cells[:, 2].astype(float), words, lengths, pot)
+
+    @classmethod
+    def _from_arrays(cls, *fields) -> "Complex2":
+        """A complex from its fields in stored form; the arrays are taken
+        without a copy."""
+        cx = object.__new__(cls)
+        cx._store(*fields)
+        return cx
+
+    def _store(self, num_vertices, *arrays):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        for name, a in zip(("ends", "weights", "words", "lengths", "potentials"), arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.lengths)
 
     @cached_property
-    def ends(self) -> np.ndarray:
-        """(source, target) of every edge, shape (E, 2); read-only, built once."""
-        return _as_readonly(np.array([(u, v) for u, v, _ in self.edges], dtype=int).reshape(-1, 2))
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(source, target, weight)`` of every edge, built on first read."""
+        return tuple(zip(*self.ends.T.tolist(), self.weights.tolist()))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The signed boundary words as tuples, built on first read."""
+        return tuple(tuple(w[:n]) for w, n in zip(self.words.tolist(), self.lengths.tolist()))
 
     @cached_property
     def sources(self) -> np.ndarray:
@@ -132,10 +139,6 @@ class Complex2:
     @cached_property
     def targets(self) -> np.ndarray:
         return self.ends[:, 1]
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _as_readonly(np.array([e[2] for e in self.edges], dtype=float))
 
     def edge_angles(self, theta: Sequence[float]) -> np.ndarray:
         """A connection on this complex as a float array, one angle per edge;
@@ -147,11 +150,15 @@ class Complex2:
 
     @cached_property
     def face_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`face_arrays` of the faces, read-only and built once."""
-        arrays = face_arrays(self.faces)
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        """The words split into edge indices and signs, each of shape (F,
+        longest word), and the lengths (F,); past its length a row holds
+        edge -1 and sign 0.  Read-only, built once; a zero step raises
+        ``ValueError``."""
+        if np.any(np.count_nonzero(self.words, axis=1) < self.lengths):
+            raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
+        edge, sign = np.abs(self.words) - 1, np.sign(self.words)
+        edge.flags.writeable = sign.flags.writeable = False
+        return edge, sign, self.lengths
 
     @cached_property
     def forest(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -159,10 +166,14 @@ class Complex2:
         forest edge (-1 at a root, the smallest vertex of its component) and
         the cotree edges.  Vertices and edges are scanned in index order."""
         V = self.num_vertices
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-        for e, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
+        # CSR adjacency: edge e holds slots 2e (its source) and 2e + 1 (its
+        # target), and a stable sort by vertex lists each vertex's slots in
+        # edge order, a loop twice, as a scan of the edges would
+        ends = self.ends.ravel()
+        slots = np.argsort(ends, kind="stable")
+        start = np.searchsorted(ends, np.arange(V + 1), sorter=slots).tolist()
+        other = ends[slots ^ 1].tolist()  # the far end of each slot
+        edge = (slots >> 1).tolist()
         parent = [-1] * V
         seen = [False] * V
         order: list[int] = []
@@ -175,13 +186,14 @@ class Complex2:
             while i < len(order):
                 u = order[i]
                 i += 1
-                for v, e in adj[u]:
+                for s in range(start[u], start[u + 1]):
+                    v = other[s]
                     if not seen[v]:
                         seen[v] = True
-                        parent[v] = e
+                        parent[v] = edge[s]
                         order.append(v)
         tree = set(parent)
-        cotree = tuple(e for e in range(self.num_edges) if e not in tree)
+        cotree = tuple(itertools.filterfalse(tree.__contains__, range(self.num_edges)))
         return tuple(order), tuple(parent), cotree
 
     def euler_characteristic(self) -> int:
@@ -344,14 +356,14 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
     V, E = complex2.num_vertices, complex2.num_edges
 
     checks["edge_endpoints"] = True
-    for e, (u, v, _) in enumerate(complex2.edges):
-        if not (0 <= u < V and 0 <= v < V):
-            fail("edge_endpoints", f"edge {e} has endpoint outside 0..{V - 1}", (e,))
+    ends = complex2.ends
+    for e in np.flatnonzero(~((ends >= 0) & (ends < V)).all(axis=1)).tolist():
+        fail("edge_endpoints", f"edge {e} has endpoint outside 0..{V - 1}", (e,))
 
     checks["edge_weights_positive"] = True
     w = complex2.weights
     for e in np.flatnonzero(~(np.isfinite(w) & (w > 0))).tolist():
-        fail("edge_weights_positive", f"edge {e} has weight {complex2.edges[e][2]}", (e,))
+        fail("edge_weights_positive", f"edge {e} has weight {w[e].item()}", (e,))
 
     checks["potentials_finite"] = True
     if len(complex2.potentials) != V:
@@ -364,16 +376,10 @@ def validate(complex2: Complex2, covering: CoveringData | None = None) -> Valida
     # word, zero step, missing edge, open walk), and faces report in order
     checks["face_edge_refs"] = True
     checks["faces_closed"] = True
-    try:
-        words, lengths = _signed_words(complex2.faces)
-    except OverflowError:  # an id past int64 references a missing edge all the same
-        words, lengths = _signed_words(
-            [[max(-E - 1, min(s, E + 1)) for s in word] for word in complex2.faces]
-        )
-    filled = np.arange(words.shape[1]) < lengths[:, None]
+    words, lengths = complex2.words, complex2.lengths
     edge, sign = np.abs(words) - 1, np.sign(words)
-    zero = (filled & (sign == 0)).any(axis=1)
-    missing = filled & (edge >= E)
+    zero = np.count_nonzero(words, axis=1) < lengths  # the padding is 0, edge -1
+    missing = edge >= E
     refs_ok = (lengths > 0) & ~zero & ~missing.any(axis=1)
     open_at = np.full(len(lengths), -1)
     if checks["edge_endpoints"] and refs_ok.any():
@@ -484,27 +490,23 @@ def build_supercell(
         raise ValueError("covering labels do not match the number of edges")
 
     V, E = complex2.num_vertices, complex2.num_edges
-    cells = spec.cells()
-    tau = covering.tau
+    cells, tau = spec.cells(), covering.tau
+    n = len(cells)
 
     # copy (cell, e) runs from cell to cell + tau[e] and is edge rank * E + e
-    cell = np.arange(len(cells))[:, None]
-    edges = zip(
-        (cell * V + complex2.sources).ravel().tolist(),
-        (spec.rank(cells[:, None, :] + tau[None, :, :]) * V + complex2.targets).ravel().tolist(),
-        np.tile(complex2.weights, len(cells)).tolist(),
-    )
+    sources = np.arange(n)[:, None] * V + complex2.sources
+    targets = spec.rank(cells[:, None, :] + tau[None, :, :]) * V + complex2.targets
+    ends = np.stack([sources, targets], axis=-1).reshape(-1, 2)
 
     # every word is walked from every cell at once: step j uses the copy
-    # based at cell + based[j]; past a word's end the sign is 0
+    # based at cell + based[j]; past a word's end the sign, and so the id, is 0
     edge, sign, lengths = complex2.face_words
     step = sign[..., None] * tau[edge]
     after = np.cumsum(step, axis=1)
     based = np.where(sign[..., None] > 0, after - step, after)
     ids = sign * (spec.rank(cells[:, None, None, :] + based) * E + edge + 1)
-    words = ids.reshape(len(cells) * len(lengths), edge.shape[1]).tolist()
-    faces = [tuple(w[:n]) for w, n in zip(words, np.tile(lengths, len(cells)).tolist())]
 
-    potentials = np.tile(complex2.potentials, len(cells))
-    sc = Complex2(len(cells) * V, tuple(edges), tuple(faces), potentials)
+    words = ids.reshape(n * len(lengths), edge.shape[1])
+    weights, potentials = np.tile(complex2.weights, n), np.tile(complex2.potentials, n)
+    sc = Complex2._from_arrays(n * V, ends, weights, words, np.tile(lengths, n), potentials)
     return sc, SupercellMap(spec, V, E)

@@ -650,19 +650,19 @@ def cycle_label_invariants(
     The Smith form runs on the distinct nonzero labels, sorted.
     """
     order, parent, cotree = complex2.forest
-    tau = covering.tau.tolist()
+    tau, ends = covering.tau.tolist(), complex2.ends.tolist()
     p = [[0] * covering.rank for _ in range(complex2.num_vertices)]
     for x in order:
         e = parent[x]
         if e >= 0:
-            u, v, _ = complex2.edges[e]
+            u, v = ends[e]
             if v == x:
                 p[x] = [a + t for a, t in zip(p[u], tau[e])]
             else:
                 p[x] = [a - t for a, t in zip(p[v], tau[e])]
     columns = set()
     for c in cotree:
-        u, v, _ = complex2.edges[c]
+        u, v = ends[c]
         columns.add(tuple(t + a - b for t, a, b in zip(tau[c], p[u], p[v])))
     # rank and invariant factors depend only on the lattice the columns span
     columns.discard((0,) * covering.rank)

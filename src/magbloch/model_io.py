@@ -98,12 +98,10 @@ def loads_model(text: str) -> Model:
     faces = doc.get("faces", [])
     if not isinstance(faces, list) or any(not isinstance(f, list) for f in faces):
         raise ModelError("'faces' must be a list of lists of signed edge ids")
-    face_words = []
     for i, word in enumerate(faces):
         if not _integers(word) or 0 in word:
             s = next(s for s in word if not _is_integer(s) or s == 0)
             raise ModelError(f"face {i}: steps must be nonzero signed integers, got {s!r}")
-        face_words.append(tuple(word))
 
     potential = doc.get("potential")
     if potential is not None:
@@ -112,7 +110,7 @@ def loads_model(text: str) -> Model:
         potential = [_number(x, "potential[{}]", i) for i, x in enumerate(potential)]
 
     try:
-        cx = Complex2(vertices, tuple(edges), tuple(face_words), potential)
+        cx = Complex2(vertices, edges, faces, potential)
     except (ValueError, MemoryError) as exc:
         # the only thing the lenient constructor can fail on is allocating
         # one potential per vertex
@@ -141,10 +139,10 @@ def loads_model(text: str) -> Model:
 
     flux = doc.get("flux")
     if flux is None:
-        flux = np.zeros(len(face_words))
+        flux = np.zeros(len(faces))
     else:
-        if not isinstance(flux, list) or len(flux) != len(face_words):
-            raise ModelError(f"'flux' must list one value per face ({len(face_words)})")
+        if not isinstance(flux, list) or len(flux) != len(faces):
+            raise ModelError(f"'flux' must list one value per face ({len(faces)})")
         flux = np.array([_number(x, "flux[{}]", i) for i, x in enumerate(flux)])
         bad = np.flatnonzero(~np.isfinite(flux))
         if bad.size:

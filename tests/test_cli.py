@@ -640,6 +640,33 @@ def test_validate_reports_an_invalid_model(empty_face_model, capsys):
     )
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "where, issue",
+    [
+        ("edge", {"check": "edge_endpoints", "detail": "edge 0 has endpoint outside 0..0", "where": [0]}),
+        ("face", {"check": "face_edge_refs", "detail": "face 0 references missing edges", "where": [0, 1]}),
+    ],
+)
+def test_ids_past_int64_load_and_fail_validation(tmp_path, capsys, sign, where, issue):
+    doc = {"vertices": 1, "edges": [[0, 0, 1.0], [0, 0, 1.0]], "faces": [[1, 2, -1, -2]],
+           "tau": [[1, 0], [0, 1]]}
+    if where == "edge":
+        doc["edges"][0][1] = sign * 2**70
+    else:
+        doc["faces"][0][1] = sign * 2**70
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", "--model", str(path), "--json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert [name for name, ok in data["checks"].items() if not ok] == [issue["check"]]
+    assert len(data["checks"]) == 8 and data["issues"] == [issue]
+    assert run(["homology", "--model", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: model fails validation: {issue['check']}: {issue['detail']}\n"
+
+
 def test_validate_json(torus_model, capsys):
     assert run(["validate", "--model", torus_model(0.0), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

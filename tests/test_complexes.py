@@ -9,13 +9,16 @@ from magbloch import (
     boundary_matrices,
     build_supercell,
     homology,
+    magnetic_supercell,
+    spectrum_union,
+    synthesize_connection,
     validate,
+    verify_block_diagonalization,
 )
 from magbloch.complexes import (
     SupercellMap,
     ValidationIssue,
     ValidationReport,
-    face_arrays,
     face_steps,
 )
 
@@ -42,13 +45,13 @@ def test_face_steps_decoding():
 
 
 def test_face_arrays_pad_mixed_lengths():
-    edge, sign, length = face_arrays([(1, -2, 3), (), (-4,)])
+    edge, sign, length = Complex2(1, [(0, 0, 1.0)] * 4, [(1, -2, 3), (), (-4,)]).face_words
     assert edge.tolist() == [[0, 1, 2], [-1, -1, -1], [3, -1, -1]]
     assert sign.tolist() == [[1, -1, 1], [0, 0, 0], [-1, 0, 0]]
     assert length.tolist() == [3, 0, 1]
-    assert [a.shape for a in face_arrays([])] == [(0, 0), (0, 0), (0,)]
+    assert [a.shape for a in Complex2(1, []).face_words] == [(0, 0), (0, 0), (0,)]
     with pytest.raises(ValueError, match="0 is not a valid step"):
-        face_arrays([(1,), (2, 0)])
+        Complex2(1, [(0, 0, 1.0)] * 2, [(1,), (2, 0)]).face_words
 
 
 class TestValidate:
@@ -96,6 +99,11 @@ class TestValidate:
         cx = Complex2(1, [(0, 3, 1.0)])
         report = validate(cx)
         assert not report.checks["edge_endpoints"]
+        # an endpoint past int64 is stored as -1, whatever the vertex count
+        for V in (1, 2**64):
+            cx = Complex2(V, [(0, 2**70, 1.0), (-(2**70), 0, 1.0)], potentials=[0.0])
+            assert cx.ends.tolist() == [[0, -1], [-1, 0]]
+            assert [i.where for i in validate(cx).issues if i.check == "edge_endpoints"] == [(0,), (1,)]
 
     def test_missing_face_edge_reference(self):
         cx = Complex2(1, [(0, 0, 1.0)], [(2,)])
@@ -135,14 +143,30 @@ class TestValidate:
 
 
 def test_cached_arrays_are_read_only_and_match_the_cells():
-    cx, _, _ = make_random3(np.random.default_rng(8))
-    for c in [cx, Complex2(0, []), Complex2(2, [(0, 1, 0.5)], [(1, -1), ()])]:
-        ends = np.array([(u, v) for u, v, _ in c.edges], dtype=int).reshape(-1, 2)
+    rng = np.random.default_rng(8)
+    cases = [
+        (3, [(0, 1, 0.75), (1, 2, 1.5), (2, 0, 2.0), (0, 0, 1.0)], [(1, 2, 3, 4, -3, -2, -1, -4)]),
+        (0, [], []),
+        (2, [(0, 1, 0.5)], [(1, -1), ()]),
+        (2, [(np.int64(1), 1.0, "2.5")], [np.array([1, -1])]),  # converted as int() and float()
+    ]
+    for V, edges, faces in cases:
+        potentials = rng.uniform(-1.0, 1.0, size=V)
+        c = Complex2(V, edges, faces, potentials)
+        ends = np.array([(int(u), int(v)) for u, v, _ in edges], dtype=int).reshape(-1, 2)
+        longest = max(map(len, faces), default=0)
+        words = np.array(
+            [[int(s) for s in word] + [0] * (longest - len(word)) for word in faces], dtype=int
+        ).reshape(len(faces), longest)
+        lengths = np.array([len(word) for word in faces], dtype=int)
         want = {
             "ends": ends,
             "sources": ends[:, 0],
             "targets": ends[:, 1],
-            "weights": np.array([w for _, _, w in c.edges], dtype=float),
+            "weights": np.array([float(w) for _, _, w in edges], dtype=float),
+            "words": words,
+            "lengths": lengths,
+            "potentials": potentials,
         }
         for name, value in want.items():
             got = getattr(c, name)
@@ -150,9 +174,31 @@ def test_cached_arrays_are_read_only_and_match_the_cells():
             assert got.dtype == value.dtype and np.array_equal(got, value)
             assert not got.flags.writeable
         assert c.face_words is c.face_words
-        for got, value in zip(c.face_words, face_arrays(c.faces)):
+        for got, value in zip(c.face_words, (np.abs(words) - 1, np.sign(words), lengths)):
             assert got.dtype == value.dtype and np.array_equal(got, value)
             assert not got.flags.writeable
+        assert c.edges == tuple((int(u), int(v), float(w)) for u, v, w in edges)
+        assert c.faces == tuple(tuple(int(s) for s in word) for word in faces)
+        assert all(type(x) in (int, float) for e in c.edges for x in e)
+    potentials[0] = 5.0  # the complex holds its own copy
+    assert c.potentials[0] != 5.0
+
+
+def test_library_paths_build_no_tuple_views(torus):
+    """The arrays are the one stored form: no library path reads the edge
+    and face tuples, which are built only for a caller that asks."""
+    spec = SupercellSpec((3, 3))
+    sc, sc_map = build_supercell(*torus, spec)
+    r, e = sc_map.edge_origin.T
+    cov = CoveringData(2, (spec.cells()[r] + torus[1].tau[e]) // 3)  # carries of the cells
+    assert validate(sc, cov).ok
+    theta = synthesize_connection(sc, np.full(9, 2 * np.pi / 9), homology(sc))
+    assert verify_block_diagonalization(sc, cov, theta, (2, 2)).off_diagonal < 1e-9
+    ms = magnetic_supercell(*torus, "1/3")
+    spectrum_union(ms.complex2, ms.covering, synthesize_connection(ms.complex2, ms.flux), (4, 4))
+    for cx in (sc, ms.complex2):
+        assert "edges" not in vars(cx) and "faces" not in vars(cx)
+    assert sc.edges[0] == (0, 3, 1.0) and "edges" in vars(sc)  # built on first read
 
 
 def loop_validate(complex2, covering=None):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -752,6 +753,58 @@ def test_validate_and_homology_share_one_forest(torus, monkeypatch):
     order, parent, cotree = block.forest
     assert all(type(part) is tuple for part in block.forest)
     assert sorted(order) == list(range(16)) and parent.count(-1) == 1 and len(cotree) == 17
+
+
+def queue_forest(num_vertices, ends):
+    """The BFS spanning forest from per-vertex adjacency lists and a queue:
+    roots in index order, each vertex's edges in index order, a loop listed
+    twice."""
+    adj = [[] for _ in range(num_vertices)]
+    for e, (u, v) in enumerate(ends):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    parent, order, seen = [-1] * num_vertices, [], [False] * num_vertices
+    for root in range(num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        queue = collections.deque([root])
+        while queue:
+            for v, e in adj[queue.popleft()]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = e
+                    order.append(v)
+                    queue.append(v)
+    tree = set(parent)
+    return tuple(order), tuple(parent), tuple(e for e in range(len(ends)) if e not in tree)
+
+
+def test_forest_visits_in_queue_order():
+    rng = np.random.default_rng(11)
+    cases = [cx for cx, _ in oracle_complexes()]
+    for _ in range(200):
+        # edges among a random subset of the vertices, so some are isolated
+        # and the rest may split into several components
+        V = int(rng.integers(1, 10))
+        used = rng.choice(V, size=int(rng.integers(1, V + 1)), replace=False)
+        ends = rng.choice(used, size=(int(rng.integers(0, 12)), 2)).tolist()
+        if ends:  # one more loop and one more parallel edge, at random places
+            for edge in ([ends[0][0]] * 2, ends[int(rng.integers(len(ends)))]):
+                ends.insert(int(rng.integers(len(ends) + 1)), edge)
+        cases.append(Complex2(V, [(u, v, 1.0) for u, v in ends]))
+    seen = collections.Counter()
+    for cx in cases:
+        ends = cx.ends.tolist()
+        want = queue_forest(cx.num_vertices, ends)
+        assert cx.forest == want
+        degree = collections.Counter(x for end in ends for x in end)
+        seen["isolated"] += any(degree[x] == 0 for x in range(cx.num_vertices))
+        seen["components"] += want[1].count(-1) > 1
+        seen["loops"] += any(u == v for u, v in ends)
+        seen["parallel"] += len(set(map(tuple, ends))) < len(ends)
+    assert len(cases) == 353 and min(seen.values()) > 50, seen
 
 
 def test_face_boundary_not_a_cycle_is_rejected():
