@@ -10,7 +10,6 @@
 import numpy as np
 
 from magbloch import (
-    BlochBasis,
     Complex2,
     CoveringData,
     SupercellSpec,
@@ -66,14 +65,16 @@ for name, cx, cov, theta, sizes in cases:
     assert report.relative_deviation <= 1e-8
 
 # the torus case in full detail: supercell eigenvalues vs union of fibers
+# at the spec's momenta, one per character of its deck group Z/3 x Z/3
 sizes = (3, 3)
+spec = SupercellSpec(sizes)
 theta = rng.uniform(0, TWO_PI, 2)
-sup = spectrum(assemble_supercell(torus, torus_cov, theta, SupercellSpec(sizes)))
+sup = spectrum(assemble_supercell(torus, torus_cov, theta, spec))
 fibers = np.sort(
     np.concatenate(
         [
             spectrum(assemble_fiber(torus, torus_cov, theta, k)).eigenvalues
-            for k in BlochBasis.from_sizes(sizes).ks
+            for k in spec.momenta
         ]
     )
 )
@@ -86,8 +87,8 @@ rel = character_relations_check(sizes)
 print("\ncharacter relations N=(3,3): max residual %.3e" % rel.max_residual)
 
 # and the transform itself, as an explicit matrix
-_, sc_map = build_supercell(torus, torus_cov, SupercellSpec(sizes))
-Phi = bloch_matrix(BlochBasis.from_sizes(sizes), sc_map)
+_, sc_map = build_supercell(torus, torus_cov, spec)
+Phi = bloch_matrix(sc_map)
 print("Phi is %dx%d, ||Phi* Phi - I||_max = %.3e" % (
     *Phi.shape, np.max(np.abs(Phi.conj().T @ Phi - np.eye(Phi.shape[0])))))
 

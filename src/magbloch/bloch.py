@@ -59,7 +59,6 @@ from .operators import (
 )
 
 __all__ = [
-    "BlochBasis",
     "BandData",
     "bloch_matrix",
     "bloch_transform",
@@ -107,39 +106,17 @@ CLASS_TOL = 1e-9
 SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
-@dataclass(frozen=True, eq=False)
-class BlochBasis:
-    """Sampled character grid of a periodic supercell, canonically ordered."""
+def bloch_matrix(sc_map: SupercellMap) -> np.ndarray:
+    """The unitary finite Bloch transform of a supercell as a dense matrix.
 
-    sizes: tuple[int, ...]
-    ks: np.ndarray
-
-    @classmethod
-    def from_sizes(cls, sizes: Sequence[int]) -> "BlochBasis":
-        """Momenta k = 2 pi m / N of the deck group's cells m, in cell order."""
-        spec = SupercellSpec(sizes)
-        return cls(spec.sizes, TWO_PI * spec.cells() / np.array(spec.sizes))
-
-    @property
-    def num_characters(self) -> int:
-        return self.ks.shape[0]
-
-
-def bloch_matrix(basis: BlochBasis, sc_map: SupercellMap) -> np.ndarray:
-    """The unitary finite Bloch transform as a dense matrix.
-
-    Rows are (momentum, base vertex), columns are (cell, base vertex);
-    the normalization (prod N)^(-1/2) makes it a plain unitary.  This is the
-    dense reference for :func:`bloch_transform`; no check builds it.
+    Rows are (momentum, base vertex), columns are (cell, base vertex), with
+    the momenta and cells of ``sc_map.spec``; the normalization
+    (prod N)^(-1/2) makes it a plain unitary.  This is the dense reference
+    for :func:`bloch_transform`; no check builds it.
     """
-    _check_sizes(basis, sc_map)
-    W = np.exp(1j * basis.ks @ sc_map.spec.cells().astype(float).T)
+    spec = sc_map.spec
+    W = np.exp(1j * spec.momenta @ spec.cells().astype(float).T)
     return np.kron(W, np.eye(sc_map.base_vertices)) / math.sqrt(sc_map.num_cells)
-
-
-def _check_sizes(basis: BlochBasis, sc_map: SupercellMap) -> None:
-    if basis.sizes != sc_map.sizes:
-        raise ValueError("Bloch basis and supercell have different sizes")
 
 
 def _transform(x: np.ndarray, axes: tuple[int, ...], adjoint: bool = False) -> np.ndarray:
@@ -154,17 +131,14 @@ def _transform(x: np.ndarray, axes: tuple[int, ...], adjoint: bool = False) -> n
     return fftn(x, axes=axes, norm="ortho", out=x)
 
 
-def bloch_transform(
-    s: Sequence[complex], basis: BlochBasis, sc_map: SupercellMap
-) -> np.ndarray:
+def bloch_transform(s: Sequence[complex], sc_map: SupercellMap) -> np.ndarray:
     """Transform a supercell vector into per-momentum quotient vectors.
 
-    Returns an array of shape (num characters, base vertices) whose row i is
-    the fiber component at ``basis.ks[i]``; stacking rows reproduces
+    Returns an array of shape (num cells, base vertices) whose row i is the
+    fiber component at ``sc_map.spec.momenta[i]``; stacking rows reproduces
     ``bloch_matrix @ s``.  The map is unitary: norms are preserved.  It is
     applied as the orthonormal inverse FFT over the cell axes.
     """
-    _check_sizes(basis, sc_map)
     s = np.array(s, dtype=complex)
     if s.shape != (sc_map.num_vertices,):
         raise ValueError(f"vector must have length {sc_map.num_vertices}")
@@ -299,8 +273,7 @@ def verify_block_diagonalization(
     spec = SupercellSpec(sizes)
     H, tag = _supercell_stack(complex2, covering, theta, spec)
     S, scale = _hermitian_part(H, lambda i: tag)
-    basis = BlochBasis.from_sizes(spec.sizes)
-    V, C, d = complex2.num_vertices, basis.num_characters, len(spec.sizes)
+    V, C, d = complex2.num_vertices, spec.num_cells, len(spec.sizes)
 
     shape = spec.sizes + (V,)
     B = H.reshape(shape + shape)
@@ -310,7 +283,7 @@ def verify_block_diagonalization(
     B = B.reshape(C, V, C, V)
     diagonal = np.arange(C)
     blocks = B[diagonal, :, diagonal, :]
-    fiber_ops = assemble_fibers(complex2, covering, theta, basis.ks)
+    fiber_ops = assemble_fibers(complex2, covering, theta, spec.momenta)
     fiber_dev = float(np.max(np.abs(blocks - fiber_ops), initial=0.0))
     B[diagonal, :, diagonal, :] = 0.0
     off = float(np.max(np.abs(B), initial=0.0))
@@ -320,7 +293,7 @@ def verify_block_diagonalization(
     del S
     eigs = vals[0]
     fiber_vals, fiber_res = _eigh_checked(
-        fiber_ops, lambda i: f"fiber at k=[{_format_k(basis.ks[i])}]"
+        fiber_ops, lambda i: f"fiber at k=[{_format_k(spec.momenta[i])}]"
     )
     max_dev = float(np.max(np.abs(eigs - np.sort(fiber_vals.ravel())), initial=0.0))
     norm = float(np.max(np.abs(eigs), initial=0.0))
@@ -369,6 +342,14 @@ def multiplier_action(
     return out
 
 
+def _deck_labels(covering: CoveringData, cycles: Sequence[np.ndarray]) -> np.ndarray:
+    """The deck labels tau^T g of the 1-cycles g, one row each: an exact
+    (len(cycles), d) object array."""
+    tau_t = covering.tau.T.astype(object)
+    labels = [tau_t @ g for g in cycles]
+    return np.array(labels, dtype=object).reshape(len(labels), covering.rank)
+
+
 def momentum_character(
     summary: HomologySummary, covering: CoveringData, k: Sequence[float]
 ) -> Character:
@@ -380,13 +361,11 @@ def momentum_character(
     k = np.asarray(k, dtype=float)
     if k.shape != (covering.rank,):
         raise ValueError(f"momentum must have length {covering.rank}")
-    tau_t = covering.tau.T.astype(object)
-    angles = [
-        float(np.mod(k @ (tau_t @ g).astype(float), TWO_PI)) for g in summary.h1_free_generators
-    ]
-    for g, m in summary.h1_torsion_generators:
-        if np.count_nonzero(tau_t @ g):
-            raise ValueError("torsion generator has a nonzero deck label; covering is invalid")
+    torsion = [g for g, _ in summary.h1_torsion_generators]
+    if np.count_nonzero(_deck_labels(covering, torsion)):
+        raise ValueError("torsion generator has a nonzero deck label; covering is invalid")
+    labels = _deck_labels(covering, summary.h1_free_generators)
+    angles = [float(np.mod(k @ row.astype(float), TWO_PI)) for row in labels]
     return Character(np.array(angles), tuple(0 for _ in summary.h1_torsion_orders))
 
 
@@ -461,18 +440,18 @@ def _band(
     complex2: Complex2,
     covering: CoveringData,
     theta: Sequence[float] | None,
-    basis: BlochBasis,
+    spec: SupercellSpec,
     owner: np.ndarray | None = None,
 ) -> BandData:
-    """The one band sweep over an accepted grid: the fibers at the momenta
-    that own their orbit are solved, and row m is read from the row of
-    ``owner[m]``; no ``owner`` is the identity, every momentum solved."""
-    ks = basis.ks
+    """The one band sweep over an accepted grid ``spec``: the fibers at the
+    momenta that own their orbit are solved, and row m is read from the row
+    of ``owner[m]``; no ``owner`` is the identity, every momentum solved."""
+    ks = spec.momenta
     solved, fill = (slice(None),) * 2 if owner is None else np.unique(owner, return_inverse=True)
     eigs = fiber_spectra(complex2, covering, theta, ks[solved]).eigenvalues[fill]
-    step = max((TWO_PI / n for n in basis.sizes), default=0.0)
+    step = max((TWO_PI / n for n in spec.sizes), default=0.0)
     join_tol = 2.0 * lipschitz_bound(complex2, covering) * step
-    return BandData(ks, eigs, _merge_intervals(eigs, join_tol), basis.sizes)
+    return BandData(ks, eigs, _merge_intervals(eigs, join_tol), spec.sizes)
 
 
 def spectrum_union(
@@ -489,8 +468,7 @@ def spectrum_union(
     eigenvalues, or of more than ``MAX_BAND_WORK`` units K * V^3 of fiber
     solves, raises :class:`NumericError` before any grid is built.
     """
-    spec = _sweep_grid(complex2, covering, grid)
-    return _band(complex2, covering, theta, BlochBasis.from_sizes(spec.sizes))
+    return _band(complex2, covering, theta, _sweep_grid(complex2, covering, grid))
 
 
 def _as_fraction(x) -> Fraction:
@@ -626,9 +604,7 @@ def _label_smith(covering: CoveringData, summary: HomologySummary) -> SmithDecom
     H1 torsion, whose classes a momentum does not cover."""
     if summary.h1_torsion_orders:
         return None
-    tau_t = covering.tau.T.astype(object)
-    labels = [tau_t @ g for g in summary.h1_free_generators]
-    return smith_normal_form(np.array(labels, dtype=object).reshape(len(labels), covering.rank))
+    return smith_normal_form(_deck_labels(covering, summary.h1_free_generators))
 
 
 def _translation_step(
@@ -777,13 +753,15 @@ def butterfly(
             classes.setdefault((size, rep), []).append((len(rows), fr, mirrored))
             rows.append(None)
 
-    # the momenta, built once when the first cell passes the guards, which
-    # every solve below runs again before it reads them
-    basis = None
+    # the grid and its momenta, built once when the first cell passes the
+    # guards, which every solve below runs again before it reads them; the
+    # momenta are read here, on one thread, so every row shares one array
+    spec = None
     for cell in cells.values():
         if not isinstance(cell, Exception):
             try:
-                basis = BlochBasis.from_sizes(_sweep_grid(cell[0], cell[1], grid).sizes)
+                spec = _sweep_grid(cell[0], cell[1], grid)
+                spec.momenta
                 break
             except (ValueError, NumericError):
                 pass
@@ -800,9 +778,9 @@ def butterfly(
                 conn = synthesize_connection(sc, _face_flux(sc, fr), summary)
                 if shared is None:
                     _sweep_grid(sc, cov, grid)
-                    step = _translation_step(sc, summary, labels, conn, size, basis.sizes)
-                    owner = None if step is None else _orbit_owners(basis.sizes, step)
-                    band = _band(sc, cov, conn, basis, owner)
+                    step = _translation_step(sc, summary, labels, conn, size, spec.sizes)
+                    owner = None if step is None else _orbit_owners(spec.sizes, step)
+                    band = _band(sc, cov, conn, spec, owner)
                 elif mirrored:
                     band = _at_opposite_momenta(shared)
                 else:

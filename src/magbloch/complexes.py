@@ -33,18 +33,7 @@ __all__ = [
     "boundary_matrices",
     "vertex_boundary",
     "build_supercell",
-    "face_steps",
 ]
-
-
-def face_steps(word: Sequence[int]) -> list[tuple[int, int]]:
-    """Decode a signed 1-based boundary word into (edge_index, sign) pairs."""
-    steps = []
-    for s in word:
-        if s == 0:
-            raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
-        steps.append((abs(s) - 1, 1 if s > 0 else -1))
-    return steps
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -245,7 +234,8 @@ class SupercellSpec:
     """Sizes of a finite cover: the quotient of the Z^d cover by ``N Z^d``.
 
     Its deck group Z/N_1 x ... x Z/N_d acts by translations: its elements
-    are the cells, and its characters the sampled Bloch momenta.
+    are the cells (:meth:`cells`), and its characters the sampled Bloch
+    momenta (:attr:`momenta`).
     """
 
     sizes: tuple[int, ...]
@@ -265,6 +255,14 @@ class SupercellSpec:
             return np.zeros((1, 0), dtype=int)
         grids = np.meshgrid(*[np.arange(n) for n in self.sizes], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
+
+    @cached_property
+    def momenta(self) -> np.ndarray:
+        """The sampled Bloch momenta k = 2 pi m / N, one per character of the
+        deck group, in cell order: shape (num_cells, d), read-only."""
+        ks = (2.0 * np.pi) * self.cells() / np.array(self.sizes)
+        ks.flags.writeable = False
+        return ks
 
     def rank(self, points: np.ndarray) -> np.ndarray:
         """Ranks in :meth:`cells` of points (..., d), reduced mod the sizes."""

@@ -67,6 +67,17 @@ def make_random3(rng):
     return cx, cov, flux
 
 
+def face_steps(word):
+    """Decode a signed 1-based boundary word into (edge_index, sign) pairs:
+    a per-step reference for the padded ``words`` of ``Complex2``."""
+    steps = []
+    for s in word:
+        if s == 0:
+            raise ValueError("face words use signed 1-based ids; 0 is not a valid step")
+        steps.append((abs(s) - 1, 1 if s > 0 else -1))
+    return steps
+
+
 def cell_rank(sizes, cell):
     """Lexicographic rank of a cell of a supercell of these sizes, its
     coordinates reduced mod the sizes: a per-cell reference for the cell

@@ -34,7 +34,6 @@ from magbloch import (
     twist,
     verify_block_diagonalization,
 )
-from magbloch.bloch import BlochBasis
 from magbloch.homology import TWO_PI
 
 from conftest import make_random3
@@ -89,12 +88,11 @@ def test_criterion_1_finite_bloch_decomposition():
         for cx, cov, theta, sizes in _instances(rng):
             op = assemble_supercell(cx, cov, theta, SupercellSpec(sizes))
             sup = spectrum(op).eigenvalues
-            basis = BlochBasis.from_sizes(sizes)
             fib = np.sort(
                 np.concatenate(
                     [
                         spectrum(assemble_fiber(cx, cov, theta, k)).eigenvalues
-                        for k in basis.ks
+                        for k in SupercellSpec(sizes).momenta
                     ]
                 )
             )
@@ -109,8 +107,7 @@ def test_criterion_2_unitarity_and_intertwining():
     with criterion(2, "Bloch unitarity, off-diagonal blocks, fiber block match"):
         for cx, cov, theta, sizes in _instances(rng):
             _, sc_map = build_supercell(cx, cov, SupercellSpec(sizes))
-            basis = BlochBasis.from_sizes(sizes)
-            Phi = bloch_matrix(basis, sc_map)
+            Phi = bloch_matrix(sc_map)
             n = Phi.shape[0]
             assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(n))) <= 1e-12
             report = verify_block_diagonalization(cx, cov, theta, sizes)
@@ -202,9 +199,9 @@ def test_criterion_7_fiber_as_quantization():
         cx, cov = _torus()
         s = homology(cx)
         theta = rng.uniform(0, TWO_PI, 2)
-        basis = BlochBasis.from_sizes((4, 4))
-        assert basis.num_characters == 16
-        for k in basis.ks:
+        ks = SupercellSpec((4, 4)).momenta
+        assert len(ks) == 16
+        for k in ks:
             chi = momentum_character(s, cov, k)
             fib = spectrum(assemble_fiber(cx, cov, theta, k)).eigenvalues
             quo = spectrum(assemble_quotient(cx, twist(cx, s, theta, chi))).eigenvalues

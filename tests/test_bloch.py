@@ -15,7 +15,6 @@ import pytest
 
 from magbloch import (
     BandData,
-    BlochBasis,
     Complex2,
     CoveringData,
     NotQuantizableError,
@@ -70,19 +69,21 @@ from conftest import cell_rank, make_random3, reference_eigh_checked
 
 
 class TestBlochBasis:
+    """The Bloch momenta of a supercell: ``SupercellSpec.momenta``, one per
+    character of the deck group, in cell order."""
+
     def test_counts_and_order(self):
-        basis = BlochBasis.from_sizes((2, 3))
-        assert basis.num_characters == 6
+        ks = SupercellSpec((2, 3)).momenta
+        assert ks.shape == (6, 2)
         # lexicographic in the integer multi-index
         expect0 = [0.0, 0.0]
         expect1 = [0.0, 2 * np.pi / 3]
-        assert basis.ks[0] == pytest.approx(expect0)
-        assert basis.ks[1] == pytest.approx(expect1)
-        assert basis.ks[3] == pytest.approx([np.pi, 0.0])
+        assert ks[0] == pytest.approx(expect0)
+        assert ks[1] == pytest.approx(expect1)
+        assert ks[3] == pytest.approx([np.pi, 0.0])
 
     def test_rank_zero(self):
-        basis = BlochBasis.from_sizes(())
-        assert basis.num_characters == 1 and basis.ks.shape == (1, 0)
+        assert SupercellSpec(()).momenta.shape == (1, 0)
 
     @pytest.mark.parametrize("sizes", [(), (1,), (7,), (3, 4), (2, 3, 5)])
     def test_grid_is_per_axis_meshgrid(self, sizes):
@@ -93,13 +94,18 @@ class TestBlochBasis:
             expect = np.stack([g.ravel() for g in axes], axis=-1)
         else:
             expect = np.zeros((1, 0))
-        ks = BlochBasis.from_sizes(sizes).ks
+        spec = SupercellSpec(sizes)
+        ks = spec.momenta
         assert ks.dtype == expect.dtype and np.array_equal(ks, expect)
+        # read-only, and built once per spec
+        assert not ks.flags.writeable and spec.momenta is ks
+        with pytest.raises(ValueError, match="read-only"):
+            ks[...] = 0.0
 
     def test_zero_size_rejected_once(self, chain):
         cx, cov = chain
         for call in (
-            lambda: BlochBasis.from_sizes((2, 0)),
+            lambda: SupercellSpec((2, 0)).momenta,
             lambda: character_relations_check((2, 0)),
             lambda: spectrum_union(cx, cov, None, (0,)),
         ):
@@ -109,7 +115,7 @@ class TestBlochBasis:
     def test_non_integer_size_rejected(self, chain):
         cx, cov = chain
         for call in (
-            lambda: BlochBasis.from_sizes((2.9,)),
+            lambda: SupercellSpec((2.9,)).momenta,
             lambda: character_relations_check((2.9,)),
             lambda: spectrum_union(cx, cov, None, (2.9,)),
             lambda: verify_block_diagonalization(cx, cov, None, (2.9,)),
@@ -124,16 +130,14 @@ class TestBlochTransform:
     def test_two_cell_hand_sum(self, chain):
         cx, cov = chain
         _, sc_map = build_supercell(cx, cov, SupercellSpec((2,)))
-        basis = BlochBasis.from_sizes((2,))
-        out = bloch_transform([1.0, 0.0], basis, sc_map)
+        out = bloch_transform([1.0, 0.0], sc_map)
         # hand sum: (1/sqrt 2) * (e^{ik*0} * 1 + e^{ik*1} * 0) = 1/sqrt 2 at both k
         assert out == pytest.approx(np.full((2, 1), 1 / np.sqrt(2)))
 
     def test_constant_vector_hits_only_trivial_character(self, chain):
         cx, cov = chain
         _, sc_map = build_supercell(cx, cov, SupercellSpec((4,)))
-        basis = BlochBasis.from_sizes((4,))
-        out = bloch_transform(np.ones(4), basis, sc_map)
+        out = bloch_transform(np.ones(4), sc_map)
         assert abs(out[0, 0]) == pytest.approx(2.0)
         assert np.max(np.abs(out[1:])) <= 1e-12
 
@@ -141,30 +145,27 @@ class TestBlochTransform:
         cx, cov = torus
         for sizes in [(2, 2), (3, 2)]:
             _, sc_map = build_supercell(cx, cov, SupercellSpec(sizes))
-            basis = BlochBasis.from_sizes(sizes)
-            Phi = bloch_matrix(basis, sc_map)
+            Phi = bloch_matrix(sc_map)
             n = Phi.shape[0]
             assert np.max(np.abs(Phi.conj().T @ Phi - np.eye(n))) <= 1e-12
             rng = np.random.default_rng(1)
             s = rng.normal(size=n) + 1j * rng.normal(size=n)
-            out = bloch_transform(s, basis, sc_map)
+            out = bloch_transform(s, sc_map)
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(s), abs=1e-12)
 
     def test_matches_matrix(self, torus):
         cx, cov = torus
         _, sc_map = build_supercell(cx, cov, SupercellSpec((2, 3)))
-        basis = BlochBasis.from_sizes((2, 3))
         rng = np.random.default_rng(7)
         s = rng.normal(size=6) + 1j * rng.normal(size=6)
-        stacked = bloch_transform(s, basis, sc_map).ravel()
-        assert stacked == pytest.approx(bloch_matrix(basis, sc_map) @ s)
+        stacked = bloch_transform(s, sc_map).ravel()
+        assert stacked == pytest.approx(bloch_matrix(sc_map) @ s)
         # three base vertices per cell: the vertex axis stays out of the FFT
         cx3, cov3, _ = make_random3(rng)
         _, sc_map = build_supercell(cx3, cov3, SupercellSpec((4, 3)))
-        basis = BlochBasis.from_sizes((4, 3))
         s = rng.normal(size=36) + 1j * rng.normal(size=36)
-        stacked = bloch_transform(s, basis, sc_map).ravel()
-        assert np.max(np.abs(stacked - bloch_matrix(basis, sc_map) @ s)) <= 1e-12
+        stacked = bloch_transform(s, sc_map).ravel()
+        assert np.max(np.abs(stacked - bloch_matrix(sc_map) @ s)) <= 1e-12
 
     @pytest.mark.parametrize("sizes", [(1,), (7,), (2048,), (3, 682), (7, 292), (2, 3, 4)], ids=str)
     def test_equals_numpy_ifftn(self, sizes):
@@ -176,17 +177,16 @@ class TestBlochTransform:
         rng = np.random.default_rng(11)
         s = rng.normal(size=sc_map.num_vertices) + 1j * rng.normal(size=sc_map.num_vertices)
         want = np.fft.ifftn(s.reshape(sizes + (V,)), axes=tuple(range(d)), norm="ortho")
-        got = bloch_transform(s, BlochBasis.from_sizes(sizes), sc_map)
+        got = bloch_transform(s, sc_map)
         assert np.array_equal(got, want.reshape(-1, V))
 
     def test_diagonalizes_translation(self, chain):
         cx, cov = chain
         _, sc_map = build_supercell(cx, cov, SupercellSpec((4,)))
-        basis = BlochBasis.from_sizes((4,))
         rng = np.random.default_rng(3)
         s = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lhs = bloch_transform(translate(s, [1], sc_map), basis, sc_map)
-        rhs = np.exp(1j * basis.ks[:, 0])[:, None] * bloch_transform(s, basis, sc_map)
+        lhs = bloch_transform(translate(s, [1], sc_map), sc_map)
+        rhs = np.exp(1j * sc_map.spec.momenta[:, 0])[:, None] * bloch_transform(s, sc_map)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -246,9 +246,8 @@ def gram_from_first_row(row, sizes):
 def dense_character_tables(sizes):
     """Column means and Gram matrix of the dense table W[k, gamma] = exp(i k.gamma),
     the unfactorized computation kept as the reference."""
-    basis = BlochBasis.from_sizes(sizes)
-    cells = SupercellSpec(basis.sizes).cells().astype(float)
-    W = np.exp(1j * basis.ks @ cells.T)
+    spec = SupercellSpec(sizes)
+    W = np.exp(1j * spec.momenta @ spec.cells().astype(float).T)
     return W.mean(axis=0), W.conj() @ W.T
 
 
@@ -258,7 +257,6 @@ class TestCharacterRelations:
         assert report.delta_residual <= 1e-13  # 1 + w + w^2 = 0 numerically
 
     def test_identity_element_exact(self):
-        basis = BlochBasis.from_sizes((5,))
         # at gamma = 0 every character contributes 1; the mean is exactly 1
         assert character_relations_check((5,)).delta_residual <= 1e-13
 
@@ -340,13 +338,12 @@ def reference_verify(cx, cov, theta, sizes):
     staged, blocked verify must agree with it bit for bit."""
     spec = SupercellSpec(sizes)
     op = assemble_supercell(cx, cov, theta, spec)
-    basis = BlochBasis.from_sizes(spec.sizes)
-    V, C, d = cx.num_vertices, basis.num_characters, len(spec.sizes)
+    V, C, d = cx.num_vertices, spec.num_cells, len(spec.sizes)
     vals, residual = reference_eigh_checked(op.matrix[None], lambda i: op.provenance)
     eigs = vals[0]
     # each fiber on its own: verify's solver picks real or complex LAPACK
     # per matrix, whatever shares its stack
-    fibers = assemble_fibers(cx, cov, theta, basis.ks)
+    fibers = assemble_fibers(cx, cov, theta, spec.momenta)
     fiber_eigs, fiber_residual = [], 0.0
     for i in range(C):
         v, r = reference_eigh_checked(fibers[i : i + 1], str)
@@ -538,7 +535,7 @@ class TestBlockDiagonalization:
         theta = rng.uniform(0, 2 * np.pi, size=4)
         report = verify_block_diagonalization(cx, cov, theta, (2, 3))
         sup = spectrum(assemble_supercell(cx, cov, theta, SupercellSpec((2, 3))))
-        fib = fiber_spectra(cx, cov, theta, BlochBasis.from_sizes((2, 3)).ks)
+        fib = fiber_spectra(cx, cov, theta, SupercellSpec((2, 3)).momenta)
         assert report.supercell_residual == sup.residual
         assert report.fiber_residual == fib.residual
         assert 0 < report.supercell_residual <= 1e-8 * max(1.0, report.operator_norm)
@@ -586,8 +583,7 @@ class TestMultiplier:
     def test_bloch_diagonalizes_multiplier(self, chain):
         cx, cov = chain
         _, sc_map = build_supercell(cx, cov, SupercellSpec((4,)))
-        basis = BlochBasis.from_sizes((4,))
-        Phi = bloch_matrix(basis, sc_map)
+        Phi = bloch_matrix(sc_map)
         rng = np.random.default_rng(11)
         fhat = rng.normal(size=4) + 1j * rng.normal(size=4)
         M = np.column_stack(
@@ -597,7 +593,7 @@ class TestMultiplier:
         off = D - np.diag(np.diag(D))
         assert np.max(np.abs(off)) <= 1e-12
         cells = sc_map.spec.cells().astype(float)
-        expect = np.array([np.sum(fhat * np.exp(1j * (k @ cells.T))) for k in basis.ks])
+        expect = np.array([np.sum(fhat * np.exp(1j * (k @ cells.T))) for k in sc_map.spec.momenta])
         assert np.diag(D) == pytest.approx(expect)
 
     def test_multiplier_commutes_with_periodic_operator(self, chain):
@@ -619,8 +615,7 @@ class TestMultiplier:
         cx, cov = chain
         spec = SupercellSpec((4,))
         _, sc_map = build_supercell(cx, cov, spec)
-        basis = BlochBasis.from_sizes((4,))
-        Phi = bloch_matrix(basis, sc_map)
+        Phi = bloch_matrix(sc_map)
         H = assemble_supercell(cx, cov, None, spec).matrix.copy()
         H[0, 0] += 1.0  # impurity at one cell
         fhat = np.zeros(4, complex)
@@ -863,6 +858,16 @@ class TestButterfly:
         e0 = rows[0].band.eigenvalues
         e1 = rows[1].band.eigenvalues
         assert np.max(np.abs(np.sort(e0.ravel()) - np.sort(e1.ravel()))) <= 1e-9
+
+    def test_rows_share_one_momenta_array(self, torus):
+        # the grid's momenta are built once per call: own sweeps, shared
+        # representatives and mirrored rows all hold that one array
+        cx, cov = torus
+        rows = butterfly(cx, cov, ["0", "1/2", "1/3", "2/3", "1/4", "3/4", "2/5", "1"], (8, 8))
+        assert all(row.error is None for row in rows)
+        ks = rows[0].band.ks
+        assert all(row.band.ks is ks for row in rows)
+        assert np.array_equal(ks, SupercellSpec((8, 8)).momenta)
 
     def test_errors_collected_not_fatal(self, torus):
         cx, cov = torus
@@ -1172,7 +1177,7 @@ def orbit_owners(cx, ms, summary, theta, grid):
     E = cx.num_edges
     q = ms.complex2.num_edges // E
     chi = difference_class(ms.complex2, summary, theta, np.roll(theta, -E))
-    ks = BlochBasis.from_sizes(grid).ks
+    ks = SupercellSpec(grid).momenta
     chars = np.array([momentum_character(summary, ms.covering, k).angles for k in ks])
     powers = np.outer(np.arange(q), chi.angles)
     gap = chars[None, :, None, :] - chars[:, None, None, :] - powers
@@ -1190,7 +1195,7 @@ def orbit_band(cx, cov, flux, grid):
     if summary.h1_torsion_orders:
         return spectrum_union(ms.complex2, ms.covering, theta, grid)
     sizes = SupercellSpec(grid).sizes
-    ks = BlochBasis.from_sizes(sizes).ks
+    ks = SupercellSpec(sizes).momenta
     owner = orbit_owners(cx, ms, summary, theta, sizes)
     eigs = np.empty((len(ks), ms.complex2.num_vertices))
     solved = np.unique(owner)

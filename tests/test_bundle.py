@@ -21,10 +21,9 @@ from magbloch import (
     twist,
 )
 from magbloch.bundle import _curvatures, wrap_angle
-from magbloch.complexes import face_steps
 from magbloch.homology import TWO_PI, spanning_forest
 
-from conftest import make_random3
+from conftest import face_steps, make_random3
 
 
 def angdist(a, b):

@@ -19,10 +19,9 @@ from magbloch.complexes import (
     SupercellMap,
     ValidationIssue,
     ValidationReport,
-    face_steps,
 )
 
-from conftest import cell_rank, make_random3
+from conftest import cell_rank, face_steps, make_random3
 
 
 def reorient_edges(complex2, edges_to_flip, covering):

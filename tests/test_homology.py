@@ -31,7 +31,7 @@ from magbloch import (
     validate,
 )
 from magbloch.bloch import magnetic_supercell
-from magbloch.complexes import face_steps, vertex_boundary
+from magbloch.complexes import vertex_boundary
 from magbloch.homology import (
     MAX_SNF_DIM,
     TWO_PI,
@@ -40,7 +40,7 @@ from magbloch.homology import (
     spanning_forest,
 )
 
-from conftest import make_random3
+from conftest import face_steps, make_random3
 
 
 def _int_rows(A) -> list[list[int]]:
